@@ -158,7 +158,8 @@ type KernelService struct {
 	kernel []byte
 }
 
-// NewKernel builds the kernel broadcast service.
+// NewKernel builds the kernel broadcast service.  image is held under the
+// contract SetImage states.
 func NewKernel(sess *core.Session, image []byte) *KernelService {
 	s := &KernelService{sess: sess, kernel: image}
 	sess.Ep.Register("kernel", &kernelSkel{s: s})
@@ -168,7 +169,10 @@ func NewKernel(sess *core.Session, image []byte) *KernelService {
 // Ref returns the service object's reference.
 func (s *KernelService) Ref() oref.Ref { return s.sess.Ep.RefFor("kernel") }
 
-// SetImage replaces the kernel image (an upgrade).
+// SetImage replaces the kernel image (an upgrade).  The service takes
+// ownership of image and treats it as immutable: fetches send it straight
+// from this slice (orb.ServerCall.PutBytesRef), possibly still after the
+// next SetImage, so the caller must never write into it again.
 func (s *KernelService) SetImage(image []byte) {
 	s.mu.Lock()
 	s.kernel = image
@@ -190,7 +194,7 @@ func (k *kernelSkel) Dispatch(c *orb.ServerCall) error {
 	if c.Method() != "kernel" {
 		return orb.ErrNoSuchMethod
 	}
-	c.Results().PutBytes(k.s.Image())
+	c.PutBytesRef(k.s.Image())
 	return nil
 }
 

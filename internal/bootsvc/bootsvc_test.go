@@ -2,6 +2,7 @@ package bootsvc
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -136,5 +137,13 @@ func TestKernelServiceAndUpgrade(t *testing.T) {
 	img, err = FetchKernel(csess.Service(KernelName))
 	if err != nil || string(img) != "v2" {
 		t.Fatalf("upgraded kernel = %q, %v", img, err)
+	}
+	// A kernel-sized image travels as a borrowed segment of the reply.
+	big := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(big)
+	k.SetImage(big)
+	img, err = FetchKernel(csess.Service(KernelName))
+	if err != nil || !bytes.Equal(img, big) {
+		t.Fatalf("1 MiB kernel: %d bytes, %v", len(img), err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -17,8 +18,9 @@ import (
 // Tests for the write-path frame coalescer (framewriter.go, DESIGN.md §12):
 // batching under a blocked write, error propagation out of a mid-batch
 // failure on both the copy and vectored paths, the flush / connection-close
-// race, a caller timing out while its frame is still queued, and a canary
-// that frames survive the encoder's return to the pool uncorrupted.
+// race, a borrowed-segment frame queued among small ones, a caller timing
+// out while its frame is still queued, and a canary that frames survive the
+// encoder's return to the pool uncorrupted.
 
 // testMsg is a minimal wire.Marshaler for building frames directly.
 type testMsg string
@@ -27,7 +29,7 @@ func (m testMsg) MarshalWire(e *wire.Encoder) { e.PutString(string(m)) }
 
 func mustFrame(t *testing.T, payload string) *wire.Encoder {
 	t.Helper()
-	fe, err := encodeFrame(testMsg(payload))
+	fe, err := encodeFrame(testMsg(payload), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +229,81 @@ func TestFrameWriterVectoredPartialWrite(t *testing.T) {
 		}
 	}
 	fw.mu.Unlock()
+}
+
+// TestFrameWriterSegmentQueuedBehindFlush: a borrowed-segment frame queued
+// behind an in-flight write, between small frames, leaves in arrival order
+// and intact; afterwards neither the recycled queue nor the vectored
+// scratch still references the segment (the loan ends with the flush).
+func TestFrameWriterSegmentQueuedBehindFlush(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var writes [][]byte
+	conn := newScriptConn(func(p []byte) (int, error) {
+		mu.Lock()
+		writes = append(writes, append([]byte(nil), p...))
+		first := len(writes) == 1
+		mu.Unlock()
+		if first {
+			close(started)
+			<-release
+		}
+		return len(p), nil
+	})
+	fw := &frameWriter{conn: conn}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fw.send(mustFrame(t, "frame-A")) // the flusher; blocks in Write
+	}()
+	<-started
+
+	s := getScratch()
+	defer putScratch(s)
+	seg := randBytes(rng, 3<<20)
+	split, contig := replyVia(s, rng, []byte("head"), [][]byte{seg}, []byte("tail"))
+	want, err := encodeFrame(&contig, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.PutEncoder(want)
+	qf, err := encodeResponse(&split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, d := mustFrame(t, "frame-B"), mustFrame(t, "frame-D")
+	expect := append([]byte(nil), b.Bytes()...)
+	expect = append(expect, want.Bytes()...)
+	expect = append(expect, d.Bytes()...)
+	fw.send(b)
+	fw.sendFrame(qf)
+	fw.send(d)
+
+	close(release)
+	wg.Wait()
+
+	mu.Lock()
+	got := bytes.Join(writes[1:], nil)
+	mu.Unlock()
+	if !bytes.Equal(got, expect) {
+		t.Fatalf("queued frames arrived reordered or damaged (%d bytes, want %d)", len(got), len(expect))
+	}
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	for i, q := range fw.spare[:cap(fw.spare)] {
+		if q.seg != nil || q.fe != nil {
+			t.Fatalf("recycled queue slot %d still holds a frame after its flush", i)
+		}
+	}
+	for i, v := range fw.vecs[:cap(fw.vecs)] {
+		if v != nil {
+			t.Fatalf("vecs[%d] still holds a buffer view after flush", i)
+		}
+	}
 }
 
 // TestFrameWriterCloseRace hammers send against a concurrent connection

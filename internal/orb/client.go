@@ -182,7 +182,7 @@ func (cc *clientConn) roundTrip(req *request, timeout time.Duration) (*respFrame
 	sh.m[id] = w
 	sh.mu.Unlock()
 
-	fe, err := encodeFrame(req)
+	fe, err := encodeFrame(req, 0)
 	if err != nil {
 		// An unframeable request (over MaxFrameSize) has always killed the
 		// connection like a failed write; keep that contract.
@@ -521,9 +521,21 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 	if err == nil && s.args.Err() != nil {
 		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
 	}
+	seg, segAt := s.call.takeSeg()
 	if err == nil && get != nil {
+		res := s.results.Bytes()
+		if seg != nil {
+			// Nothing will write the borrowed segment for us here: flatten
+			// it into the spent argument encoder so get sees the bytes a
+			// remote caller would.
+			enc.Reset()
+			enc.PutRaw(res[:segAt])
+			enc.PutRaw(seg)
+			enc.PutRaw(res[segAt:])
+			res = enc.Bytes()
+		}
 		// The argument decoder is spent; re-point it at the results.
-		s.args.Reset(s.results.Bytes())
+		s.args.Reset(res)
 		if gerr := get(&s.args); gerr != nil {
 			err = gerr
 		} else if s.args.Err() != nil {

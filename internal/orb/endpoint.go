@@ -58,6 +58,11 @@ type ServerCall struct {
 	results *wire.Encoder
 	ctx     context.Context
 	adopted uint64
+
+	// seg is the borrowed segment PutBytesRef lent to this reply, and
+	// segAt its offset in results (just past its length prefix).
+	seg   []byte
+	segAt int
 }
 
 // Method returns the invoked operation name.
@@ -71,6 +76,35 @@ func (c *ServerCall) Args() *wire.Decoder { return c.args }
 
 // Results returns the result encoder.
 func (c *ServerCall) Results() *wire.Encoder { return c.results }
+
+// PutBytesRef appends b to the results as PutBytes would — same bytes on
+// the wire — but lends a large b to the reply instead of copying it: only
+// the length prefix enters the results encoder, and the ORB writes b
+// itself between the bytes around it (DESIGN.md §12).  This is the bulk
+// reply mechanism; a service holding megabytes (an application binary, the
+// kernel image) sends them from where they live.
+//
+// The caller must not modify b until the reply has been written, which it
+// cannot observe — so b must be immutable for as long as any call might
+// still be sending it (replace the slice, never write into it).  A reply
+// lends at most one segment; a second call, or a b no larger than the
+// write path's copy-coalescing limit, is simply copied.
+func (c *ServerCall) PutBytesRef(b []byte) {
+	if len(b) <= flushCopyLimit || c.seg != nil {
+		c.results.PutBytes(b)
+		return
+	}
+	c.results.PutUint(uint64(len(b)))
+	c.seg, c.segAt = b, c.results.Len()
+}
+
+// takeSeg ends the call's hold on its borrowed segment, returning it and
+// its offset in the results.
+func (c *ServerCall) takeSeg() ([]byte, int) {
+	seg, at := c.seg, c.segAt
+	c.seg, c.segAt = nil, 0
+	return seg, at
+}
 
 // Context returns the invocation's context.  When the caller propagated a
 // sampled trace, the context carries its span (obs.SpanFrom) so downstream
@@ -510,7 +544,8 @@ func (srv *connServer) worker() {
 // connection's write path, reusing the given scratch for dispatch and
 // encoding.  The frame is marshaled into an owned pooled encoder before
 // the handoff, so the scratch (which the response body aliases) is free
-// for the worker's next request even while the frame waits on a flush.
+// for the worker's next request even while the frame waits on a flush; a
+// borrowed segment is not the scratch's, and travels with the frame.
 func (srv *connServer) handleOne(sr *serverReq, s *callScratch) {
 	pickup := time.Now()
 	srv.e.handleInto(&sr.req, srv.remote, s)
@@ -518,31 +553,34 @@ func (srv *connServer) handleOne(sr *serverReq, s *callScratch) {
 	// path, so the caller's clock couples to ours on every round trip.
 	s.resp.HLC = uint64(srv.e.hlc.Now())
 	done := time.Now()
-	fe, err := encodeFrame(&s.resp)
+	qf, err := encodeResponse(&s.resp)
 	if err != nil {
-		srv.conn.Close() // an unframeable response severs the connection
-	} else {
-		qf := queuedFrame{fe: fe}
-		// Attach the latency decomposition for the flusher to record once
-		// the response frame is on the wire.  A version-mismatched request
-		// never decoded its method; it travels unattributed (zero meta).
-		if sr.req.Method != "" {
-			qf.meta = frameMeta{
-				sms:     srv.e.metrics.serverFor(sr.req.Method),
-				led:     srv.e.ledger,
-				rec:     srv.e.recorder,
-				hlc:     obs.HLCTime(s.resp.HLC),
-				trace:   sr.req.TraceID,
-				sampled: sr.req.Sampled,
-				method:  sr.req.Method,
-				peer:    srv.remote,
-				queue:   pickup.Sub(sr.recvAt),
-				service: done.Sub(pickup),
-				handoff: done,
-			}
-		}
-		srv.fw.sendFrame(qf)
+		// The reply does not fit a frame.  That is this call's failure, not
+		// the connection's: refuse it by name and keep serving the calls
+		// multiplexed alongside it.
+		s.resp.refuseTooLarge()
+		srv.e.metrics.appErrors.Inc()
+		qf, _ = encodeResponse(&s.resp) // a refusal is a few dozen bytes
 	}
+	// Attach the latency decomposition for the flusher to record once the
+	// response frame is on the wire.  A version-mismatched request never
+	// decoded its method; it travels unattributed (zero meta).
+	if sr.req.Method != "" {
+		qf.meta = frameMeta{
+			sms:     srv.e.metrics.serverFor(sr.req.Method),
+			led:     srv.e.ledger,
+			rec:     srv.e.recorder,
+			hlc:     obs.HLCTime(s.resp.HLC),
+			trace:   sr.req.TraceID,
+			sampled: sr.req.Sampled,
+			method:  sr.req.Method,
+			peer:    srv.remote,
+			queue:   pickup.Sub(sr.recvAt),
+			service: done.Sub(pickup),
+			handoff: done,
+		}
+	}
+	srv.fw.sendFrame(qf)
 	srv.inflight.Add(-1)
 	putServerReq(sr)
 }
@@ -747,10 +785,12 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
 	}
 	resp.TraceID = call.adopted
+	seg, segAt := call.takeSeg()
 	switch {
 	case err == nil:
 		resp.Status = statusOK
 		resp.Body = s.results.Bytes()
+		resp.seg, resp.segAt = seg, segAt
 	case errors.Is(err, ErrNoSuchMethod):
 		resp.Status = statusNoSuchMethod
 		resp.ErrMsg = req.Method

@@ -131,4 +131,5 @@ const (
 	ExcExhausted    = "Exhausted"    // resource admission failure (bandwidth, limits)
 	ExcUnavailable  = "Unavailable"  // service present but cannot serve (e.g. no master)
 	ExcBusy         = "Busy"         // diagnostic endpoint at its concurrency bound
+	ExcTooLarge     = "TooLarge"     // reply does not fit one frame (wire.MaxFrameSize)
 )

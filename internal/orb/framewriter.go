@@ -25,8 +25,11 @@ const (
 	// flushCopyLimit is the batch size up to which frames are coalesced
 	// by copying into one contiguous buffer and issuing a single write.
 	// Above it the flush switches to a vectored net.Buffers write, which
-	// avoids the copy (writev on TCP) at the cost of one write per buffer
-	// on transports without vectored support.
+	// avoids the copy: one writev on a transport connection that offers
+	// WriteBuffers (transport.TCP does), one write per buffer elsewhere.
+	// The same size decides whether a reply body is worth lending to the
+	// frame as a borrowed segment instead of copying it into the results
+	// (ServerCall.PutBytesRef).
 	flushCopyLimit = 16 << 10
 
 	// maxBatchFrames bounds the frames in one flush so a single write —
@@ -37,14 +40,31 @@ const (
 
 // encodeFrame marshals m into a pooled frame encoder and returns it with
 // ownership: the caller hands it to a frameWriter, whose flusher releases
-// it back to the wire pool after the batch is written.
-func encodeFrame(m wire.Marshaler) (*wire.Encoder, error) {
+// it back to the wire pool after the batch is written.  segLen is the
+// length of a borrowed segment that completes the frame on the wire
+// (wire.AppendSplitFrame); zero for every frame but a bulk reply.
+func encodeFrame(m wire.Marshaler, segLen int) (*wire.Encoder, error) {
 	e := wire.GetEncoder()
-	if err := wire.AppendFrame(e, m); err != nil {
+	if err := wire.AppendSplitFrame(e, m, segLen); err != nil {
 		wire.PutEncoder(e)
 		return nil, err
 	}
 	return e, nil
+}
+
+// encodeResponse frames a reply.  When r carries a borrowed segment the
+// encoder holds only the bytes around it, and the returned queuedFrame
+// takes over the loan from r together with the offset where the segment
+// splices in.  The frame on the wire is byte-for-byte the one r would
+// make with the segment copied into its body.
+func encodeResponse(r *response) (queuedFrame, error) {
+	fe, err := encodeFrame(r, len(r.seg))
+	if err != nil {
+		return queuedFrame{}, err
+	}
+	qf := queuedFrame{fe: fe, seg: r.seg, split: r.split}
+	r.seg = nil // a worker's idle scratch must not keep a replaced blob reachable
+	return qf, nil
 }
 
 // frameMeta is the attribution a server response frame carries through the
@@ -67,10 +87,23 @@ type frameMeta struct {
 	handoff time.Time // when the worker handed the frame to the writer
 }
 
-// queuedFrame is one frame awaiting flush plus its attribution.
+// queuedFrame is one frame awaiting flush plus its attribution.  With a
+// borrowed segment the frame's bytes are fe[:split] + seg + fe[split:];
+// seg belongs to the service that lent it and is only read, until the
+// flush that writes it returns.
 type queuedFrame struct {
-	fe   *wire.Encoder
-	meta frameMeta
+	fe    *wire.Encoder
+	seg   []byte
+	split int
+	meta  frameMeta
+}
+
+// buffersWriter is the vectored-write path a transport connection may
+// offer: the whole list leaves in one operation (writev on TCP) and counts
+// as one frame write, which net.Buffers.WriteTo cannot arrange through a
+// wrapping net.Conn.
+type buffersWriter interface {
+	WriteBuffers(bufs *net.Buffers) (int64, error)
 }
 
 // frameWriter serializes and coalesces frame writes on one connection.
@@ -122,14 +155,17 @@ func (w *frameWriter) sendFrame(qf queuedFrame) {
 		var now time.Time
 		for i := range batch {
 			b := &batch[i]
-			wire.PutEncoder(b.fe)
 			if b.meta.sms != nil {
 				if now.IsZero() {
 					now = time.Now()
 				}
 				w.attribute(&b.meta, now)
 			}
+			// The loan of a borrowed segment ends here, before the
+			// encoder that framed it can serve another reply.
+			fe := b.fe
 			*b = queuedFrame{}
+			wire.PutEncoder(fe)
 		}
 		if err != nil && w.onErr != nil {
 			w.onErr(err)
@@ -205,21 +241,23 @@ func (w *frameWriter) writeBatch(batch []queuedFrame) error {
 	return nil
 }
 
-// writeGroup issues one group as a single write: direct for a lone frame
-// (the idle fast path), copy-coalesced below flushCopyLimit, vectored
-// above it.
+// writeGroup issues one group as a single write, in one of three shapes:
+// direct for a lone contiguous frame (the idle fast path), copy-coalesced
+// up to flushCopyLimit, vectored above it.  A frame with a borrowed
+// segment is always past the limit (PutBytesRef lends nothing smaller), so
+// it leaves vectored — head, segment, tail — even when it is alone.
 func (w *frameWriter) writeGroup(group []queuedFrame) error {
-	if len(group) == 1 {
+	if len(group) == 1 && group[0].seg == nil {
 		_, err := w.conn.Write(group[0].fe.Bytes())
 		return err
 	}
-	if w.m != nil {
+	if len(group) > 1 && w.m != nil {
 		w.m.batchedWrites.Inc()
 		w.m.batchedFrames.Add(int64(len(group)))
 	}
 	total := 0
-	for _, qf := range group {
-		total += qf.fe.Len()
+	for i := range group {
+		total += group[i].fe.Len() + len(group[i].seg)
 	}
 	if total <= flushCopyLimit {
 		w.buf = w.buf[:0]
@@ -231,12 +269,22 @@ func (w *frameWriter) writeGroup(group []queuedFrame) error {
 	}
 	vecs := w.vecs[:0]
 	for _, qf := range group {
-		vecs = append(vecs, qf.fe.Bytes())
+		b := qf.fe.Bytes()
+		if qf.seg == nil {
+			vecs = append(vecs, b)
+		} else {
+			vecs = append(vecs, b[:qf.split], qf.seg, b[qf.split:])
+		}
 	}
-	w.vecs = vecs // keep the full-length view; WriteTo consumes the local one
-	_, err := (&vecs).WriteTo(w.conn)
+	w.vecs = vecs // keep the full-length view; the write consumes the local one
+	var err error
+	if bw, ok := w.conn.(buffersWriter); ok {
+		_, err = bw.WriteBuffers(&vecs)
+	} else {
+		_, err = (&vecs).WriteTo(w.conn)
+	}
 	for i := range w.vecs {
-		w.vecs[i] = nil // drop frame-buffer refs before the encoders are pooled
+		w.vecs[i] = nil // drop buffer refs before encoders are pooled and segments returned
 	}
 	w.vecs = w.vecs[:0]
 	return err

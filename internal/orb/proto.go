@@ -1,6 +1,8 @@
 package orb
 
 import (
+	"fmt"
+
 	"itv/internal/wire"
 )
 
@@ -135,6 +137,13 @@ func (r *request) SigPayload() []byte {
 // ClockSink.  Responses carry no version field — their layout is tied to
 // the build, as it was when TraceID was added — so HLC rides on every
 // reply, including statusBadVersion refusals.
+//
+// seg, when non-nil, is a borrowed segment the skeleton lent to this reply
+// (ServerCall.PutBytesRef): the body on the wire is Body[:segAt] + seg +
+// Body[segAt:], but only Body is marshaled — MarshalWire records in split
+// where the segment belongs in the encoder and the write path sends the
+// three pieces as one vectored frame (DESIGN.md §12).  None of the three
+// is a wire field, and a decoded response never has them set.
 type response struct {
 	ReqID   uint64
 	Status  uint64
@@ -143,6 +152,10 @@ type response struct {
 	Body    []byte
 	TraceID uint64
 	HLC     uint64
+
+	seg   []byte
+	segAt int
+	split int
 }
 
 func (r *response) MarshalWire(e *wire.Encoder) {
@@ -150,7 +163,14 @@ func (r *response) MarshalWire(e *wire.Encoder) {
 	e.PutUint(r.Status)
 	e.PutString(r.ErrName)
 	e.PutString(r.ErrMsg)
-	e.PutBytes(r.Body)
+	if r.seg == nil {
+		e.PutBytes(r.Body)
+	} else {
+		e.PutUint(uint64(len(r.Body) + len(r.seg)))
+		e.PutRaw(r.Body[:r.segAt])
+		r.split = e.Len()
+		e.PutRaw(r.Body[r.segAt:])
+	}
 	e.PutUint(r.TraceID)
 	e.PutUint(r.HLC)
 }
@@ -167,3 +187,14 @@ func (r *response) UnmarshalWire(d *wire.Decoder) {
 
 // reset clears a pooled response for reuse.
 func (r *response) reset() { *r = response{} }
+
+// refuseTooLarge turns a reply that exceeds wire.MaxFrameSize into the
+// application error that says so, keeping the envelope (ReqID, TraceID,
+// HLC) that routes it.
+func (r *response) refuseTooLarge() {
+	n := len(r.Body) + len(r.seg)
+	r.Status = statusApp
+	r.ErrName = ExcTooLarge
+	r.ErrMsg = fmt.Sprintf("reply of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrameSize)
+	r.Body, r.seg, r.segAt = nil, nil, 0
+}

@@ -74,7 +74,12 @@ func (s *Service) Register() error {
 	return s.sess.RegisterActive(ContextPath, s.scope, s.Ref(), names.PolicyNeighborhood)
 }
 
-// Put stores a downloadable item (content provisioning).
+// Put stores a downloadable item (content provisioning), replacing any
+// item of that name.  The service takes ownership of data and treats it as
+// immutable: downloads send it straight from this slice
+// (orb.ServerCall.PutBytesRef) and may still be doing so after a later Put
+// has replaced the entry, so the caller must never write into data again —
+// new content is a new slice and another Put.
 func (s *Service) Put(name string, data []byte) {
 	s.mu.Lock()
 	s.blobs[name] = data
@@ -131,7 +136,7 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 		if err != nil {
 			return err
 		}
-		c.Results().PutBytes(data)
+		c.PutBytesRef(data)
 		c.Results().PutInt(rate)
 		return nil
 	case "items":
@@ -154,17 +159,29 @@ func NewStub(sess *core.Session) Stub {
 	return Stub{Svc: sess.Service(ContextPath)}
 }
 
-// OpenData downloads the named item, returning the payload and the
-// admitted transfer rate (bits/second).
+// OpenData downloads the named item, returning the payload — a fresh
+// slice the caller owns — and the admitted transfer rate (bits/second).
 func (s Stub) OpenData(name string) ([]byte, int64, error) {
+	return s.OpenDataInto(name, nil)
+}
+
+// OpenDataInto is OpenData decoding the payload into dst's storage
+// (wire.Decoder.BytesInto): a caller that downloads repeatedly and passes
+// the previous payload back in allocates only when an item outgrows its
+// buffer.  dst is lent for the call; on error the result is nil and dst's
+// contents are unspecified.
+func (s Stub) OpenDataInto(name string, dst []byte) ([]byte, int64, error) {
 	var data []byte
 	var rate int64
 	err := s.Svc.Invoke("openData",
 		func(e *wire.Encoder) { e.PutString(name) },
 		func(d *wire.Decoder) error {
-			data = d.Bytes()
+			data = d.BytesInto(dst)
 			rate = d.Int()
 			return nil
 		})
-	return data, rate, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return data, rate, nil
 }

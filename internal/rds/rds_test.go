@@ -2,6 +2,11 @@ package rds
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +16,7 @@ import (
 	"itv/internal/names"
 	"itv/internal/orb"
 	"itv/internal/transport"
+	"itv/internal/wire"
 )
 
 type fixture struct {
@@ -146,5 +152,131 @@ func TestReplicaReplacementAfterRestart(t *testing.T) {
 	got, _, err := stub.OpenData("app")
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("post-restart = %q, %v", got, err)
+	}
+}
+
+// TestOversizeItemIsRefusedByName: an item too large for one frame fails
+// its own download with ExcTooLarge — not the connection, and not with a
+// Dead error that would send the rebinding stub re-resolving and retrying
+// against the same blob.
+func TestOversizeItemIsRefusedByName(t *testing.T) {
+	f := newFixture(t)
+	r := f.replica("192.168.0.1", "1")
+	r.Put("huge", make([]byte, wire.MaxFrameSize+1))
+	r.Put("app", []byte("fits"))
+
+	stub := f.stubOn("10.1.0.5")
+	if _, _, err := stub.OpenData("app"); err != nil {
+		t.Fatal(err)
+	}
+	rebindCtr := stub.Svc.Session().Ep.Metrics().Counter("core_rebinds")
+	rebinds := rebindCtr.Value()
+	data, _, err := stub.OpenData("huge")
+	if !orb.IsApp(err, orb.ExcTooLarge) || orb.Dead(err) || data != nil {
+		t.Fatalf("oversize download = %d bytes, %v; want nil, %s", len(data), err, orb.ExcTooLarge)
+	}
+	if got, _, err := stub.OpenData("app"); err != nil || string(got) != "fits" {
+		t.Fatalf("download after the refusal = %q, %v", got, err)
+	}
+	if n := rebindCtr.Value(); n != rebinds {
+		t.Fatalf("rebinds %d -> %d: the refusal was treated as a dead reference", rebinds, n)
+	}
+}
+
+// TestPutReplacesBlobUnderDownloads: Put replaces a blob while downloads of
+// it are in flight.  Downloads send the stored slice itself, so this holds
+// only because Put swaps the map entry and nobody writes into a stored
+// slice: every download must be exactly the old or the new content.  Run
+// with -race it also checks the lent segment is only ever read.
+func TestPutReplacesBlobUnderDownloads(t *testing.T) {
+	f := newFixture(t)
+	r := f.replica("192.168.0.1", "1")
+	rng := rand.New(rand.NewSource(16))
+	versions := make([][]byte, 2)
+	sums := make(map[uint32]bool)
+	for i := range versions {
+		versions[i] = make([]byte, 1<<20+i) // different lengths too
+		rng.Read(versions[i])
+		sums[crc32.ChecksumIEEE(versions[i])] = true
+	}
+	r.Put("app", versions[0])
+
+	const downloaders, rounds = 4, 12
+	stop := make(chan struct{})
+	var putter sync.WaitGroup
+	putter.Add(1)
+	go func() {
+		defer putter.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Put("app", versions[i&1])
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < downloaders; g++ {
+		stub := f.stubOn(fmt.Sprintf("10.1.0.%d", 10+g))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < rounds; i++ {
+				data, _, err := stub.OpenDataInto("app", buf)
+				if err != nil {
+					t.Errorf("download: %v", err)
+					return
+				}
+				if !sums[crc32.ChecksumIEEE(data)] {
+					t.Errorf("download of %d bytes matches neither version", len(data))
+					return
+				}
+				buf = data
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	putter.Wait()
+}
+
+// TestOpenDataIntoAllocatesOneCopy is the bulk path's allocation pin, the
+// companion of the 3/4/0 allocs/op pins on the small-message path: a warm
+// 3 MiB download into an adequate buffer allocates the client read loop's
+// frame buffer and nothing else of size — under 3.2 MiB a call, where the
+// copying path cost 9 MiB.
+func TestOpenDataIntoAllocatesOneCopy(t *testing.T) {
+	f := newFixture(t)
+	r := f.replica("192.168.0.1", "1")
+	payload := make([]byte, 3<<20)
+	rand.New(rand.NewSource(3)).Read(payload)
+	r.Put("app", payload)
+	stub := f.stubOn("10.1.0.5")
+
+	buf, _, err := stub.OpenDataInto("app", nil) // warm: resolve, dial, size the buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		data, _, err := stub.OpenDataInto("app", buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &data[0] != &buf[0] {
+			t.Fatal("an adequate buffer was not reused")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(buf, payload) {
+		t.Fatal("payload mismatch")
+	}
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if limit := uint64(3<<20 + 200<<10); perCall >= limit {
+		t.Fatalf("allocated %d KiB per 3 MiB download, want under %d KiB", perCall>>10, limit>>10)
 	}
 }

@@ -84,6 +84,7 @@ type Settop struct {
 	mmsStub  mms.Stub
 	vodStub  vod.Stub
 	app      string
+	appBuf   []byte // the running application's memory; the next download replaces it
 	playback *Playback
 	booted   bool
 
@@ -250,6 +251,7 @@ func (s *Settop) Crash() {
 	s.sess = nil
 	s.playback = nil
 	s.app = ""
+	s.appBuf = nil
 	s.mu.Unlock()
 	close(stop)
 	<-done
@@ -262,20 +264,30 @@ func (s *Settop) Crash() {
 // DownloadApp fetches an application through the RDS (Fig. 3) and returns
 // the simulated download duration.  The RDS reference is cached by the
 // rebinder: only the first download touches the name service (§3.4.2).
+//
+// A settop has one application memory and the new application is loaded
+// over the old one, so downloads stop allocating once that memory has held
+// the largest application.  The buffer is lent to the stub for the call; a
+// concurrent download finds none and allocates its own.
 func (s *Settop) DownloadApp(name string) (time.Duration, error) {
 	s.mu.Lock()
 	stub := s.rdsStub
 	booted := s.booted
+	buf := s.appBuf
+	s.appBuf = nil
 	s.mu.Unlock()
 	if !booted {
 		return 0, fmt.Errorf("settop %s: not booted", s.host)
 	}
-	data, rate, err := stub.OpenData(name)
+	data, rate, err := stub.OpenDataInto(name, buf)
+	s.mu.Lock()
 	if err != nil {
+		s.appBuf = buf
+		s.mu.Unlock()
 		return 0, err
 	}
-	s.mu.Lock()
 	s.app = name
+	s.appBuf = data
 	s.mu.Unlock()
 	return atm.TransferTime(int64(len(data)), rate), nil
 }

@@ -1,9 +1,17 @@
 package settop
 
 import (
+	"hash/crc32"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"itv/internal/clock"
+	"itv/internal/core"
+	"itv/internal/names"
+	"itv/internal/orb"
+	"itv/internal/rds"
 	"itv/internal/transport"
 )
 
@@ -72,5 +80,86 @@ func TestPlaybackStateAccessors(t *testing.T) {
 	}
 	if st.Session() != nil {
 		t.Fatal("session before boot")
+	}
+}
+
+// TestDownloadAppReusesApplicationMemory: the settop loads each application
+// over the last one.  Cycling the §9.3 sizes (2/3/4/3 MiB), the first
+// cycle grows the application memory — exactly, never by append-style
+// overshoot — to the largest application; after that no download
+// allocates an application buffer, only the ORB's frame buffer.
+func TestDownloadAppReusesApplicationMemory(t *testing.T) {
+	clk := clock.NewFake()
+	nw := transport.NewNetwork()
+	ns, err := names.NewReplica(nw.Host("192.168.0.1"), clk, names.Config{
+		Peers: []string{"192.168.0.1:555"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	if !clk.Await(time.Second, 400, ns.IsMaster) {
+		t.Fatal("no name-service master")
+	}
+	srvEp, err := orb.NewEndpoint(nw.Host("192.168.0.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvEp.Close()
+	svc := rds.New(core.NewSession(srvEp, ns.RootRef(), clk), "3", "192.168.0.1")
+	if err := svc.Register(); err != nil {
+		t.Fatal(err)
+	}
+	apps := []string{"navigator", "vod", "shopping", "games"}
+	sizes := []int{2 << 20, 3 << 20, 4 << 20, 3 << 20}
+	rng := rand.New(rand.NewSource(9))
+	sums := make([]uint32, len(apps))
+	for i, name := range apps {
+		data := make([]byte, sizes[i])
+		rng.Read(data)
+		sums[i] = crc32.ChecksumIEEE(data)
+		svc.Put(name, data)
+	}
+
+	// A settop past its boot sequence, as far as DownloadApp can tell.
+	st := New(nw.Host("10.3.0.17"), clk, "192.168.0.1:554")
+	ep, err := orb.NewEndpoint(st.tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	st.rdsStub = rds.NewStub(core.NewSession(ep, ns.RootRef(), clk))
+	st.booted = true
+
+	cycle := func() {
+		t.Helper()
+		for i, name := range apps {
+			if _, err := st.DownloadApp(name); err != nil {
+				t.Fatal(err)
+			}
+			if st.CurrentApp() != name || len(st.appBuf) != sizes[i] || crc32.ChecksumIEEE(st.appBuf) != sums[i] {
+				t.Fatalf("after downloading %s: app %q, %d bytes in memory", name, st.CurrentApp(), len(st.appBuf))
+			}
+		}
+	}
+	cycle()
+	if cap(st.appBuf) != 4<<20 {
+		t.Fatalf("application memory = %d bytes after the first cycle, want exactly the largest application (%d)",
+			cap(st.appBuf), 4<<20)
+	}
+	mem := &st.appBuf[0]
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cycle()
+	cycle()
+	runtime.ReadMemStats(&after)
+	if &st.appBuf[0] != mem || cap(st.appBuf) != 4<<20 {
+		t.Fatal("application memory was replaced after the first cycle")
+	}
+	// Two cycles deliver 24 MiB; the frame buffers are those 24 MiB, and
+	// an application buffer per download would be 24 more.
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 26<<20 {
+		t.Fatalf("two warm cycles allocated %d KiB, want under %d", got>>10, 26<<10)
 	}
 }

@@ -176,9 +176,22 @@ func (h *memHost) Dial(addr string) (net.Conn, error) {
 	dst.conns[server] = struct{}{}
 	h.net.mu.Unlock()
 
+	refused := false
 	select {
 	case ln.accept <- server:
+		// The buffered send can land after Close has drained the queue,
+		// leaving a server side nobody will ever read or close.  If done
+		// is still open here the send preceded Close and its drain will
+		// find the conn; if not, sever it ourselves (Close is idempotent).
+		select {
+		case <-ln.done:
+			refused = true
+		default:
+		}
 	case <-ln.done:
+		refused = true
+	}
+	if refused {
 		client.Close()
 		ctr.dialErrors.Inc()
 		return nil, ErrRefused
@@ -250,6 +263,18 @@ func (c *memConn) Write(b []byte) (int, error) {
 	n, err := c.Conn.Write(b)
 	c.net.bytesSent.Add(int64(n))
 	c.ctr.bytesSent.Add(int64(n))
+	c.ctr.framesSent.Inc()
+	return n, err
+}
+
+// WriteBuffers writes the whole list as one frame write, counted like
+// countingConn's so both transports report the same frames for the same
+// traffic.  The pipe underneath has no vectored write; it takes the
+// buffers one rendezvous each.
+func (c *memConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	n, err := bufs.WriteTo(c.Conn)
+	c.net.bytesSent.Add(n)
+	c.ctr.bytesSent.Add(n)
 	c.ctr.framesSent.Inc()
 	return n, err
 }

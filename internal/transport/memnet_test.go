@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -233,5 +234,39 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	}
 	if string(buf) != "hi" {
 		t.Fatalf("echo = %q", buf)
+	}
+}
+
+// TestMemnetDialRacingCloseLeavesNoOrphan: a Dial that races the listener's
+// Close either is refused or yields a connection Close has severed — never
+// a live client whose server side nobody will read or close (a writer on
+// such a pipe blocks forever; it hung TestConnectionPoolChurn).
+func TestMemnetDialRacingCloseLeavesNoOrphan(t *testing.T) {
+	nw := NewNetwork()
+	server := nw.Host("192.168.0.1")
+	client := nw.Host("10.1.0.5")
+	for i := 0; i < 3000; i++ {
+		ln, addr, err := server.Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			ln.Close()
+			close(closed)
+		}()
+		c, err := client.Dial(addr)
+		<-closed
+		if err != nil {
+			continue
+		}
+		// Nobody accepted, so the listener's Close (or Dial itself) must
+		// have severed the connection: the read fails, but not by timeout.
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, rerr := c.Read(make([]byte, 1))
+		c.Close()
+		if rerr == nil || errors.Is(rerr, os.ErrDeadlineExceeded) {
+			t.Fatalf("iteration %d: dial that raced Close left a live, orphaned connection (read: %v)", i, rerr)
+		}
 	}
 }

@@ -4,8 +4,8 @@ import "itv/internal/obs"
 
 // Stats is the transport-level traffic summary for one host, identical in
 // shape across memnet and TCP so benchmarks compare like for like.
-// FramesSent counts Write calls, which the wire package guarantees is one
-// per frame.
+// FramesSent counts write operations — a Write or a WriteBuffers call —
+// which the ORB's write path makes one per frame (or per coalesced batch).
 type Stats struct {
 	BytesSent     int64
 	BytesRecv     int64

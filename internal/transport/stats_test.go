@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bytes"
+	"io"
+	"net"
 	"testing"
 
 	"itv/internal/wire"
@@ -140,5 +143,56 @@ func TestTCPStats(t *testing.T) {
 	}
 	if d.ConnsDialed != 1 || d.ConnsAccepted != 1 {
 		t.Errorf("dialed=%d accepted=%d, want 1/1", d.ConnsDialed, d.ConnsAccepted)
+	}
+}
+
+// TestWriteBuffersCountsOneFrame: on both transports a vectored write of
+// several buffers is one frame write with the summed byte count, and the
+// peer reads the buffers back to back — the same accounting a single Write
+// of the concatenation gets.
+func TestWriteBuffersCountsOneFrame(t *testing.T) {
+	parts := [][]byte{[]byte("head|"), bytes.Repeat([]byte{0xA5}, 1<<20), []byte("|tail")}
+	want := bytes.Join(parts, nil)
+	for name, tr := range map[string]Transport{"memnet": NewNetwork().Host("192.168.78.1"), "tcp": TCP()} {
+		ln, addr, err := tr.Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				got <- nil
+				return
+			}
+			defer c.Close()
+			b, _ := io.ReadAll(c)
+			got <- b
+		}()
+		c, err := tr.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw, ok := c.(interface {
+			WriteBuffers(*net.Buffers) (int64, error)
+		})
+		if !ok {
+			t.Fatalf("%s: connection offers no WriteBuffers", name)
+		}
+		before := tr.(StatsSource).Stats()
+		bufs := net.Buffers{parts[0], parts[1], parts[2]}
+		n, err := bw.WriteBuffers(&bufs)
+		d := tr.(StatsSource).Stats().Sub(before)
+		c.Close()
+		ln.Close()
+		if err != nil || n != int64(len(want)) {
+			t.Fatalf("%s: WriteBuffers = %d, %v; want %d", name, n, err, len(want))
+		}
+		if d.FramesSent != 1 || d.BytesSent != int64(len(want)) {
+			t.Errorf("%s: frames=%d bytes=%d, want 1/%d", name, d.FramesSent, d.BytesSent, len(want))
+		}
+		if b := <-got; !bytes.Equal(b, want) {
+			t.Errorf("%s: peer read %d bytes, want the %d written", name, len(b), len(want))
+		}
 	}
 }

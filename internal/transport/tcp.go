@@ -78,6 +78,19 @@ func (c *countingConn) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// WriteBuffers writes the whole list as one frame write.  The embedded
+// conn hides *net.TCPConn from net.Buffers.WriteTo, which would then fall
+// back to one Write (one syscall, one counted frame) per buffer; forwarding
+// to the inner conn reaches writev.
+func (c *countingConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	n, err := bufs.WriteTo(c.Conn)
+	if n > 0 {
+		c.ctr.bytesSent.Add(n)
+	}
+	c.ctr.framesSent.Inc()
+	return n, err
+}
+
 func (c *countingConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	if n > 0 {

@@ -175,3 +175,89 @@ func TestBytesViewAliases(t *testing.T) {
 		t.Fatal("Bytes aliased the input buffer; expected a copy")
 	}
 }
+
+// TestBytesInto pins the decode-into-owned-buffer contract: an adequate dst
+// is reused in place, a nil or short dst is replaced by a slice of exactly
+// the decoded length, the result never aliases the input, and a failed
+// decode returns nil without touching dst.
+func TestBytesInto(t *testing.T) {
+	val := []byte("application binary")
+	e := NewEncoder(32)
+	e.PutBytes(val)
+	buf := e.Bytes()
+
+	long := make([]byte, 0, 64)
+	got := NewDecoder(buf).BytesInto(long)
+	if !bytes.Equal(got, val) || &got[0] != &long[:1][0] {
+		t.Fatalf("long dst: got %q, reused=%v; want the value in dst's storage", got, &got[0] == &long[:1][0])
+	}
+	exact := make([]byte, len(val))
+	got = NewDecoder(buf).BytesInto(exact)
+	if !bytes.Equal(got, val) || &got[0] != &exact[0] {
+		t.Fatalf("exact dst: got %q, want the value in dst's storage", got)
+	}
+	for name, dst := range map[string][]byte{"nil": nil, "short": make([]byte, 3, len(val)-1)} {
+		got = NewDecoder(buf).BytesInto(dst)
+		if !bytes.Equal(got, val) || cap(got) != len(val) {
+			t.Fatalf("%s dst: got %q cap %d, want a fresh slice of exactly %d", name, got, cap(got), len(val))
+		}
+	}
+	buf[1] ^= 0xFF
+	if !bytes.Equal(got, val) {
+		t.Fatal("BytesInto aliased the input buffer; expected a copy")
+	}
+	buf[1] ^= 0xFF
+
+	// Bytes is BytesInto(nil): an empty value still decodes non-nil.
+	e.Reset()
+	e.PutBytes(nil)
+	if b := NewDecoder(e.Bytes()).Bytes(); b == nil || len(b) != 0 {
+		t.Fatalf("empty value = %v, want empty non-nil", b)
+	}
+
+	keep := []byte("keep")
+	for name, raw := range map[string][]byte{
+		"truncated length":   {0x80},
+		"length > remaining": {0x05, 'a', 'b'},
+		"empty":              {},
+	} {
+		d := NewDecoder(raw)
+		if got := d.BytesInto(keep); got != nil || d.Err() == nil {
+			t.Fatalf("%s: got %q, err %v; want nil and an error", name, got, d.Err())
+		}
+		if string(keep) != "keep" {
+			t.Fatalf("%s: failed decode wrote into dst", name)
+		}
+	}
+}
+
+// FuzzBytesInto: whatever the bytes and whatever dst looks like, BytesInto
+// agrees with BytesView on the value and the error, never panics, and
+// never hands back the input's storage.
+func FuzzBytesInto(f *testing.F) {
+	e := NewEncoder(16)
+	e.PutBytes([]byte("seed"))
+	f.Add(e.Bytes(), 0)
+	f.Add(e.Bytes(), 2)
+	f.Add(e.Bytes(), 64)
+	f.Add([]byte{0x80}, 8)                                                       // truncated length
+	f.Add([]byte{0x05, 'a', 'b'}, 8)                                             // length > remaining
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 0) // 2^64-1
+	f.Add([]byte{}, 0)
+	f.Fuzz(func(t *testing.T, raw []byte, dstCap int) {
+		var dst []byte
+		if dstCap > 0 {
+			dst = make([]byte, 0, dstCap%(1<<16))
+		}
+		dv := NewDecoder(raw)
+		want := dv.BytesView()
+		di := NewDecoder(raw)
+		got := di.BytesInto(dst)
+		if (dv.Err() == nil) != (di.Err() == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("BytesInto = %x (%v), BytesView = %x (%v)", got, di.Err(), want, dv.Err())
+		}
+		if di.Err() == nil && len(got) > 0 && len(want) > 0 && &got[0] == &want[0] {
+			t.Fatal("BytesInto returned the input's storage")
+		}
+	})
+}

@@ -30,8 +30,10 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrTooLarge reports a length field exceeding sane bounds.
 var ErrTooLarge = errors.New("wire: length exceeds limit")
 
-// MaxFrameSize bounds a single framed message.  Large transfers (kernel
-// images, application binaries) are chunked above this layer.
+// MaxFrameSize bounds a single framed message, borrowed segment included.
+// Nothing above this layer chunks: a reply that would exceed it is refused
+// with an application error (orb.ExcTooLarge), so kernel images and
+// application binaries must fit in one frame.
 const MaxFrameSize = 16 << 20
 
 // maxElems bounds decoded collection lengths to keep corrupt or hostile
@@ -104,6 +106,13 @@ func (e *Encoder) PutString(s string) {
 // PutBytes encodes a length-prefixed byte slice.
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutUint(uint64(len(b)))
+	e.buf = append(e.buf, b...)
+}
+
+// PutRaw appends b with no length prefix.  It is the splice primitive for a
+// message assembled from already-encoded parts (a response whose body is
+// sent around a borrowed segment); everything else wants PutBytes.
+func (e *Encoder) PutRaw(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
@@ -243,19 +252,26 @@ func (d *Decoder) BytesView() []byte {
 }
 
 // Bytes decodes a length-prefixed byte slice.  The result is a copy.
-func (d *Decoder) Bytes() []byte {
-	n := d.Uint()
+func (d *Decoder) Bytes() []byte { return d.BytesInto(nil) }
+
+// BytesInto decodes a length-prefixed byte slice into dst's storage and
+// returns it sized to the value; the result is a copy the caller owns.  A
+// nil or too-short dst is replaced by a fresh slice of exactly the decoded
+// length (append-style growth would overshoot a multi-megabyte buffer by a
+// quarter), so a caller that passes the previous result back in stops
+// allocating once its buffer has seen the largest value.  On a decode
+// error the result is nil and dst is untouched.
+func (d *Decoder) BytesInto(dst []byte) []byte {
+	v := d.BytesView()
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrTruncated)
-		return nil
+	if dst == nil || cap(dst) < len(v) {
+		dst = make([]byte, len(v))
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out
+	dst = dst[:len(v)]
+	copy(dst, v)
+	return dst
 }
 
 // Strings decodes a slice of strings.
@@ -355,11 +371,18 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // known.  Writing e.Bytes() in a single Write then costs zero copies beyond
 // the marshal itself and keeps the one-Write-per-frame property WriteFrame
 // established (the transport layer counts frames by counting Writes).
-func AppendFrame(e *Encoder, m Marshaler) error {
+func AppendFrame(e *Encoder, m Marshaler) error { return AppendSplitFrame(e, m, 0) }
+
+// AppendSplitFrame is AppendFrame for a frame that segLen further bytes
+// complete on the wire: m marshals everything except a borrowed segment
+// the caller writes itself, spliced in at an offset m chose, and the
+// header counts the segment so the receiver sees one ordinary frame.
+// MaxFrameSize is enforced on the sum.
+func AppendSplitFrame(e *Encoder, m Marshaler, segLen int) error {
 	mark := len(e.buf)
 	e.buf = append(e.buf, 0, 0, 0, 0)
 	m.MarshalWire(e)
-	n := len(e.buf) - mark - 4
+	n := len(e.buf) - mark - 4 + segLen
 	if n > MaxFrameSize {
 		e.buf = e.buf[:mark]
 		return ErrTooLarge
