@@ -13,6 +13,7 @@
 package bootsvc
 
 import (
+	"context"
 	"sync"
 
 	"itv/internal/core"
@@ -198,10 +199,11 @@ func (k *kernelSkel) Dispatch(c *orb.ServerCall) error {
 	return nil
 }
 
-// FetchKernel downloads the kernel through a rebinding proxy.
+// FetchKernel downloads the kernel through a rebinding proxy.  The image
+// arrives in a slice of exactly its size that the caller keeps.
 func FetchKernel(rb *core.Rebinder) ([]byte, error) {
 	var img []byte
-	err := rb.Invoke("kernel", nil,
-		func(d *wire.Decoder) error { img = d.Bytes(); return nil })
+	err := rb.InvokeInto(context.Background(), "kernel", nil, nil,
+		func(b []byte, _ *wire.Decoder) error { img = b; return nil })
 	return img, err
 }

@@ -137,6 +137,23 @@ func (rb *Rebinder) Invoke(method string, put func(*wire.Encoder), get func(*wir
 // rebind joins the failure's trace — the client-side end of the §8.2
 // fail-over story.
 func (rb *Rebinder) InvokeCtx(ctx context.Context, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+	return rb.invoke(ctx, func(ref oref.Ref) error {
+		return rb.s.Ep.InvokeCtx(ctx, ref, method, put, get)
+	})
+}
+
+// InvokeInto is InvokeCtx for a call whose results begin with one large
+// byte string, delivered into dst's storage (orb.Endpoint.InvokeInto).
+// dst is lent across every rebinding attempt.
+func (rb *Rebinder) InvokeInto(ctx context.Context, method string, put func(*wire.Encoder), dst []byte, get func(data []byte, d *wire.Decoder) error) error {
+	return rb.invoke(ctx, func(ref oref.Ref) error {
+		return rb.s.Ep.InvokeInto(ctx, ref, method, put, dst, get)
+	})
+}
+
+// invoke runs call against the name's current reference, re-resolving and
+// retrying while the failure says the reference is dead.
+func (rb *Rebinder) invoke(ctx context.Context, call func(oref.Ref) error) error {
 	attempts := rb.MaxAttempts
 	if attempts <= 0 {
 		attempts = 4
@@ -167,7 +184,7 @@ func (rb *Rebinder) InvokeCtx(ctx context.Context, method string, put func(*wire
 					"core_rebind_success", rb.name+" -> "+ref.Key())
 			}
 		}
-		err = rb.s.Ep.InvokeCtx(ctx, ref, method, put, get)
+		err = call(ref)
 		if err == nil || !orb.Dead(err) {
 			return err
 		}

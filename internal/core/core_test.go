@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -137,6 +139,61 @@ func TestRebinderRecoversAcrossRestart(t *testing.T) {
 	// invisible" (§9.5).
 	if got, err := echoVia(rb, "recovered"); err != nil || got != "recovered" {
 		t.Fatalf("post-restart echo = %q, %v", got, err)
+	}
+}
+
+// imageSkel serves one large image as its only result.
+type imageSkel struct{ image []byte }
+
+func (imageSkel) TypeID() string { return "test.Image" }
+func (s imageSkel) Dispatch(c *orb.ServerCall) error {
+	c.PutBytesRef(s.image)
+	return nil
+}
+
+// TestRebinderInvokeIntoAcrossRestart: the declared bulk call rebinds like
+// any other, and the storage lent to the attempt that hit the dead
+// reference is the storage the retry fills.
+func TestRebinderInvokeIntoAcrossRestart(t *testing.T) {
+	f := newFixture(t)
+	start := func(fill byte) *orb.Endpoint {
+		ep, err := orb.NewEndpoint(f.nw.Host("192.168.0.1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := ep.Register("", imageSkel{image: bytes.Repeat([]byte{fill}, 1<<20)})
+		if err := f.session.Root.Bind("svc-image", ref); err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	rb := f.session.Service("svc-image")
+	dst := make([]byte, 1<<20)
+	fetch := func() []byte {
+		t.Helper()
+		var img []byte
+		err := rb.InvokeInto(context.Background(), "image", nil, dst,
+			func(b []byte, _ *wire.Decoder) error { img = b; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &img[0] != &dst[0] || len(img) != len(dst) {
+			t.Fatal("the image did not land in the storage lent for it")
+		}
+		return img
+	}
+	ep1 := start(1)
+	if img := fetch(); img[0] != 1 || img[len(img)-1] != 1 {
+		t.Fatal("first image damaged")
+	}
+	ep1.Close()
+	if err := f.session.Root.Unbind("svc-image"); err != nil {
+		t.Fatal(err)
+	}
+	ep2 := start(2)
+	defer ep2.Close()
+	if img := fetch(); img[0] != 2 || img[len(img)-1] != 2 {
+		t.Fatal("image after the restart is not the new instance's")
 	}
 }
 

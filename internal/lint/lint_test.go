@@ -113,6 +113,7 @@ func TestGolden(t *testing.T) {
 		{"checks/suppress_node", "sleepyclock"},
 		{"checks/poolown", "poolown"},
 		{"checks/poolown_sign", "poolown"},
+		{"checks/poolown_claim", "poolown"},
 		{"internal/ctxflow", "ctxflow"},
 		{"checks/lockorder", "lockorder"},
 		{"checks/generics", "poolown,ctxflow,lockorder"},

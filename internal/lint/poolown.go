@@ -14,8 +14,9 @@ import (
 // release on every path out of the acquiring function — or visibly hand
 // ownership off (channel send, return, closure capture) — and must not be
 // touched after it is released.  A second, flow-insensitive pass guards
-// the aliases: slices returned by Decoder.BytesView or ReadFrameInto
-// alias the frame buffer and must not be stored into fields, globals,
+// the aliases: slices returned by Decoder.BytesView or ReadFrameInto (and
+// ReadFrameBody, the half of it a split read calls on its own) alias the
+// frame buffer and must not be stored into fields, globals,
 // channels, or closures that outlive the frame.
 //
 // Acquire/release pairs are recognized structurally, not from a list: a
@@ -419,7 +420,7 @@ func (f *poolFunc) useCheck(s flowState, id *ast.Ident, report bool) {
 
 // aliasInfo describes one view of a frame buffer within a function.
 type aliasInfo struct {
-	src string // "Decoder.BytesView" or "wire.ReadFrameInto"
+	src string // "Decoder.BytesView", "wire.ReadFrameInto" or "wire.ReadFrameBody"
 	// sanctioned are exprKey targets this alias may be stored to: the
 	// ReadFrameInto recycle pattern stores the returned frame back into
 	// the buffer slot it was read into (rf.buf = frame).
@@ -454,7 +455,10 @@ func poolAliasFunc(p *Pass, node ast.Node, body *ast.BlockStmt) {
 	}
 	isReadFrameInto := func(call *ast.CallExpr) bool {
 		fn, _ := calleeObject(p, call).(*types.Func)
-		return fn != nil && fn.Name() == "ReadFrameInto" && fn.Pkg() != nil && fn.Pkg().Path() == wirePath
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != wirePath {
+			return false
+		}
+		return fn.Name() == "ReadFrameInto" || fn.Name() == "ReadFrameBody"
 	}
 
 	aliases := make(map[*types.Var]*aliasInfo)
@@ -525,7 +529,7 @@ func poolAliasFunc(p *Pass, node ast.Node, body *ast.BlockStmt) {
 			if len(n.Rhs) == 1 && len(n.Lhs) == 2 {
 				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && isReadFrameInto(call) {
 					if v := defVar(n.Lhs[0]); v != nil {
-						info := &aliasInfo{src: "wire.ReadFrameInto", sanctioned: make(map[string]bool)}
+						info := &aliasInfo{src: "wire." + calleeObject(p, call).Name(), sanctioned: make(map[string]bool)}
 						if len(call.Args) >= 2 {
 							if key := exprKey(call.Args[1]); key != "" {
 								info.sanctioned[key] = true

@@ -1,6 +1,6 @@
 // Package wire is a miniature stand-in for itv/internal/wire: the pooled
-// Encoder pair and the two frame-buffer aliasing entry points poolown
-// guards (Decoder.BytesView and ReadFrameInto).
+// Encoder pair and the frame-buffer aliasing entry points poolown guards
+// (Decoder.BytesView, ReadFrameInto and its body half ReadFrameBody).
 package wire
 
 import "io"
@@ -30,5 +30,18 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 		buf = make([]byte, 16)
 	}
 	n, err := r.Read(buf)
+	return buf[:n], err
+}
+
+// ReadFrameBody reads a payload up to its n-th byte behind the bytes have
+// already holds, in have's storage when it fits; the returned slice
+// aliases the (possibly reallocated) frame buffer.
+func ReadFrameBody(r io.Reader, have []byte, n int) ([]byte, error) {
+	buf := have
+	if n > cap(buf) {
+		buf = make([]byte, n)
+		copy(buf, have)
+	}
+	_, err := io.ReadFull(r, buf[len(have):n])
 	return buf[:n], err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,16 +33,28 @@ func (s *napSkel) Dispatch(c *ServerCall) error {
 	}
 }
 
-// newAttribPair builds a client/server pair on a private subnet so the
-// per-host ledgers, recorders and registries start cold for each test.
+// runSeq numbers the host names perRun hands out.
+var runSeq atomic.Uint32
+
+// perRun returns host under a name no earlier test run in this process has
+// used.  The obs registries, recorders and slow ledgers are process-lifetime
+// and keyed by host, so under -count=N a fixed name hands run N the
+// counters, events and EWMA thresholds runs 1..N-1 left behind.
+func perRun(host string) string {
+	return fmt.Sprintf("%s-run%d", host, runSeq.Add(1))
+}
+
+// newAttribPair builds a client/server pair on a private subnet, under
+// per-run host names, so the per-host ledgers, recorders and registries
+// start cold for each test and each -count repetition of it.
 func newAttribPair(t *testing.T, serverHost, clientHost string) (*Endpoint, *Endpoint, oref.Ref) {
 	t.Helper()
 	nw := transport.NewNetwork()
-	server, err := NewEndpoint(nw.Host(serverHost))
+	server, err := NewEndpoint(nw.Host(perRun(serverHost)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewEndpoint(nw.Host(clientHost))
+	client, err := NewEndpoint(nw.Host(perRun(clientHost)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestSlowRPC(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got.Node != "192.168.7.3" {
+	if got.Node != server.Host() {
 		t.Errorf("node = %q", got.Node)
 	}
 	if got.Service <= got.Queue || got.Service <= got.Flush {

@@ -375,7 +375,7 @@ func TestFrameWriterPoolCanary(t *testing.T) {
 	rd := bytes.NewReader(stream.Bytes())
 	var dec wire.Decoder
 	for rd.Len() > 0 {
-		frame, err := wire.ReadFrame(rd)
+		frame, err := wire.ReadFrameInto(rd, nil)
 		if err != nil {
 			t.Fatalf("corrupt frame stream: %v", err)
 		}

@@ -3,6 +3,7 @@ package orb
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -75,41 +76,39 @@ func (cc *clientConn) writeFailed(err error) {
 	}
 }
 
+// splitPrefix is how much of a frame larger than flushCopyLimit the read
+// loop reads before deciding where the rest goes.  It covers the envelope
+// of any statusOK reply up to the first byte of its leading string (two
+// ids of at most ten bytes, two empty strings, two lengths); a reply whose
+// envelope runs longer — an error with a long message — does not parse
+// inside it and takes the whole-frame read.
+const splitPrefix = 64
+
 func (cc *clientConn) readLoop() {
 	for {
 		rf := getRespFrame()
-		frame, err := wire.ReadFrameInto(cc.conn, rf.buf)
+		w, err := cc.readReply(rf)
 		if err != nil {
 			putRespFrame(rf)
-			// Peer crash, severed connection, or endpoint shutdown: the
-			// frame read fails first.
-			if cc.fail(&ConnError{Op: "read", Err: err}) {
-				cc.m.readErrors.Inc()
+			// A failed read is a peer crash, a severed connection or
+			// endpoint shutdown; protocol corruption is a different disease
+			// than a dead peer, so keep the cause and count the class
+			// separately.
+			if cc.fail(err) {
+				if err.Op == "decode" {
+					cc.m.decodeErrors.Inc()
+				} else {
+					cc.m.readErrors.Inc()
+				}
+			}
+			if w != nil {
+				// Claimed before the failure: the sweep in fail cannot find
+				// it, so this is its one delivery.
+				w.ch <- nil
 			}
 			return
 		}
-		rf.buf = frame
-		rf.dec.Reset(frame)
-		rf.resp.UnmarshalWire(&rf.dec)
-		if rf.dec.Err() != nil || rf.dec.Remaining() != 0 {
-			// Protocol corruption is a different disease than a dead peer;
-			// keep the cause and count the class separately.
-			derr := rf.dec.Err()
-			if derr == nil {
-				derr = wire.ErrTruncated // trailing garbage
-			}
-			putRespFrame(rf)
-			if cc.fail(&ConnError{Op: "decode", Err: derr}) {
-				cc.m.decodeErrors.Inc()
-			}
-			return
-		}
-		sh := cc.shardFor(rf.resp.ReqID)
-		sh.mu.Lock()
-		w, ok := sh.m[rf.resp.ReqID]
-		delete(sh.m, rf.resp.ReqID)
-		sh.mu.Unlock()
-		if ok {
+		if w != nil {
 			// Ownership of rf (and its frame buffer) passes to the waiter.
 			w.ch <- rf
 		} else {
@@ -117,6 +116,129 @@ func (cc *clientConn) readLoop() {
 			putRespFrame(rf)
 		}
 	}
+}
+
+// readReply reads one reply frame into rf and claims the waiter it answers
+// (nil when that caller has given up).  A waiter returned alongside an
+// error was claimed before the failure and is still owed its delivery.
+//
+// A frame above flushCopyLimit is read in two steps: a prefix first, and
+// when that shows a statusOK reply whose body leads with a byte string
+// above the same limit, addressed to a waiter that declared as much, the
+// string goes straight into the waiter's storage (readInto).  Anything
+// else — an error reply, an undeclared or departed caller, a prefix that
+// does not parse — is read whole behind the prefix and decoded as every
+// small frame is.
+func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
+	n, err := wire.ReadFrameHeader(cc.conn)
+	if err != nil {
+		return nil, &ConnError{Op: "read", Err: err}
+	}
+	// rf.buf holds what has been read of this frame so far.
+	rf.buf = rf.buf[:0]
+	if n > flushCopyLimit {
+		prefix, err := wire.ReadFrameBody(cc.conn, rf.buf, splitPrefix)
+		if err != nil {
+			return nil, &ConnError{Op: "read", Err: err}
+		}
+		rf.buf = prefix
+		if w, cerr := cc.readInto(rf, n); w != nil {
+			return w, cerr
+		}
+	}
+	frame, err := wire.ReadFrameBody(cc.conn, rf.buf, n)
+	if err != nil {
+		return nil, &ConnError{Op: "read", Err: err}
+	}
+	rf.buf = frame
+	rf.dec.Reset(frame)
+	rf.resp.UnmarshalWire(&rf.dec)
+	if derr := tailErr(&rf.dec); derr != nil {
+		return nil, &ConnError{Op: "decode", Err: derr}
+	}
+	sh := cc.shardFor(rf.resp.ReqID)
+	sh.mu.Lock()
+	w := sh.m[rf.resp.ReqID]
+	delete(sh.m, rf.resp.ReqID)
+	sh.mu.Unlock()
+	return w, nil
+}
+
+// tailErr reports why d did not end cleanly at the end of its frame.
+func tailErr(d *wire.Decoder) error {
+	if d.Err() == nil && d.Remaining() != 0 {
+		return wire.ErrTruncated // trailing garbage
+	}
+	return d.Err()
+}
+
+// readInto is the split read of an n-byte reply frame whose first
+// splitPrefix bytes are in rf.buf.  It decodes the envelope from the prefix
+// and, when the reply is statusOK, its body leads with a byte string above
+// flushCopyLimit and the waiter it answers declared one, claims that waiter
+// — removes it from the pending shard and marks it filling, so that from
+// here on the read loop alone delivers to it — and reads the string into
+// the waiter's storage under BytesInto's sizing rule, then the few bytes
+// behind it into rf.buf.  A nil waiter (and nil error) means nothing was
+// decided or read: take the frame whole.
+//
+// The bounds are the whole-frame decode's — body within the frame, string
+// within the body, nothing left over — so lent storage never receives a
+// byte the frame does not have.
+func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
+	prefix := rf.buf
+	d := &rf.dec
+	d.Reset(prefix)
+	id, status := d.Uint(), d.Uint()
+	if d.Err() != nil || status != statusOK {
+		return nil, nil
+	}
+	errName, errMsg := d.String(), d.String()
+	bodyLen := d.Uint()
+	bodyOff := len(prefix) - d.Remaining()
+	strLen := d.Uint()
+	strOff := len(prefix) - d.Remaining()
+	if d.Err() != nil || bodyLen > uint64(n-bodyOff) || strLen <= flushCopyLimit {
+		return nil, nil
+	}
+	// after counts the body's bytes behind the string's length prefix,
+	// then behind the string.
+	after := int(bodyLen) - (strOff - bodyOff)
+	if after < 0 || strLen > uint64(after) {
+		return nil, nil
+	}
+	after -= int(strLen)
+
+	sh := cc.shardFor(id)
+	sh.mu.Lock()
+	w := sh.m[id]
+	if w == nil || !w.into {
+		sh.mu.Unlock()
+		return nil, nil
+	}
+	delete(sh.m, id)
+	w.filling = true
+	sh.mu.Unlock()
+
+	data := sized(w.dst, int(strLen))
+	got := copy(data, prefix[strOff:])
+	if _, err := io.ReadFull(cc.conn, data[got:]); err != nil {
+		return w, &ConnError{Op: "read", Err: err}
+	}
+	rf.buf = rf.buf[:0]
+	tail, err := wire.ReadFrameBody(cc.conn, rf.buf, n-strOff-len(data))
+	if err != nil {
+		return w, &ConnError{Op: "read", Err: err}
+	}
+	rf.buf = tail
+	d.Reset(tail[after:])
+	rf.resp = response{ReqID: id, Status: status, ErrName: errName, ErrMsg: errMsg,
+		Body: tail[:after], TraceID: d.Uint(), HLC: d.Uint()}
+	rf.data = data
+	if derr := tailErr(d); derr != nil {
+		return w, &ConnError{Op: "decode", Err: derr}
+	}
+	return w, nil
 }
 
 // fail marks the connection dead and releases every waiter with err.  It
@@ -168,8 +290,12 @@ func (cc *clientConn) failure() error {
 // write path, so the caller may release req (and the buffers its fields
 // alias) as soon as roundTrip returns, even if the frame is still queued
 // behind an in-flight flush.
-func (cc *clientConn) roundTrip(req *request, timeout time.Duration) (*respFrame, error) {
+//
+// into and dst are the caller's bulk declaration (results.into), which the
+// waiter carries to the read loop.
+func (cc *clientConn) roundTrip(req *request, timeout time.Duration, into bool, dst []byte) (*respFrame, error) {
 	w := getWaiter(timeout)
+	w.into, w.dst = into, dst
 	id := cc.nextID.Add(1)
 	req.ReqID = id
 	sh := cc.shardFor(id)
@@ -216,11 +342,22 @@ func (cc *clientConn) roundTrip(req *request, timeout time.Duration) (*respFrame
 		sh.mu.Lock()
 		_, present := sh.m[id]
 		delete(sh.m, id)
+		filling := w.filling
 		sh.mu.Unlock()
 		if !present {
 			// The read loop (or fail) claimed the waiter concurrently with
 			// the timeout; its delivery is in flight.  Take it so the
 			// pooled waiter's channel is empty for the next call.
+			//
+			// A read loop still filling lent storage delivers only when the
+			// frame ends, and a peer stalled mid-frame would hold this call
+			// past its deadline: sever the connection — dead to every call
+			// queued behind the half-read frame anyway — so the read fails
+			// now, and still wait for the delivery, after which nothing
+			// writes dst.
+			if filling && len(w.ch) == 0 {
+				cc.fail(&ConnError{Op: "timeout", Err: errCallTimeout})
+			}
 			if rf := <-w.ch; rf != nil {
 				putRespFrame(rf)
 			}
@@ -330,6 +467,65 @@ func (e *Endpoint) Invoke(ref oref.Ref, method string, put func(*wire.Encoder), 
 // context.DeadlineExceeded.  An unsampled, deadline-free context — the
 // common case — adds no allocations to the call.
 func (e *Endpoint) InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+	return e.call(ctx, ref, method, put, results{get: get}, nil)
+}
+
+// InvokeInto is InvokeCtx for a call whose results begin with one byte
+// string — an application binary, the kernel image — declared up front so
+// the ORB can put it where the caller keeps it: the string is decoded into
+// dst's storage under Decoder.BytesInto's rule (a nil or too-short dst is
+// replaced by a fresh slice of exactly the string's length) and handed to
+// get as data, with d positioned on whatever follows it.  A large reply is
+// read off the connection straight into that storage (DESIGN.md §12), the
+// receiving end of ServerCall.PutBytesRef.
+//
+// dst is lent for the duration of the call: the caller must not touch it
+// until InvokeInto returns, and on any error its contents are unspecified.
+func (e *Endpoint) InvokeInto(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), dst []byte, get func(data []byte, d *wire.Decoder) error) error {
+	return e.call(ctx, ref, method, put, results{into: get}, dst)
+}
+
+// results is how a caller takes a call's results: get decodes all of them,
+// or — the bulk declaration — into receives the leading byte string and
+// decodes the rest.  At most one is set.  The storage lent for the string
+// travels beside it as its own argument, not as a field: it ends up in a
+// pooled waiter, and a field that reaches the heap would drag the callbacks
+// (and every variable they capture) there with it on each call.
+type results struct {
+	get  func(*wire.Decoder) error
+	into func(data []byte, d *wire.Decoder) error
+}
+
+// sized returns dst cut to n bytes, or — Decoder.BytesInto's rule — a fresh
+// slice of exactly n when dst is too short to hold them.
+func sized(dst []byte, n int) []byte {
+	if cap(dst) < n {
+		return make([]byte, n)
+	}
+	return dst[:n]
+}
+
+// decode runs the caller's callback over a statusOK body.  d is positioned
+// on the body, or — when data is non-nil — just past the leading string
+// already placed in the caller's storage, which is otherwise dst's.
+func (r *results) decode(d *wire.Decoder, data, dst []byte) error {
+	var err error
+	switch {
+	case r.into != nil:
+		if data == nil {
+			data = d.BytesInto(dst)
+		}
+		err = r.into(data, d)
+	case r.get != nil:
+		err = r.get(d)
+	}
+	if err == nil && d.Err() != nil {
+		err = Errf(ExcBadArgs, "result decode: %v", d.Err())
+	}
+	return err
+}
+
+func (e *Endpoint) call(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res results, dst []byte) error {
 	if ref.IsNil() {
 		return ErrInvalidReference
 	}
@@ -341,7 +537,7 @@ func (e *Endpoint) InvokeCtx(ctx context.Context, ref oref.Ref, method string, p
 		t.CallStart(c)
 	}
 	start := time.Now()
-	err := e.invoke(ctx, ref, method, put, get)
+	err := e.invoke(ctx, ref, method, put, &res, dst)
 	d := time.Since(start)
 	ms := m.methodFor(ref.TypeID, method)
 	if sp := obs.SpanFrom(ctx); sp.Sampled && sp.TraceID != 0 {
@@ -365,12 +561,12 @@ func (e *Endpoint) InvokeCtx(ctx context.Context, ref oref.Ref, method string, p
 	return err
 }
 
-func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res *results, dst []byte) error {
 	// Local implementation: a plain dispatch, no network (§3.2: "maps to a
 	// local implementation or to stubs that perform a remote procedure
 	// call").
 	if ref.Addr == e.addr {
-		return e.invokeLocal(ctx, ref, method, put, get)
+		return e.invokeLocal(ctx, ref, method, put, res, dst)
 	}
 
 	// The effective timeout is the endpoint's configured bound, tightened by
@@ -433,7 +629,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 		e.failures.Add(1)
 		return err
 	}
-	rf, err := cc.roundTrip(req, timeout)
+	rf, err := cc.roundTrip(req, timeout, res.into != nil, dst)
 	// The request frame was written (or the write failed) before roundTrip
 	// returned; the argument buffer and request record are free again.
 	putRequest(req)
@@ -450,7 +646,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 		e.failures.Add(1)
 		return err
 	}
-	err = decodeResponse(rf, get)
+	err = decodeResponse(rf, res, dst)
 	// Back-propagate an adopted trace id into the caller's sink, success or
 	// failure — adoption can accompany an application error.
 	if rf.resp.TraceID != 0 {
@@ -471,7 +667,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 	return err
 }
 
-func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res *results, dst []byte) error {
 	// Lock-free dispatch lookup: the object table is published as a
 	// copy-on-write snapshot, so local calls never serialize on e.mu.
 	if e.closedFlag.Load() {
@@ -479,19 +675,19 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 	}
 	sk, ok := e.objsnap.Load().lookup(ref.ObjectID)
 	if method == "_metrics" {
-		return e.metricsResult(get)
+		return e.metricsResult(res.get)
 	}
 	if method == "_events" {
-		return e.eventsResult(put, get)
+		return e.eventsResult(put, res.get)
 	}
 	if method == "_health" {
-		return e.healthResult(put, get)
+		return e.healthResult(put, res.get)
 	}
 	if method == "_slow" {
-		return e.slowResult(get)
+		return e.slowResult(res.get)
 	}
 	if method == "_profile" {
-		return e.profileResult(put, get)
+		return e.profileResult(put, res.get)
 	}
 	if !ok || (ref.Incarnation != e.incarnation && ref.Incarnation != oref.AnyIncarnation) {
 		return ErrInvalidReference
@@ -522,25 +718,32 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
 	}
 	seg, segAt := s.call.takeSeg()
-	if err == nil && get != nil {
-		res := s.results.Bytes()
-		if seg != nil {
+	if err == nil && (res.get != nil || res.into != nil) {
+		body := s.results.Bytes()
+		var data []byte
+		// The argument decoder is spent; it decodes the results from here.
+		s.args.Reset(body[:segAt])
+		switch {
+		case seg == nil:
+		case res.into != nil && s.args.Uint() == uint64(len(seg)) && s.args.Remaining() == 0:
+			// Nothing but its length precedes the lent segment: it is the
+			// leading string the caller declared.  One copy, from where the
+			// service keeps it to where the caller does.
+			data = sized(dst, len(seg))
+			copy(data, seg)
+			body = body[segAt:]
+		default:
 			// Nothing will write the borrowed segment for us here: flatten
-			// it into the spent argument encoder so get sees the bytes a
-			// remote caller would.
+			// it into the spent argument encoder so the callback sees the
+			// bytes a remote caller would.
 			enc.Reset()
-			enc.PutRaw(res[:segAt])
+			enc.PutRaw(body[:segAt])
 			enc.PutRaw(seg)
-			enc.PutRaw(res[segAt:])
-			res = enc.Bytes()
+			enc.PutRaw(body[segAt:])
+			body = enc.Bytes()
 		}
-		// The argument decoder is spent; re-point it at the results.
-		s.args.Reset(res)
-		if gerr := get(&s.args); gerr != nil {
-			err = gerr
-		} else if s.args.Err() != nil {
-			err = Errf(ExcBadArgs, "result decode: %v", s.args.Err())
-		}
+		s.args.Reset(body)
+		err = res.decode(&s.args, data, dst)
 	}
 	putScratch(s)
 	wire.PutEncoder(enc)
@@ -548,21 +751,13 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 }
 
 // decodeResponse maps a response's status onto the caller-visible result,
-// running get over the borrowed body for statusOK.
-func decodeResponse(rf *respFrame, get func(*wire.Decoder) error) error {
+// running the caller's callback over the borrowed body for statusOK.
+func decodeResponse(rf *respFrame, res *results, dst []byte) error {
 	resp := &rf.resp
 	switch resp.Status {
 	case statusOK:
-		if get != nil {
-			rf.dec.Reset(resp.Body)
-			if err := get(&rf.dec); err != nil {
-				return err
-			}
-			if rf.dec.Err() != nil {
-				return Errf(ExcBadArgs, "result decode: %v", rf.dec.Err())
-			}
-		}
-		return nil
+		rf.dec.Reset(resp.Body)
+		return res.decode(&rf.dec, rf.data, dst)
 	case statusInvalidRef:
 		return ErrInvalidReference
 	case statusNoSuchMethod:

@@ -17,9 +17,20 @@ import (
 // read loop.  The channel has capacity 1 so the read loop never blocks
 // delivering; a nil delivery means the connection failed.  The timer is
 // created once and re-armed per call.
+//
+// into declares that the caller's results begin with one byte string and
+// lends dst as storage for it (Endpoint.InvokeInto).  Both are set before
+// the waiter is registered and constant while it is.  The read loop sets
+// filling, under the pending shard's lock, when it claims the waiter to
+// read a large reply straight into dst: from then until its delivery the
+// lent storage is the read loop's to write.
 type waiter struct {
 	ch    chan *respFrame
 	timer *time.Timer
+
+	into    bool
+	dst     []byte
+	filling bool
 }
 
 var waiterPool = sync.Pool{New: func() any {
@@ -48,6 +59,7 @@ func putWaiter(w *waiter, fired bool) {
 	if !fired && !w.timer.Stop() {
 		<-w.timer.C
 	}
+	w.into, w.dst, w.filling = false, nil, false
 	waiterPool.Put(w)
 }
 
@@ -55,10 +67,15 @@ func putWaiter(w *waiter, fired bool) {
 // borrows and the decoder that walks them.  Ownership moves as one unit:
 // the read loop fills it, the waiting caller decodes results out of it and
 // releases it.
+//
+// data, when non-nil, is the reply body's leading byte string, which the
+// read loop read into storage the waiter lent instead of into buf; Body
+// then holds only what followed it.
 type respFrame struct {
 	resp response
 	dec  wire.Decoder
 	buf  []byte
+	data []byte
 }
 
 var respFramePool = sync.Pool{New: func() any { return new(respFrame) }}
@@ -68,6 +85,7 @@ func getRespFrame() *respFrame { return respFramePool.Get().(*respFrame) }
 func putRespFrame(rf *respFrame) {
 	rf.resp.reset()
 	rf.dec.Reset(nil)
+	rf.data = nil
 	if !wire.CapOK(cap(rf.buf)) {
 		rf.buf = nil // don't pin one huge frame's buffer forever
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,8 +20,11 @@ import (
 // WriteBuffers makes it one frame write; a reply too large for a frame is
 // refused by name instead of costing the connection.
 
-// blobSkel serves one blob three ways: lent to the reply between two small
-// results ("get"), lent twice ("twice"), and copied ("copy").
+// blobSkel serves one blob four ways: lent to the reply between two small
+// results ("get"), lent as the leading result ("lead"), lent twice
+// ("twice"), and copied ("copy"); and fails two ways, briefly ("missing")
+// and with an error whose own frame is larger than flushCopyLimit
+// ("verbose"), which the client's read loop meets on its prefix path.
 type blobSkel struct {
 	mu   sync.Mutex
 	blob []byte
@@ -43,11 +47,19 @@ func (s *blobSkel) Dispatch(c *ServerCall) error {
 		c.Results().PutString("head")
 		c.PutBytesRef(blob)
 		c.Results().PutInt(-7)
+	case "lead":
+		c.PutBytesRef(blob)
+		c.Results().PutString("behind")
+		c.Results().PutInt(-7)
 	case "twice":
 		c.PutBytesRef(blob)
 		c.PutBytesRef(blob)
 	case "copy":
 		c.Results().PutBytes(blob)
+	case "missing":
+		return Errf(ExcNotFound, "no item %q", "ghost")
+	case "verbose":
+		return Errf("Verbose", "%s", strings.Repeat("x", 2*flushCopyLimit))
 	default:
 		return ErrNoSuchMethod
 	}

@@ -13,6 +13,7 @@
 package rds
 
 import (
+	"context"
 	"sync"
 
 	"itv/internal/atm"
@@ -165,18 +166,19 @@ func (s Stub) OpenData(name string) ([]byte, int64, error) {
 	return s.OpenDataInto(name, nil)
 }
 
-// OpenDataInto is OpenData decoding the payload into dst's storage
-// (wire.Decoder.BytesInto): a caller that downloads repeatedly and passes
+// OpenDataInto is OpenData with the payload delivered into dst's storage
+// (core.Rebinder.InvokeInto): a caller that downloads repeatedly and passes
 // the previous payload back in allocates only when an item outgrows its
-// buffer.  dst is lent for the call; on error the result is nil and dst's
-// contents are unspecified.
+// buffer, and a large item is read off the connection straight into it.
+// dst is lent for the call; on error the result is nil and dst's contents
+// are unspecified.
 func (s Stub) OpenDataInto(name string, dst []byte) ([]byte, int64, error) {
 	var data []byte
 	var rate int64
-	err := s.Svc.Invoke("openData",
-		func(e *wire.Encoder) { e.PutString(name) },
-		func(d *wire.Decoder) error {
-			data = d.BytesInto(dst)
+	err := s.Svc.InvokeInto(context.Background(), "openData",
+		func(e *wire.Encoder) { e.PutString(name) }, dst,
+		func(b []byte, d *wire.Decoder) error {
+			data = b
 			rate = d.Int()
 			return nil
 		})

@@ -9,7 +9,23 @@ import (
 	"itv/internal/wire"
 )
 
-// TestMemnetStats checks the per-host counters: one frame per WriteFrame
+// rawMsg is a frame payload sent as is.
+type rawMsg []byte
+
+func (m rawMsg) MarshalWire(e *wire.Encoder) { e.PutRaw(m) }
+
+// sendFrame writes payload as one frame in one Write, the way the ORB's
+// write path does (wire.AppendFrame into one buffer).
+func sendFrame(c io.Writer, payload []byte) error {
+	e := wire.NewEncoder(4 + len(payload))
+	if err := wire.AppendFrame(e, rawMsg(payload)); err != nil {
+		return err
+	}
+	_, err := c.Write(e.Bytes())
+	return err
+}
+
+// TestMemnetStats checks the per-host counters: one frame per sendFrame
 // call, byte totals matching header+payload, and dial/accept bookkeeping
 // attributed to the right side.
 func TestMemnetHostStats(t *testing.T) {
@@ -37,11 +53,11 @@ func TestMemnetHostStats(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		p, err := wire.ReadFrame(c)
+		p, err := wire.ReadFrameInto(c, nil)
 		if err != nil {
 			return
 		}
-		wire.WriteFrame(c, p)
+		sendFrame(c, p)
 	}()
 
 	c, err := cli.Dial(addr)
@@ -49,10 +65,10 @@ func TestMemnetHostStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("hello itv")
-	if err := wire.WriteFrame(c, payload); err != nil {
+	if err := sendFrame(c, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(c); err != nil {
+	if _, err := wire.ReadFrameInto(c, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -110,11 +126,11 @@ func TestTCPStats(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		p, err := wire.ReadFrame(c)
+		p, err := wire.ReadFrameInto(c, nil)
 		if err != nil {
 			return
 		}
-		wire.WriteFrame(c, p)
+		sendFrame(c, p)
 	}()
 
 	c, err := tr.Dial(addr)
@@ -122,10 +138,10 @@ func TestTCPStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("hello itv")
-	if err := wire.WriteFrame(c, payload); err != nil {
+	if err := sendFrame(c, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(c); err != nil {
+	if _, err := wire.ReadFrameInto(c, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()

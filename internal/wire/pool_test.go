@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -11,12 +13,27 @@ type blobMsg []byte
 
 func (m blobMsg) MarshalWire(e *Encoder) { e.PutBytes(m) }
 
+// writeFrame is the framing reference: a 4-byte big-endian length header
+// followed by payload, assembled the plain way.  It was the production
+// write path before AppendFrame and stays here as what AppendFrame must
+// match byte for byte.
+func writeFrame(w io.Writer, payload []byte) error {
+	if len(payload) > MaxFrameSize {
+		return ErrTooLarge
+	}
+	buf := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
+	copy(buf[4:], payload)
+	_, err := w.Write(buf)
+	return err
+}
+
 // TestAppendFrameMatchesWriteFrame pins the wire compatibility requirement:
-// the zero-copy framing path must emit byte-for-byte what WriteFrame emits.
+// the zero-copy framing path must emit byte-for-byte what writeFrame emits.
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	f := func(payload []byte) bool {
 		var legacy bytes.Buffer
-		if err := WriteFrame(&legacy, append([]byte(nil), blobMsg(payload).framePayload()...)); err != nil {
+		if err := writeFrame(&legacy, append([]byte(nil), blobMsg(payload).framePayload()...)); err != nil {
 			return false
 		}
 		e := NewEncoder(16)
@@ -30,7 +47,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	}
 }
 
-// framePayload is what WriteFrame would have been handed for this message:
+// framePayload is what writeFrame would have been handed for this message:
 // its standalone encoding.
 func (m blobMsg) framePayload() []byte { return Marshal(m) }
 
@@ -46,7 +63,7 @@ func TestAppendFrameConcatenates(t *testing.T) {
 	}
 	r := bytes.NewReader(e.Bytes())
 	for i, want := range []string{"first", "second"} {
-		frame, err := ReadFrame(r)
+		frame, err := ReadFrameInto(r, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -69,7 +86,7 @@ func TestReadFrameIntoReuse(t *testing.T) {
 		bytes.Repeat([]byte{4}, 1000),
 	}
 	for _, p := range payloads {
-		if err := WriteFrame(&stream, p); err != nil {
+		if err := writeFrame(&stream, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,6 +103,46 @@ func TestReadFrameIntoReuse(t *testing.T) {
 			t.Fatalf("frame %d: buffer was reallocated despite sufficient capacity", i)
 		}
 		buf = got
+	}
+}
+
+// TestReadFrameBodyBehindPrefix: a caller that reads a frame's header, then
+// a prefix of the payload, then the rest behind the prefix ends up with the
+// payload ReadFrameInto would have returned — in place when the storage
+// fits, in a fresh exact-size slice carrying the prefix when it does not.
+func TestReadFrameBodyBehindPrefix(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789"), 100)
+	for _, room := range []int{0, 8, len(payload), len(payload) + 50} {
+		var stream bytes.Buffer
+		if err := writeFrame(&stream, payload); err != nil {
+			t.Fatal(err)
+		}
+		n, err := ReadFrameHeader(&stream)
+		if err != nil || n != len(payload) {
+			t.Fatalf("header = %d, %v; want %d", n, err, len(payload))
+		}
+		buf := make([]byte, 0, room)
+		prefix, err := ReadFrameBody(&stream, buf, 8)
+		if err != nil || !bytes.Equal(prefix, payload[:8]) {
+			t.Fatalf("room %d: prefix = %q, %v", room, prefix, err)
+		}
+		got, err := ReadFrameBody(&stream, prefix, n)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("room %d: payload mismatch (%d bytes, %v)", room, len(got), err)
+		}
+		if inPlace := room > 0 && &got[0] == &buf[:1][0]; inPlace != (room >= n) {
+			t.Fatalf("room %d: read in place = %v, want %v", room, inPlace, room >= n)
+		}
+		if room < n && cap(got) != n {
+			t.Fatalf("room %d: grown storage has capacity %d, want exactly %d", room, cap(got), n)
+		}
+		if stream.Len() != 0 {
+			t.Fatalf("room %d: %d bytes left unread", room, stream.Len())
+		}
+	}
+	// A stream that ends inside the body is an error, not a short payload.
+	if _, err := ReadFrameBody(bytes.NewReader(payload[:5]), nil, 9); err == nil {
+		t.Fatal("short body not detected")
 	}
 }
 

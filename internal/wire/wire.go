@@ -350,27 +350,12 @@ func Unmarshal(buf []byte, u Unmarshaler) error {
 	return nil
 }
 
-// WriteFrame writes a 4-byte big-endian length header followed by payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrTooLarge
-	}
-	// One Write per frame: a single buffer avoids a second syscall (or
-	// net.Pipe rendezvous on memnet) per message, and lets the transport
-	// layer count frames by counting Write calls.
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
 // AppendFrame appends one length-prefixed frame carrying m's encoding to e,
 // with no intermediate buffer: the 4-byte header is reserved up front, m
 // marshals directly into e, and the header is patched once the length is
 // known.  Writing e.Bytes() in a single Write then costs zero copies beyond
-// the marshal itself and keeps the one-Write-per-frame property WriteFrame
-// established (the transport layer counts frames by counting Writes).
+// the marshal itself and keeps one Write per frame (the transport layer
+// counts frames by counting Writes).
 func AppendFrame(e *Encoder, m Marshaler) error { return AppendSplitFrame(e, m, 0) }
 
 // AppendSplitFrame is AppendFrame for a frame that segLen further bytes
@@ -391,11 +376,6 @@ func AppendSplitFrame(e *Encoder, m Marshaler, segLen int) error {
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame, enforcing MaxFrameSize.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	return ReadFrameInto(r, nil)
-}
-
 // ReadFrameInto reads one length-prefixed frame into buf's storage, growing
 // it only when the frame exceeds buf's capacity, and returns the payload
 // sized to the frame.  A connection read loop that passes the returned
@@ -404,21 +384,42 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // caller must finish with (or hand off ownership of) one frame before
 // reading the next into the same buffer.
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	n, err := ReadFrameHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	return ReadFrameBody(r, buf[:0], n)
+}
+
+// ReadFrameHeader reads a frame's 4-byte length header and returns the
+// payload length that follows it, enforcing MaxFrameSize.
+func ReadFrameHeader(r io.Reader) (int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameSize {
-		return nil, ErrTooLarge
+		return 0, ErrTooLarge
 	}
+	return int(n), nil
+}
+
+// ReadFrameBody reads a payload up to its n-th byte.  have holds the bytes
+// of it already read (none, as ReadFrameInto passes; or a prefix the
+// caller looked at before deciding where the rest should go) and lends its
+// storage: the rest is read in behind them, in place when n fits have's
+// capacity, otherwise in a fresh slice of exactly n bytes that have is
+// copied to.  n must be at least len(have).
+func ReadFrameBody(r io.Reader, have []byte, n int) ([]byte, error) {
 	var payload []byte
-	if uint64(n) <= uint64(cap(buf)) {
-		payload = buf[:n]
+	if n <= cap(have) {
+		payload = have[:n]
 	} else {
 		payload = make([]byte, n)
+		copy(payload, have)
 	}
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(r, payload[len(have):]); err != nil {
 		return nil, err
 	}
 	return payload, nil

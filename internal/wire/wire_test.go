@@ -148,10 +148,10 @@ func TestHostileCollectionLength(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("the quick brown fox")
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := writeFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := ReadFrameInto(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, nil); err != nil {
+	if err := writeFrame(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := ReadFrameInto(&buf, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty frame: %v, err %v", got, err)
 	}
@@ -173,24 +173,24 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrTooLarge) {
+	if err := AppendFrame(NewEncoder(0), blobMsg(make([]byte, MaxFrameSize+1))); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize write err = %v, want ErrTooLarge", err)
 	}
 	// Hostile header.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadFrameInto(&buf, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize read err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestFrameShortRead(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("abcdef")); err != nil {
+	if err := writeFrame(&buf, []byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
 	short := bytes.NewReader(buf.Bytes()[:buf.Len()-2])
-	if _, err := ReadFrame(short); err == nil {
+	if _, err := ReadFrameInto(short, nil); err == nil {
 		t.Fatal("short frame not detected")
 	}
 }
