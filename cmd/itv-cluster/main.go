@@ -158,7 +158,7 @@ func main() {
 					fmt.Printf("  mms on %s: primary=%v open=%d\n", s.Spec.Name, m.IsPrimary(), m.OpenCount())
 				}
 				if m := s.MDS(); m != nil {
-					fmt.Printf("  mds on %s: load=%d\n", s.Spec.Name, m.Load())
+					fmt.Printf("  mds on %s: load=%d\n", s.Spec.Name, len(m.OpenMovies()))
 				}
 			}
 			log.Fatal("connections leaked")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +31,9 @@ func (s *spinSkel) Dispatch(c *orb.ServerCall) error {
 	return nil
 }
 
+// attribRuns numbers TestClusterTailAttribution's runs in this process.
+var attribRuns atomic.Uint32
+
 // TestClusterTailAttribution is the end-to-end check of the tail-latency
 // attribution story (DESIGN.md §13): a deliberately slow handler in a live
 // cluster is found three independent ways, all through the wire surfaces
@@ -40,7 +44,15 @@ func (s *spinSkel) Dispatch(c *orb.ServerCall) error {
 // on-demand _profile CPU capture taken while the handler is under load
 // comes back as a non-empty pprof gzip.
 func TestClusterTailAttribution(t *testing.T) {
-	c := startCluster(t, twoServers())
+	// The target machine gets an address no earlier run in this process
+	// used.  A node's slow ledger lives as long as the process and its
+	// admission threshold is four times a slow-decaying estimate of the
+	// node's tail: under -count=N the profile load at the end of run N-1
+	// leaves the estimate at the burn, and run N's one sampled call would
+	// no longer clear the threshold.
+	cfg := twoServers()
+	cfg.Servers[0].Host = fmt.Sprintf("192.168.%d.1", 100+attribRuns.Add(1)%100)
+	c := startCluster(t, cfg)
 	target := c.Servers[0]
 	addr := fmt.Sprintf("%s:%d", target.Spec.Host, ssc.WellKnownPort)
 

@@ -162,7 +162,7 @@ func TestSettopCrashReclaimsResources(t *testing.T) {
 	total := 0
 	for _, s := range c.Servers {
 		if m := s.MDS(); m != nil {
-			total += m.Load()
+			total += len(m.OpenMovies())
 		}
 	}
 	if total != 0 {
@@ -361,24 +361,39 @@ func TestVODPositionSurvivesSettopReboot(t *testing.T) {
 	}
 }
 
+// TestNeighborhoodIsolation: settops in different neighborhoods use their
+// own cmgr/rds replicas — through the one MMS, which holds one Connection
+// Manager reference per neighborhood and must never serve a settop from a
+// reference it resolved for another neighborhood's.
 func TestNeighborhoodIsolation(t *testing.T) {
-	// Settops in different neighborhoods use their own cmgr/rds replicas.
 	c := startCluster(t, twoServers())
 	st1 := bootSettop(t, c, "1", 0)
 	st2 := bootSettop(t, c, "2", 0)
-	if err := st1.OpenMovie("Duck Amuck"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.OpenMovie("Duck Amuck"); err != nil {
-		t.Fatal(err)
-	}
 	cm1 := c.CmgrPrimary("1").Cmgr("1")
 	cm2 := c.CmgrPrimary("2").Cmgr("2")
-	if cm1.Held(st1.Host()) != 1 || cm1.Held(st2.Host()) != 0 {
-		t.Fatalf("cmgr-1 held: %d/%d", cm1.Held(st1.Host()), cm1.Held(st2.Host()))
-	}
-	if cm2.Held(st2.Host()) != 1 {
-		t.Fatalf("cmgr-2 held: %d", cm2.Held(st2.Host()))
+	// Twice: the second round runs on held references.
+	for round := 0; round < 2; round++ {
+		if err := st1.OpenMovie("Duck Amuck"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st2.OpenMovie("Duck Amuck"); err != nil {
+			t.Fatal(err)
+		}
+		if cm1.Held(st1.Host()) != 1 || cm1.Held(st2.Host()) != 0 {
+			t.Fatalf("round %d: cmgr-1 held: %d/%d", round, cm1.Held(st1.Host()), cm1.Held(st2.Host()))
+		}
+		if cm2.Held(st2.Host()) != 1 || cm2.Held(st1.Host()) != 0 {
+			t.Fatalf("round %d: cmgr-2 held: %d/%d", round, cm2.Held(st2.Host()), cm2.Held(st1.Host()))
+		}
+		if err := st1.CloseMovie(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st2.CloseMovie(); err != nil {
+			t.Fatal(err)
+		}
+		if cm1.Held(st1.Host()) != 0 || cm2.Held(st2.Host()) != 0 {
+			t.Fatalf("round %d: held after close: %d/%d", round, cm1.Held(st1.Host()), cm2.Held(st2.Host()))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cmgr
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"itv/internal/clock"
 	"itv/internal/core"
 	"itv/internal/names"
+	"itv/internal/obs"
 	"itv/internal/orb"
 	"itv/internal/oref"
 	"itv/internal/transport"
@@ -277,4 +279,197 @@ func TestResourceAccounting(t *testing.T) {
 	if report[0].Settop != "10.1.0.5" || report[1].Denied != 5 {
 		t.Fatalf("report rows = %+v", report)
 	}
+}
+
+// serverSession is a session on a server host: where the services that
+// hold a Directory (the MMS, the RDS) run.
+func (f *fixture) serverSession(host string) *core.Session {
+	f.t.Helper()
+	ep, err := orb.NewEndpoint(f.nw.Host(host))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(ep.Close)
+	return core.NewSession(ep, f.ns.RootRef(), f.clk)
+}
+
+// settled returns c's value once it has stopped moving: the electors' own
+// resolves (self-check, mirror registration) ride the clock ticks a waitFor
+// just drove, and the last of them may still be in flight.
+func (f *fixture) settled(c *obs.Counter) int64 {
+	for {
+		v := c.Value()
+		f.clk.Settle()
+		if c.Value() == v {
+			return v
+		}
+	}
+}
+
+// TestDirectoryHoldsOneReferencePerNeighborhood: settops are routed to
+// their own neighborhood's Connection Manager through the selector, the
+// directory never holds more entries than neighborhoods it has served, and
+// once it has served a neighborhood the name service hears nothing more —
+// with several callers at once.
+func TestDirectoryHoldsOneReferencePerNeighborhood(t *testing.T) {
+	f := newFixture(t)
+	cm1 := f.newReplica("192.168.0.1", "1")
+	cm2 := f.newReplica("192.168.0.2", "2")
+	f.waitFor("both primaries", func() bool { return cm1.IsPrimary() && cm2.IsPrimary() })
+	settops := []string{"10.1.0.5", "10.1.0.6", "10.2.0.5", "10.2.0.6"}
+	for _, h := range settops[1:] {
+		f.fabric.AddSettop(h) // AddSettop of a known settop is a no-op
+	}
+	d := NewDirectory(f.serverSession("192.168.0.1"))
+	resolves := obs.Node("192.168.0.1").Counter("names_resolves")
+	before := f.settled(resolves)
+
+	var wg sync.WaitGroup
+	for _, h := range settops {
+		wg.Add(1)
+		go func(settop string) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				a, err := d.Allocate(settop, "192.168.0.1", atm.Mbps, atm.CBR)
+				if err != nil {
+					t.Errorf("allocate for %s: %v", settop, err)
+					return
+				}
+				want, other := cm1, cm2
+				if names.NeighborhoodOf(settop) == "2" {
+					want, other = cm2, cm1
+				}
+				if want.Held(settop) != 1 || other.Held(settop) != 0 {
+					t.Errorf("%s: held %d by its own cmgr and %d by the other, want 1 and 0",
+						settop, want.Held(settop), other.Held(settop))
+				}
+				if err := d.Release(settop, a.ID); err != nil {
+					t.Errorf("release for %s: %v", settop, err)
+				}
+			}
+		}(h)
+	}
+	wg.Wait()
+
+	d.mu.Lock()
+	held := len(d.byNbhd)
+	d.mu.Unlock()
+	if held != 2 {
+		t.Fatalf("directory holds %d references after serving 2 neighborhoods", held)
+	}
+	// Racing first calls may each resolve before one reference is stored;
+	// after that nobody asks again.
+	if got := resolves.Value() - before; got < 2 || got > int64(len(settops)) {
+		t.Fatalf("40 calls cost %d resolves, want 2 (at most %d if the first calls raced)", got, len(settops))
+	}
+	before = f.settled(resolves)
+	for _, h := range settops {
+		a, err := d.Allocate(h, "192.168.0.1", atm.Mbps, atm.CBR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Release(h, a.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := resolves.Value() - before; got != 0 {
+		t.Fatalf("warm calls cost %d resolves, want 0", got)
+	}
+	if f.fabric.Conns() != 0 {
+		t.Fatal("connection leaked")
+	}
+}
+
+// TestDirectoryFollowsFailover: the reference a service holds dies with
+// the primary.  The call that finds it dead is the call that replaces it —
+// a release after the fail-over reaches the promoted backup, whose mirrored
+// table still has the connection (§10.1.1), instead of being dropped on the
+// dead reference.
+func TestDirectoryFollowsFailover(t *testing.T) {
+	f := newFixture(t)
+	f.ns.SetChecker(pingChecker{f.client.Ep})
+	primary := f.newReplica("192.168.0.1", "1")
+	f.waitFor("primary elected", primary.IsPrimary)
+	backup := f.newReplica("192.168.0.2", "1")
+	f.waitFor("mirror registered", func() bool {
+		primary.mu.Lock()
+		defer primary.mu.Unlock()
+		return len(primary.mirrors) == 1
+	})
+
+	sess := f.serverSession("192.168.0.2")
+	d := NewDirectory(sess)
+	a, err := d.Allocate("10.1.0.5", "192.168.0.1", 3*atm.Mbps, atm.CBR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.waitFor("allocation mirrored", func() bool { return backup.Held("10.1.0.5") == 1 })
+
+	primary.sess.Ep.Close()
+	f.waitFor("backup promoted", backup.IsPrimary)
+	rebinds := sess.Ep.Metrics().Counter("core_rebinds")
+	resolves := obs.Node("192.168.0.1").Counter("names_resolves")
+	rebindsBefore, resolvesBefore := rebinds.Value(), f.settled(resolves)
+	if err := d.Release("10.1.0.5", a.ID); err != nil {
+		t.Fatalf("release after the fail-over: %v", err)
+	}
+	if backup.Held("10.1.0.5") != 0 || f.fabric.Conns() != 0 {
+		t.Fatalf("after release the new primary holds %d for the settop and the fabric %d connections, want 0 and 0",
+			backup.Held("10.1.0.5"), f.fabric.Conns())
+	}
+	if got := rebinds.Value() - rebindsBefore; got != 1 {
+		t.Fatalf("core_rebinds moved by %d, want 1", got)
+	}
+	if got := resolves.Value() - resolvesBefore; got != 1 {
+		t.Fatalf("the rebinding call cost %d resolves, want 1", got)
+	}
+}
+
+// TestDirectoryDropsADemotedPrimary: a replica that lost the binding but
+// not its life answers "not primary" rather than dying.  That reference is
+// stale too: the call that hears it fails, and the next one asks the name
+// service again.
+func TestDirectoryDropsADemotedPrimary(t *testing.T) {
+	f := newFixture(t)
+	old := f.newReplica("192.168.0.1", "1")
+	f.waitFor("primary elected", old.IsPrimary)
+	d := NewDirectory(f.serverSession("192.168.0.2"))
+	a, err := d.Allocate("10.1.0.5", "192.168.0.1", atm.Mbps, atm.CBR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Release("10.1.0.5", a.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// An operator rebind (§5.2): the name now belongs to another object;
+	// the old primary's self-check notices and demotes it.
+	elsewhere := f.serverSession("192.168.0.2").Ep.Register("cmgr-elsewhere", allocSkel{})
+	if err := f.client.Root.Unbind(ContextPath + "/1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.client.Root.Bind(ContextPath+"/1", elsewhere); err != nil {
+		t.Fatal(err)
+	}
+	f.waitFor("old primary demoted", func() bool { return !old.IsPrimary() })
+
+	if _, err := d.Allocate("10.1.0.5", "192.168.0.1", atm.Mbps, atm.CBR); !orb.IsApp(err, orb.ExcUnavailable) {
+		t.Fatalf("allocate on the demoted replica: err = %v, want Unavailable", err)
+	}
+	a, err = d.Allocate("10.1.0.5", "192.168.0.1", atm.Mbps, atm.CBR)
+	if err != nil || a.ID != "elsewhere" {
+		t.Fatalf("allocate after the stale reference was dropped = %+v, %v; want the name's new holder to answer", a, err)
+	}
+}
+
+// allocSkel answers "allocate" the way a primary would.
+type allocSkel struct{}
+
+func (allocSkel) TypeID() string { return TypeID }
+func (allocSkel) Dispatch(c *orb.ServerCall) error {
+	if c.Method() != "allocate" {
+		return orb.ErrNoSuchMethod
+	}
+	(&Alloc{ID: "elsewhere"}).MarshalWire(c.Results())
+	return nil
 }

@@ -47,8 +47,13 @@ func NewSession(ep *orb.Endpoint, rootRef oref.Ref, clk clock.Clock) *Session {
 }
 
 // Service returns a rebinding proxy for the named service.
-func (s *Session) Service(name string) *Rebinder {
-	return &Rebinder{s: s, name: name, MaxAttempts: 4}
+func (s *Session) Service(name string) *Rebinder { return s.ServiceAs(name, "") }
+
+// ServiceAs is Service resolving on behalf of callerHost, so that an
+// IP-derived selector picks the replica serving that host: how a service
+// holds a client's neighborhood replica under the client's rule (§3.4.2).
+func (s *Session) ServiceAs(name, callerHost string) *Rebinder {
+	return &Rebinder{s: s, name: name, as: callerHost, MaxAttempts: 4}
 }
 
 // Rebinder invokes operations on whatever object the name currently
@@ -58,6 +63,7 @@ func (s *Session) Service(name string) *Rebinder {
 type Rebinder struct {
 	s    *Session
 	name string
+	as   string // resolve on behalf of this host; "" resolves as the caller
 
 	// MaxAttempts bounds resolve+invoke rounds per call (default 4).
 	MaxAttempts int
@@ -95,7 +101,13 @@ func (rb *Rebinder) refCtx(ctx context.Context) (oref.Ref, error) {
 		return cached, nil
 	}
 
-	ref, err := rb.s.Root.ResolveCtx(ctx, rb.name)
+	var ref oref.Ref
+	var err error
+	if rb.as != "" {
+		ref, err = rb.s.Root.ResolveAsCtx(ctx, rb.name, rb.as)
+	} else {
+		ref, err = rb.s.Root.ResolveCtx(ctx, rb.name)
+	}
 	if err != nil {
 		return oref.Ref{}, err
 	}
@@ -137,7 +149,7 @@ func (rb *Rebinder) Invoke(method string, put func(*wire.Encoder), get func(*wir
 // rebind joins the failure's trace — the client-side end of the §8.2
 // fail-over story.
 func (rb *Rebinder) InvokeCtx(ctx context.Context, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	return rb.invoke(ctx, func(ref oref.Ref) error {
+	return rb.Do(ctx, func(ref oref.Ref) error {
 		return rb.s.Ep.InvokeCtx(ctx, ref, method, put, get)
 	})
 }
@@ -146,14 +158,15 @@ func (rb *Rebinder) InvokeCtx(ctx context.Context, method string, put func(*wire
 // byte string, delivered into dst's storage (orb.Endpoint.InvokeInto).
 // dst is lent across every rebinding attempt.
 func (rb *Rebinder) InvokeInto(ctx context.Context, method string, put func(*wire.Encoder), dst []byte, get func(data []byte, d *wire.Decoder) error) error {
-	return rb.invoke(ctx, func(ref oref.Ref) error {
+	return rb.Do(ctx, func(ref oref.Ref) error {
 		return rb.s.Ep.InvokeInto(ctx, ref, method, put, dst, get)
 	})
 }
 
-// invoke runs call against the name's current reference, re-resolving and
-// retrying while the failure says the reference is dead.
-func (rb *Rebinder) invoke(ctx context.Context, call func(oref.Ref) error) error {
+// Do runs call against the name's current reference, re-resolving and
+// retrying while the failure says the reference is dead.  An ordinary
+// {Ep, Ref} stub built on the reference call is handed runs under rebinding.
+func (rb *Rebinder) Do(ctx context.Context, call func(oref.Ref) error) error {
 	attempts := rb.MaxAttempts
 	if attempts <= 0 {
 		attempts = 4

@@ -10,6 +10,7 @@ import (
 
 	"itv/internal/clock"
 	"itv/internal/names"
+	"itv/internal/obs"
 	"itv/internal/orb"
 	"itv/internal/oref"
 	"itv/internal/transport"
@@ -139,6 +140,76 @@ func TestRebinderRecoversAcrossRestart(t *testing.T) {
 	// invisible" (§9.5).
 	if got, err := echoVia(rb, "recovered"); err != nil || got != "recovered" {
 		t.Fatalf("post-restart echo = %q, %v", got, err)
+	}
+}
+
+// TestServiceAsResolvesOnBehalfAndRebinds: a rebinder built with ServiceAs
+// asks the name service as the host it stands in for — the neighborhood
+// selector routes it to that host's replica, not this process's — holds the
+// reference across calls, and replaces it in the one call that finds it
+// dead.  Do runs an ordinary {Ep, Ref} call under that discipline.
+func TestServiceAsResolvesOnBehalfAndRebinds(t *testing.T) {
+	f := newFixture(t) // the session's own host, 10.1.0.7, is in neighborhood 1
+	r1 := startEcho(t, f.nw, "192.168.0.1")
+	defer r1.ep.Close()
+	r2 := startEcho(t, f.nw, "192.168.0.2")
+	for scope, r := range map[string]*echoService{"1": r1, "2": r2} {
+		sess := NewSession(r.ep, f.replica.RootRef(), f.clk)
+		if err := sess.RegisterActive("svc/echo", scope, r.ref, names.PolicyNeighborhood); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolves := obs.Node("192.168.0.1").Counter("names_resolves")
+	rebinds := f.session.Ep.Metrics().Counter("core_rebinds")
+
+	// callOn echoes through rb.Do and reports which object answered.
+	callOn := func(rb *Rebinder) oref.Ref {
+		t.Helper()
+		var used oref.Ref
+		err := rb.Do(context.Background(), func(ref oref.Ref) error {
+			used = ref
+			return f.session.Ep.Invoke(ref, "echo",
+				func(e *wire.Encoder) { e.PutString("x") },
+				func(d *wire.Decoder) error { _ = d.String(); return nil })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return used
+	}
+
+	if got := callOn(f.session.Service("svc/echo")); got != r1.ref {
+		t.Fatalf("Service reached %v, want this host's replica %v", got, r1.ref)
+	}
+	as2 := f.session.ServiceAs("svc/echo", "10.2.0.9")
+	before := resolves.Value()
+	for i := 0; i < 3; i++ {
+		if got := callOn(as2); got != r2.ref {
+			t.Fatalf("ServiceAs(10.2.0.9) reached %v, want neighborhood 2's replica %v", got, r2.ref)
+		}
+	}
+	if d := resolves.Value() - before; d != 1 {
+		t.Fatalf("3 calls cost %d resolves, want 1 (resolve once, reuse)", d)
+	}
+
+	// Replica 2 is replaced.  The next call finds the held reference dead
+	// and is itself the call that re-resolves — once — and succeeds.
+	r2.ep.Close()
+	r2b := startEcho(t, f.nw, "192.168.0.2")
+	defer r2b.ep.Close()
+	sess := NewSession(r2b.ep, f.replica.RootRef(), f.clk)
+	if err := sess.RegisterActive("svc/echo", "2", r2b.ref, names.PolicyNeighborhood); err != nil {
+		t.Fatal(err)
+	}
+	before, rebindsBefore := resolves.Value(), rebinds.Value()
+	if got := callOn(as2); got != r2b.ref {
+		t.Fatalf("after the restart reached %v, want %v", got, r2b.ref)
+	}
+	if d := rebinds.Value() - rebindsBefore; d != 1 {
+		t.Fatalf("core_rebinds moved by %d, want 1", d)
+	}
+	if d := resolves.Value() - before; d != 1 {
+		t.Fatalf("the rebinding call cost %d resolves, want 1", d)
 	}
 }
 

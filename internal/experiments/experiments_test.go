@@ -70,6 +70,19 @@ func TestE3WarmOpensCheaper(t *testing.T) {
 	if warmNS >= coldNS {
 		t.Errorf("warm resolutions (%d) not fewer than cold (%d)", warmNS, coldNS)
 	}
+	// The warm row exactly: the settop's three calls and nothing asked of
+	// the name service (§3.4.2) — services hold references the way clients
+	// do.  The cold row is 8 / 4 in a fresh process (the settop resolves
+	// the MMS and the VOD service, the MMS its Connection Manager and the
+	// MDS listing); its settop count reads lower on a -count repeat and a
+	// start-up straggler can add to its name-service count, so only the
+	// four lookups it must make are required of it.
+	if warm != 3 || warmNS != 0 {
+		t.Errorf("warm open cost %d settop RPCs / %d name-service requests, want 3 / 0", warm, warmNS)
+	}
+	if coldNS < 4 {
+		t.Errorf("cold open made %d name-service requests, want its 4 lookups", coldNS)
+	}
 }
 
 func TestE4FailoverBounded(t *testing.T) {

@@ -28,13 +28,11 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 		return nil
 	case "closeMovie":
 		return s.CloseMovie(c.Args().String())
-	case "has":
-		info, ok := s.Has(c.Args().String())
+	case "probe":
+		info, ok, load := s.Probe(c.Args().String())
 		c.Results().PutBool(ok)
 		info.MarshalWire(c.Results())
-		return nil
-	case "load":
-		c.Results().PutInt(int64(s.Load()))
+		c.Results().PutInt(int64(load))
 		return nil
 	case "openMovies":
 		movies := s.OpenMovies()
@@ -116,26 +114,22 @@ func (s Stub) CloseMovie(id string) error {
 		func(e *wire.Encoder) { e.PutString(id) }, nil)
 }
 
-// Has reports whether the replica stores a title.
-func (s Stub) Has(title string) (MovieInfo, bool, error) {
+// Probe asks the replica, in one call, everything the MMS weighs when it
+// places an open: whether it stores the title (and its catalog record) and
+// how many movies it has open.
+func (s Stub) Probe(title string) (MovieInfo, bool, int, error) {
 	var info MovieInfo
 	var ok bool
-	err := s.Ep.Invoke(s.Ref, "has",
+	var load int64
+	err := s.Ep.Invoke(s.Ref, "probe",
 		func(e *wire.Encoder) { e.PutString(title) },
 		func(d *wire.Decoder) error {
 			ok = d.Bool()
 			info.UnmarshalWire(d)
+			load = d.Int()
 			return nil
 		})
-	return info, ok, err
-}
-
-// Load fetches the open-movie count.
-func (s Stub) Load() (int, error) {
-	var n int64
-	err := s.Ep.Invoke(s.Ref, "load", nil,
-		func(d *wire.Decoder) error { n = d.Int(); return nil })
-	return int(n), err
+	return info, ok, int(load), err
 }
 
 // OpenMovies fetches the open-movie records.

@@ -141,20 +141,15 @@ func (s *Service) AddTitle(t MovieInfo) {
 	s.mu.Unlock()
 }
 
-// Has reports whether the store carries a title.
-func (s *Service) Has(title string) (MovieInfo, bool) {
+// Probe reports whether the store carries a title and the replica's
+// open-movie count, the load metric the MMS weighs when choosing a replica
+// (§3.4.4).  The catalog is read afresh every time: a title added after a
+// probe said "absent" is found by the next one.
+func (s *Service) Probe(title string) (MovieInfo, bool, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info, ok := s.catalog[title]
-	return info, ok
-}
-
-// Load reports the replica's open-movie count, the load metric the MMS
-// weighs when choosing a replica (§3.4.4).
-func (s *Service) Load() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.open)
+	return info, ok, len(s.open)
 }
 
 // Open creates a movie object for the settop over the given connection and

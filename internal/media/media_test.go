@@ -162,25 +162,33 @@ func TestOpenUnknownTitle(t *testing.T) {
 	}
 }
 
-func TestHasLoadAndOpenMovies(t *testing.T) {
+// TestProbeAndOpenMovies: one probe answers what "has" and "load" used to
+// answer in two calls — the catalog record when the title is present,
+// absence when it is not (and presence again once the title is added:
+// nothing caches a "no"), and the open-movie count either way.
+func TestProbeAndOpenMovies(t *testing.T) {
 	f := newFixture(t)
 	stub := Stub{Ep: f.client.Ep, Ref: f.mds.Ref()}
-	info, ok, err := stub.Has("T2")
-	if err != nil || !ok || info.Bitrate != 4*atm.Mbps {
-		t.Fatalf("Has = %+v %v %v", info, ok, err)
+	info, ok, load, err := stub.Probe("T2")
+	if err != nil || !ok || load != 0 || info.Bitrate != 4*atm.Mbps || info.Title != "T2" {
+		t.Fatalf("Probe(T2) = %+v %v load %d, %v", info, ok, load, err)
 	}
-	if _, ok, _ := stub.Has("Nope"); ok {
-		t.Fatal("phantom title")
+	if info, ok, load, err := stub.Probe("Nope"); err != nil || ok || load != 0 || info != (MovieInfo{}) {
+		t.Fatalf("Probe(Nope) = %+v %v load %d, %v", info, ok, load, err)
 	}
-	if n, _ := stub.Load(); n != 0 {
-		t.Fatalf("load = %d", n)
+	f.mds.AddTitle(MovieInfo{Title: "Nope", Size: 1000, Bitrate: atm.Mbps})
+	if info, ok, _, err := stub.Probe("Nope"); err != nil || !ok || info.Size != 1000 {
+		t.Fatalf("Probe(Nope) after AddTitle = %+v %v, %v", info, ok, err)
 	}
 	_, id, err := stub.Open("T2", "10.1.0.5", "conn-9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := stub.Load(); n != 1 {
-		t.Fatalf("load = %d", n)
+	// The load is reported whether or not the title is stored.
+	for _, title := range []string{"T2", "Absent"} {
+		if _, _, load, err := stub.Probe(title); err != nil || load != 1 {
+			t.Fatalf("Probe(%s) load = %d, %v; want 1", title, load, err)
+		}
 	}
 	movies, err := stub.OpenMovies()
 	if err != nil || len(movies) != 1 {

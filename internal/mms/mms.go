@@ -38,9 +38,9 @@ const ServiceName = "svc/mms"
 // 10 s RAS poll).
 const DefaultRASPollInterval = 10 * time.Second
 
-// DefaultMDSRetryInterval is how often a dead MDS replica is re-probed
-// (§3.5.2: "The MMS will periodically re-resolve and retry the MDS object
-// reference for the failed MDS").
+// DefaultMDSRetryInterval is how often the MMS re-lists the MDS replicas
+// and re-probes the ones it found dead (§3.5.2: "The MMS will periodically
+// re-resolve and retry the MDS object reference for the failed MDS").
 const DefaultMDSRetryInterval = 10 * time.Second
 
 type openMovie struct {
@@ -48,10 +48,16 @@ type openMovie struct {
 	Title    string
 	Settop   string
 	ConnID   string
-	MDSName  string
 	MovieRef oref.Ref
 	MDSRef   oref.Ref
-	CmgrRef  oref.Ref
+}
+
+// mdsReplica is one entry of the MMS's copy of the svc/mds listing.  dead
+// marks the reference, not the name: a restarted replica is listed unmarked.
+type mdsReplica struct {
+	name string
+	ref  oref.Ref
+	dead bool
 }
 
 // Service is one MMS replica.
@@ -63,10 +69,12 @@ type Service struct {
 
 	MDSRetryInterval time.Duration
 
-	mu      sync.Mutex
-	movies  map[string]*openMovie // movieID -> record
-	deadMDS map[string]bool       // MDS replica name -> believed dead
-	closed  bool
+	cmgrs *cmgr.Directory // one held reference per neighborhood served (§3.4.2)
+
+	mu     sync.Mutex
+	movies map[string]*openMovie // movieID -> record
+	mds    []mdsReplica          // svc/mds as last listed; replaced, never written in place
+	closed bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -77,8 +85,8 @@ func New(sess *core.Session, rasRef oref.Ref) *Service {
 	s := &Service{
 		sess:             sess,
 		MDSRetryInterval: DefaultMDSRetryInterval,
+		cmgrs:            cmgr.NewDirectory(sess),
 		movies:           make(map[string]*openMovie),
-		deadMDS:          make(map[string]bool),
 		stop:             make(chan struct{}),
 		done:             make(chan struct{}),
 	}
@@ -153,29 +161,101 @@ func (s *Service) run() {
 		case <-s.stop:
 			return
 		case <-tick.C():
-			s.retryDeadMDS()
+			s.refreshMDS()
 		}
 	}
 }
 
-// retryDeadMDS re-probes replicas previously marked dead and forgives the
-// ones that answer again (§3.5.2).
-func (s *Service) retryDeadMDS() {
+// replicas returns the MDS replicas to consider for an open, asking the
+// name service only when nothing is listed yet or a listed reference has
+// been found dead — from the open that finds it until a listing no longer
+// carries it (audited out, or re-registered under a new incarnation).
+func (s *Service) replicas() ([]mdsReplica, error) {
 	s.mu.Lock()
-	dead := make([]string, 0, len(s.deadMDS))
-	for name := range s.deadMDS {
-		dead = append(dead, name)
-	}
+	listed := s.mds
 	s.mu.Unlock()
-	for _, name := range dead {
-		ref, err := s.sess.Root.Resolve(media.ContextPath + "/" + name)
-		if err != nil {
-			continue
+	fresh := len(listed) > 0
+	for _, r := range listed {
+		fresh = fresh && !r.dead
+	}
+	if fresh {
+		return listed, nil
+	}
+	return s.relist()
+}
+
+// listMDS asks the name service for every replica bound in svc/mds.
+func (s *Service) listMDS() ([]mdsReplica, error) {
+	bindings, err := s.sess.Root.ListRepl(media.ContextPath)
+	if err != nil {
+		return nil, err
+	}
+	listed := make([]mdsReplica, 0, len(bindings))
+	for _, b := range bindings {
+		if b.Name != names.SelectorBinding {
+			listed = append(listed, mdsReplica{name: b.Name, ref: b.Ref})
 		}
-		if err := s.sess.Ep.Ping(ref); err == nil {
-			s.mu.Lock()
-			delete(s.deadMDS, name)
-			s.mu.Unlock()
+	}
+	return listed, nil
+}
+
+// relist replaces the held listing with the name service's, carrying a
+// dead mark over only onto the very reference that earned it.
+func (s *Service) relist() ([]mdsReplica, error) {
+	listed, err := s.listMDS()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range listed {
+		for _, old := range s.mds {
+			if old.dead && old.ref.Equal(listed[i].ref) {
+				listed[i].dead = true
+			}
+		}
+	}
+	s.mds = listed
+	return listed, nil
+}
+
+// setMDSDead marks or forgives the listed replica holding ref.
+func (s *Service) setMDSDead(ref oref.Ref, dead bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	listed := append([]mdsReplica(nil), s.mds...)
+	for i := range listed {
+		if listed[i].ref.Equal(ref) {
+			listed[i].dead = dead
+		}
+	}
+	s.mds = listed
+}
+
+// markMDSDead records a replica failure.
+func (s *Service) markMDSDead(ref oref.Ref, err error) {
+	if orb.Dead(err) {
+		s.setMDSDead(ref, true)
+	}
+}
+
+// refreshMDS is the periodic re-resolve of §3.5.2: one listing (how a
+// replica added since the last one is noticed), then a ping to forgive the
+// marked replicas that answer again.  An MMS holding no listing skips it.
+func (s *Service) refreshMDS() {
+	s.mu.Lock()
+	idle := len(s.mds) == 0
+	s.mu.Unlock()
+	if idle {
+		return
+	}
+	listed, err := s.relist()
+	if err != nil {
+		return
+	}
+	for _, r := range listed {
+		if r.dead && s.sess.Ep.Ping(r.ref) == nil {
+			s.setMDSDead(r.ref, false)
 		}
 	}
 }
@@ -187,62 +267,43 @@ func (s *Service) Open(title, settopHost string) (oref.Ref, string, error) {
 		return oref.Ref{}, "", orb.Errf(orb.ExcUnavailable, "mms: not primary")
 	}
 
-	// Step 3: the connection manager for the settop's neighborhood.
-	cmgrRef, err := s.sess.Root.ResolveAs(cmgr.ContextPath, settopHost)
-	if err != nil {
-		return oref.Ref{}, "", err
-	}
-
-	// Step 4a: enumerate MDS replicas and find the title.
-	replicas, err := s.sess.Root.ListRepl(media.ContextPath)
+	// Step 4a: ask every live MDS replica whether it stores the title and
+	// how loaded it is.
+	replicas, err := s.replicas()
 	if err != nil {
 		return oref.Ref{}, "", err
 	}
 	type candidate struct {
-		name string
 		ref  oref.Ref
 		info media.MovieInfo
 		load int
 	}
-	var candidates []candidate
-	for _, b := range replicas {
-		if b.Name == names.SelectorBinding {
+	candidates := make([]candidate, 0, len(replicas))
+	for _, r := range replicas {
+		if r.dead {
 			continue
 		}
-		s.mu.Lock()
-		dead := s.deadMDS[b.Name]
-		s.mu.Unlock()
-		if dead {
-			continue
-		}
-		stub := media.Stub{Ep: s.sess.Ep, Ref: b.Ref}
-		info, has, err := stub.Has(title)
+		info, has, load, err := (media.Stub{Ep: s.sess.Ep, Ref: r.ref}).Probe(title)
 		if err != nil {
-			s.markMDSDead(b.Name, err)
+			s.markMDSDead(r.ref, err)
 			continue
 		}
-		if !has {
-			continue
+		if has {
+			candidates = append(candidates, candidate{ref: r.ref, info: info, load: load})
 		}
-		load, err := stub.Load()
-		if err != nil {
-			s.markMDSDead(b.Name, err)
-			continue
-		}
-		candidates = append(candidates, candidate{name: b.Name, ref: b.Ref, info: info, load: load})
 	}
 	if len(candidates) == 0 {
 		return oref.Ref{}, "", orb.Errf(orb.ExcNotFound, "no live MDS replica stores %q", title)
 	}
 
-	// Step 4b: try candidates lightest-first; an open failure marks the
+	// Steps 3 and 4b: try candidates lightest-first, each over a connection
+	// from the settop's Connection Manager; an open failure marks the
 	// replica dead and moves on (§3.5.2).
 	sortCandidates(candidates, func(i, j int) bool { return candidates[i].load < candidates[j].load })
 	var lastErr error
 	for _, cand := range candidates {
 		mdsHost := refHost(cand.ref.Addr)
-		alloc, err := (cmgr.Stub{Ep: s.sess.Ep, Ref: cmgrRef}).Allocate(
-			settopHost, mdsHost, cand.info.Bitrate, atm.CBR)
+		alloc, err := s.cmgrs.Allocate(settopHost, mdsHost, cand.info.Bitrate, atm.CBR)
 		if err != nil {
 			// Admission failure is about the settop or server links, not
 			// the replica; surface it.
@@ -251,9 +312,9 @@ func (s *Service) Open(title, settopHost string) (oref.Ref, string, error) {
 		movieRef, movieID, err := (media.Stub{Ep: s.sess.Ep, Ref: cand.ref}).Open(
 			title, settopHost, alloc.ID)
 		if err != nil {
-			_ = (cmgr.Stub{Ep: s.sess.Ep, Ref: cmgrRef}).Release(alloc.ID)
+			s.release(settopHost, alloc.ID)
 			if orb.Dead(err) {
-				s.markMDSDead(cand.name, err)
+				s.markMDSDead(cand.ref, err)
 				lastErr = err
 				continue
 			}
@@ -265,10 +326,8 @@ func (s *Service) Open(title, settopHost string) (oref.Ref, string, error) {
 			Title:    title,
 			Settop:   settopHost,
 			ConnID:   alloc.ID,
-			MDSName:  cand.name,
 			MovieRef: movieRef,
 			MDSRef:   cand.ref,
-			CmgrRef:  cmgrRef,
 		}
 		s.track(om)
 		return movieRef, movieID, nil
@@ -286,21 +345,18 @@ func (s *Service) track(om *openMovie) {
 	s.movies[om.MovieID] = om
 	s.mu.Unlock()
 	if clash && old.ConnID != om.ConnID {
-		_ = (cmgr.Stub{Ep: s.sess.Ep, Ref: old.CmgrRef}).Release(old.ConnID)
+		s.release(old.Settop, old.ConnID)
 	}
 	s.watcher.Watch(audit.SettopRef(om.Settop), func(oref.Ref) {
 		s.reclaimSettop(om.Settop)
 	})
 }
 
-// markMDSDead records a replica failure.
-func (s *Service) markMDSDead(name string, err error) {
-	if !orb.Dead(err) {
-		return
-	}
-	s.mu.Lock()
-	s.deadMDS[name] = true
-	s.mu.Unlock()
+// release gives a connection back to whichever Connection Manager serves
+// the settop now (after a fail-over, the backup that took the table over).
+// The error left after rebinding, "no primary bound", has no handler here.
+func (s *Service) release(settop, connID string) {
+	_ = s.cmgrs.Release(settop, connID)
 }
 
 // Close releases one movie's resources (the application's close call,
@@ -324,7 +380,7 @@ func (s *Service) CloseMovie(movieID string) error {
 		return orb.Errf(orb.ExcNotFound, "no open movie %q", movieID)
 	}
 	_ = (media.Stub{Ep: s.sess.Ep, Ref: om.MDSRef}).CloseMovie(om.MovieID)
-	_ = (cmgr.Stub{Ep: s.sess.Ep, Ref: om.CmgrRef}).Release(om.ConnID)
+	s.release(om.Settop, om.ConnID)
 	if remaining == 0 {
 		s.watcher.Cancel(audit.SettopRef(om.Settop))
 	}
@@ -351,38 +407,26 @@ func (s *Service) reclaimSettop(settop string) {
 // querying each MDS in the cluster and by querying the Connection
 // Manager").
 func (s *Service) rebuild() {
-	replicas, err := s.sess.Root.ListRepl(media.ContextPath)
+	replicas, err := s.listMDS()
 	if err != nil {
 		return
 	}
-	for _, b := range replicas {
-		if b.Name == names.SelectorBinding {
-			continue
-		}
-		stub := media.Stub{Ep: s.sess.Ep, Ref: b.Ref}
-		movies, err := stub.OpenMovies()
+	for _, r := range replicas {
+		movies, err := (media.Stub{Ep: s.sess.Ep, Ref: r.ref}).OpenMovies()
 		if err != nil {
-			s.markMDSDead(b.Name, err)
-			continue
+			continue // the first open will find it dead and mark it
 		}
 		for _, m := range movies {
-			cmgrRef, err := s.sess.Root.ResolveAs(cmgr.ContextPath, m.Settop)
-			if err != nil {
-				continue
-			}
-			om := &openMovie{
+			s.track(&openMovie{
 				MovieID: m.MovieID,
 				Title:   m.Title,
 				Settop:  m.Settop,
 				ConnID:  m.ConnID,
-				MDSName: b.Name,
 				// The movie object id is registered on the MDS endpoint.
-				MovieRef: oref.Ref{Addr: b.Ref.Addr, Incarnation: b.Ref.Incarnation,
+				MovieRef: oref.Ref{Addr: r.ref.Addr, Incarnation: r.ref.Incarnation,
 					TypeID: media.TypeMovie, ObjectID: m.MovieID},
-				MDSRef:  b.Ref,
-				CmgrRef: cmgrRef,
-			}
-			s.track(om)
+				MDSRef: r.ref,
+			})
 		}
 	}
 }

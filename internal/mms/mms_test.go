@@ -147,33 +147,180 @@ func TestOpenSkipsDeadReplica(t *testing.T) {
 	f := newFixture(t)
 	// Kill kiln's MDS endpoint: opens must fall through to forge, and
 	// kiln is remembered dead.
-	f.mds2.Ref() // ensure registered
-	// Close the endpoint behind mds2 by closing its session endpoint.
-	closeServiceEndpoint(t, f, f.mds2)
+	f.mds2.Endpoint().Close()
 
-	ref, _, err := f.svc.Open("T2", "10.1.0.5")
+	addr, err := f.openClose("T2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Addr != f.mds1.Ref().Addr {
-		t.Fatalf("opened on %s, want forge", ref.Addr)
+	if addr != f.mds1.Ref().Addr {
+		t.Fatalf("opened on %s, want forge", addr)
 	}
-	f.svc.mu.Lock()
-	dead := f.svc.deadMDS["kiln"]
-	f.svc.mu.Unlock()
-	if !dead {
+	if !f.mdsDead("kiln") {
 		t.Fatal("kiln not marked dead (§3.5.2 health tracking)")
 	}
+
+	// The mark belongs to the reference that earned it, not to the name:
+	// kiln restarts and re-registers within seconds (no simulated time
+	// passes here at all), and the very next open lists, finds a new
+	// incarnation under the old name, and may use it.  Forge is loaded so
+	// that the restarted, empty kiln is the lighter choice.
+	for i := 0; i < 3; i++ {
+		if _, _, err := f.mds1.Open("T2", "10.9.9.9", "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kiln := f.startMDS("192.168.0.2", "kiln", media.MovieInfo{Title: "T2", Size: 4_000_000_000, Bitrate: 4 * atm.Mbps})
+	addr, err = f.openClose("T2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr != kiln.Ref().Addr {
+		t.Fatalf("after kiln's restart opened on %s, want the restarted kiln at %s", addr, kiln.Ref().Addr)
+	}
+	if f.mdsDead("kiln") {
+		t.Fatal("restarted kiln still carries its dead predecessor's mark")
+	}
 }
 
-// closeServiceEndpoint closes the ORB endpoint an MDS runs on.
-func closeServiceEndpoint(t *testing.T, f *fixture, m *media.Service) {
-	t.Helper()
-	ep := epOfMDS(m)
-	ep.Close()
+// TestWarmOpenAsksTheNameServiceNothing: after one open the MMS holds its
+// Connection Manager reference and its MDS listing; further opens and
+// closes, for any title, send the name service no request at all (§3.4.2).
+func TestWarmOpenAsksTheNameServiceNothing(t *testing.T) {
+	f := newFixture(t)
+	cycle := func(title string) {
+		t.Helper()
+		if _, err := f.openClose(title); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle("T2")
+	before := f.nsRequests()
+	for i := 0; i < 4; i++ {
+		cycle("T2")
+		cycle("Duck Amuck")
+	}
+	if got := f.ns.Endpoint().Stats().Received - before; got != 0 {
+		t.Fatalf("8 warm open/close pairs sent the name service %d requests, want 0", got)
+	}
+	if f.fabric.Conns() != 0 {
+		t.Fatal("connection leaked")
+	}
 }
 
-func epOfMDS(m *media.Service) *orb.Endpoint { return m.Endpoint() }
+// TestReplicaAddedAfterListingIsUsedWithinRetryInterval: the held listing
+// is refreshed on the MDSRetryInterval tick (§3.5.2's periodic
+// re-resolve), so a replica that registers at run time serves opens within
+// one interval — and a title that was absent a moment ago is found as
+// soon as a replica that stores it is listed (nothing remembers a "no").
+func TestReplicaAddedAfterListingIsUsedWithinRetryInterval(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.openClose("T2"); err != nil { // listing: forge, kiln
+		t.Fatal(err)
+	}
+	f.fabric.AddServer("192.168.0.3", 100*atm.Mbps)
+	anvil := f.startMDS("192.168.0.3", "anvil", media.MovieInfo{Title: "Brazil", Size: 1_000_000_000, Bitrate: 4 * atm.Mbps})
+	if _, err := f.openClose("Brazil"); !orb.IsApp(err, orb.ExcNotFound) {
+		t.Fatalf("open before the refresh: err = %v, want NotFound", err)
+	}
+	var addr string
+	if !f.clk.Await(time.Second, int(f.svc.MDSRetryInterval/time.Second)+1, func() bool {
+		var err error
+		addr, err = f.openClose("Brazil")
+		return err == nil
+	}) {
+		t.Fatalf("anvil not used within MDSRetryInterval (%v) of registering", f.svc.MDSRetryInterval)
+	}
+	if addr != anvil.Ref().Addr {
+		t.Fatalf("opened on %s, want anvil", addr)
+	}
+}
+
+// TestStaleListedReplicaIsRelistedByTheOpenThatFindsItDead: a replica
+// killed and restarted while the MMS held its old reference.  The open that
+// probes the stale reference marks it and goes on with the other
+// candidates; from that open on, opens list first until no dead-marked
+// reference is listed — so the next one has the new incarnation.
+func TestStaleListedReplicaIsRelistedByTheOpenThatFindsItDead(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.openClose("T2"); err != nil { // listing: forge, kiln
+		t.Fatal(err)
+	}
+	f.mds1.Endpoint().Close() // forge: the only store of "Duck Amuck"
+	forge := f.startMDS("192.168.0.1", "forge",
+		media.MovieInfo{Title: "Duck Amuck", Size: 300_000_000, Bitrate: 3 * atm.Mbps})
+
+	// The held reference to forge is a dead incarnation: this open finds
+	// that out (and has no other store of the title to fall back on).
+	if _, err := f.openClose("Duck Amuck"); !orb.IsApp(err, orb.ExcNotFound) {
+		t.Fatalf("open through the stale reference: err = %v, want NotFound", err)
+	}
+	lists := f.nsRequests()
+	addr, err := f.openClose("Duck Amuck")
+	if err != nil {
+		t.Fatalf("open after the stale reference was found dead: %v", err)
+	}
+	if addr != forge.Ref().Addr {
+		t.Fatalf("opened on %s, want the restarted forge", addr)
+	}
+	if got := f.ns.Endpoint().Stats().Received - lists; got != 1 {
+		t.Fatalf("the re-listing open sent the name service %d requests, want 1 (listRepl)", got)
+	}
+	// Nothing dead is listed any more: opens stop asking.
+	lists = f.nsRequests()
+	if _, err := f.openClose("Duck Amuck"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.ns.Endpoint().Stats().Received - lists; got != 0 {
+		t.Fatalf("open with a clean listing sent the name service %d requests, want 0", got)
+	}
+}
+
+// nsRequests returns how many requests the name service has received, once
+// the count has stopped moving: the electors' self-checks ride the clock
+// ticks a waitFor just drove, and the last of them may still be in flight.
+func (f *fixture) nsRequests() int64 {
+	for {
+		v := f.ns.Endpoint().Stats().Received
+		f.clk.Settle()
+		if f.ns.Endpoint().Stats().Received == v {
+			return v
+		}
+	}
+}
+
+// openClose opens title for the fixture's settop, closes it again (the
+// settop's link carries one movie at a time) and reports which MDS served.
+func (f *fixture) openClose(title string) (mdsAddr string, err error) {
+	ref, id, err := f.svc.Open(title, "10.1.0.5")
+	if err != nil {
+		return "", err
+	}
+	return ref.Addr, f.svc.CloseMovie(id)
+}
+
+// startMDS starts (or restarts) an MDS replica and registers it.
+func (f *fixture) startMDS(host, name string, titles ...media.MovieInfo) *media.Service {
+	f.t.Helper()
+	m := media.New(f.session(host), name, titles)
+	if err := m.Register(); err != nil {
+		f.t.Fatal(err)
+	}
+	return m
+}
+
+// mdsDead reports whether the MMS's listing carries name marked dead.
+func (f *fixture) mdsDead(name string) bool {
+	f.svc.mu.Lock()
+	defer f.svc.mu.Unlock()
+	for _, r := range f.svc.mds {
+		if r.name == name {
+			return r.dead
+		}
+	}
+	f.t.Fatalf("%s not in the MMS's svc/mds listing", name)
+	return false
+}
 
 func TestNotPrimaryRefusesOpen(t *testing.T) {
 	f := newFixture(t)

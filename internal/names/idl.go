@@ -218,8 +218,13 @@ func (c Context) SetSelector(name string, sel oref.Ref) error {
 // name-service replica.  Non-name-service context implementations may
 // treat it exactly as Resolve.
 func (c Context) ResolveAs(name, callerHost string) (oref.Ref, error) {
+	return c.ResolveAsCtx(context.Background(), name, callerHost)
+}
+
+// ResolveAsCtx is ResolveAs with ResolveCtx's context propagation.
+func (c Context) ResolveAsCtx(ctx context.Context, name, callerHost string) (oref.Ref, error) {
 	var out oref.Ref
-	err := c.Ep.Invoke(c.Ref, "resolveAs",
+	err := invokeCtx(c.Ep, ctx, c.Ref, "resolveAs",
 		func(e *wire.Encoder) { e.PutString(name); e.PutString(callerHost) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err

@@ -523,7 +523,7 @@ func (r *Replica) maybeAudit() {
 			// Unbind through the normal serialized-update path so slaves
 			// see the removal too; the death trace rides in the update and
 			// leaves a failure tombstone the repairing bind will adopt.
-			u := &update{Op: opUnbind, Ctx: en.ctx, Name: en.name, Trace: trace}
+			u := &update{Op: opUnbind, Ctx: en.ctx, Name: en.name, Ref: en.ref, Trace: trace}
 			if _, _, err := r.submit(ctx, u); err == nil {
 				r.auditRemoved.Inc()
 				if trace != 0 {

@@ -242,6 +242,72 @@ func TestAuditRemovesDeadObjects(t *testing.T) {
 	})
 }
 
+// slowChecker reports ref dead, but only after the test has had its chance
+// to act between the audit's snapshot of the name space and its eviction.
+type slowChecker struct {
+	dead           oref.Ref
+	asked, proceed chan struct{}
+}
+
+func (s *slowChecker) CheckStatus(refs []oref.Ref) (map[string]bool, error) {
+	out := make(map[string]bool, len(refs))
+	hit := false
+	for _, r := range refs {
+		out[r.Key()] = !r.Equal(s.dead)
+		hit = hit || r.Equal(s.dead)
+	}
+	if hit {
+		s.asked <- struct{}{}
+		<-s.proceed
+	}
+	return out, nil
+}
+
+// TestAuditDoesNotEvictAReboundName: the audit learns that the object bound
+// at a name is dead, and before it acts the restarted service replaces the
+// binding with its new incarnation (RegisterActive's unbind + bind).  The
+// eviction is about the dead reference, not the name: the new binding must
+// survive it.  Evicting by name lost the restarted replica's registration
+// for good — "the restarted RDS never re-registers".
+func TestAuditDoesNotEvictAReboundName(t *testing.T) {
+	c := newNSCluster(t, 1)
+	m := c.waitForMaster()
+	old, restarted := svcRef("192.168.0.1:900", 1), svcRef("192.168.0.1:901", 2)
+	if err := c.root(0).Bind("rds", old); err != nil {
+		t.Fatal(err)
+	}
+	chk := &slowChecker{dead: old, asked: make(chan struct{}), proceed: make(chan struct{})}
+	m.SetChecker(chk)
+
+	// Drive the clock until an audit round is holding its verdict on old.
+	waiting := make(chan struct{})
+	go func() { <-chk.asked; close(waiting) }()
+	c.waitFor("audit round in flight", func() bool {
+		select {
+		case <-waiting:
+			return true
+		default:
+			return false
+		}
+	})
+	if err := c.root(0).Unbind("rds"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.root(0).Bind("rds", restarted); err != nil {
+		t.Fatal(err)
+	}
+	close(chk.proceed) // the audit proceeds to evict "rds"
+
+	for i := 0; i < 5; i++ { // and any number of further rounds leave it alone
+		c.clk.Advance(10 * time.Second)
+		c.clk.Settle()
+	}
+	got, err := c.root(0).Resolve("rds")
+	if err != nil || !got.Equal(restarted) {
+		t.Fatalf("after the stale eviction the name resolves to %v, %v; want the restarted replica %v", got, err, restarted)
+	}
+}
+
 func TestPrimaryBackupElectionViaNameService(t *testing.T) {
 	// §5.2 end to end: primary binds first; the backup's bind fails while
 	// the primary lives; auditing removes the dead primary's binding and

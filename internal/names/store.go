@@ -73,7 +73,7 @@ type update struct {
 	Op     uint64
 	Ctx    string // target context id
 	Name   string
-	Ref    oref.Ref // opBind, opSetSelector
+	Ref    oref.Ref // opBind, opSetSelector; opUnbind: evict only while the name still holds it
 	NewID  string   // opNewContext
 	Repl   bool     // opNewContext
 	Policy string   // opNewContext
@@ -122,7 +122,9 @@ func (s *store) apply(u *update) (created, removed []string, adopted uint64, err
 		ctx.bindings[u.Name] = entry{ref: u.Ref, trace: adopted}
 	case opUnbind:
 		e, exists := ctx.bindings[u.Name]
-		if !exists {
+		// An audit eviction names the dead reference it is about; a name a
+		// restarted replica has rebound since is not the audit's to remove.
+		if !exists || !u.Ref.IsNil() && !e.ref.Equal(u.Ref) {
 			return nil, nil, 0, errNotFound(u.Name)
 		}
 		delete(ctx.bindings, u.Name)

@@ -130,7 +130,8 @@ func (cc *clientConn) readLoop() {
 // does not parse — is read whole behind the prefix and decoded as every
 // small frame is.
 func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
-	n, err := wire.ReadFrameHeader(cc.conn)
+	// The header borrows the frame buffer the body is about to overwrite.
+	n, err := wire.ReadFrameHeader(cc.conn, rf.buf)
 	if err != nil {
 		return nil, &ConnError{Op: "read", Err: err}
 	}

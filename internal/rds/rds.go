@@ -46,6 +46,7 @@ type Service struct {
 	sess       *core.Session
 	scope      string // neighborhood
 	serverHost string
+	cmgrs      *cmgr.Directory // per-neighborhood references, resolved once (§3.4.2)
 
 	// DownloadRate is the VBR rate requested per transfer.
 	DownloadRate int64
@@ -60,6 +61,7 @@ func New(sess *core.Session, scope, serverHost string) *Service {
 		sess:         sess,
 		scope:        scope,
 		serverHost:   serverHost,
+		cmgrs:        cmgr.NewDirectory(sess),
 		DownloadRate: DefaultDownloadRate,
 		blobs:        make(map[string][]byte),
 	}
@@ -103,13 +105,9 @@ func (s *Service) OpenData(name, settopHost string) ([]byte, int64, error) {
 	// transfer proceeds at the nominal rate — downloads must not depend on
 	// a single service being up (availability first).
 	rate := s.DownloadRate
-	cmgrRef, err := s.sess.Root.ResolveAs(cmgr.ContextPath, settopHost)
-	if err == nil {
-		stub := cmgr.Stub{Ep: s.sess.Ep, Ref: cmgrRef}
-		if alloc, err := stub.Allocate(settopHost, s.serverHost, s.DownloadRate, atm.VBR); err == nil {
-			rate = alloc.Rate
-			defer func() { _ = stub.Release(alloc.ID) }()
-		}
+	if alloc, err := s.cmgrs.Allocate(settopHost, s.serverHost, s.DownloadRate, atm.VBR); err == nil {
+		rate = alloc.Rate
+		defer func() { _ = s.cmgrs.Release(settopHost, alloc.ID) }()
 	}
 	return data, rate, nil
 }

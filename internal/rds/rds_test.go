@@ -12,6 +12,7 @@ import (
 
 	"itv/internal/atm"
 	"itv/internal/clock"
+	"itv/internal/cmgr"
 	"itv/internal/core"
 	"itv/internal/names"
 	"itv/internal/orb"
@@ -96,6 +97,64 @@ func TestOpenDataWithoutConnectionManager(t *testing.T) {
 	// this payload too.
 	if d := atm.TransferTime(int64(len(payload)), rate); d != time.Duration(1024*8)*time.Second/time.Duration(DefaultDownloadRate) {
 		t.Fatalf("transfer time = %v", d)
+	}
+}
+
+// TestOpenDataHoldsItsConnectionManagerReference: the first download for a
+// neighborhood resolves its Connection Manager; later ones reuse the
+// reference and send the name service nothing (§3.4.2).  When the Connection
+// Manager goes away, the held reference must not turn availability-first
+// into an error: the download proceeds at the nominal rate.
+func TestOpenDataHoldsItsConnectionManagerReference(t *testing.T) {
+	f := newFixture(t)
+	fabric := atm.New()
+	fabric.AddServer("192.168.0.1", 100*atm.Mbps)
+	fabric.AddSettop("10.1.0.5")
+	ep, err := orb.NewEndpoint(f.nw.Host("192.168.0.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ep.Close)
+	cm := cmgr.New(core.NewSession(ep, f.ns.RootRef(), f.clk), fabric, "1")
+	cm.Start()
+	f.waitFor("cmgr primary", cm.IsPrimary)
+
+	r := f.replica("192.168.0.1", "1")
+	r.Put("navigator", bytes.Repeat([]byte{7}, 1024))
+	stub := f.stubOn("10.1.0.5")
+	download := func() int64 {
+		t.Helper()
+		_, rate, err := stub.OpenData("navigator")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rate
+	}
+	// The settop's downstream link (6 Mb/s) admits less than the 8 Mb/s
+	// asked for: a rate that can only have come from the Connection Manager.
+	if rate := download(); rate != atm.DefaultSettopDown {
+		t.Fatalf("admitted rate = %d, want the settop link's %d", rate, atm.DefaultSettopDown)
+	}
+	// The Connection Manager's elector rides the clock ticks waitFor drove;
+	// let its last self-check land before counting.
+	before := int64(-1)
+	for before != f.ns.Endpoint().Stats().Received {
+		before = f.ns.Endpoint().Stats().Received
+		f.clk.Settle()
+	}
+	for i := 0; i < 5; i++ {
+		download()
+	}
+	if got := f.ns.Endpoint().Stats().Received - before; got != 0 {
+		t.Fatalf("5 warm downloads sent the name service %d requests, want 0", got)
+	}
+	if fabric.Conns() != 0 {
+		t.Fatal("download connection leaked")
+	}
+
+	cm.Close() // unbinds; the RDS still holds the reference
+	if rate := download(); rate != DefaultDownloadRate {
+		t.Fatalf("rate without a Connection Manager = %d, want nominal %d", rate, DefaultDownloadRate)
 	}
 }
 

@@ -46,8 +46,9 @@ type ServiceSpec struct {
 }
 
 type running struct {
-	p       *proc.Process
-	stopped bool // deliberate stop: do not restart
+	p        *proc.Process
+	stopped  bool // deliberate stop: do not restart
+	starting bool // Start has not returned yet: claimed, not yet listed
 }
 
 // Controller is one server's SSC.
@@ -133,7 +134,7 @@ func (c *Controller) Running() []string {
 	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.running))
 	for name, r := range c.running {
-		if !r.p.Exited() {
+		if !r.p.Exited() && !r.starting {
 			out = append(out, name)
 		}
 	}
@@ -152,28 +153,40 @@ func (c *Controller) StartService(name string) error {
 		c.mu.Unlock()
 		return orb.Errf(orb.ExcNotFound, "no service spec %q", name)
 	}
-	if r, exists := c.running[name]; exists && !r.p.Exited() {
-		c.mu.Unlock()
-		return orb.Errf(orb.ExcAlreadyBound, "service %q already running", name)
-	}
 	c.mu.Unlock()
 	return c.launch(spec)
 }
 
+// launch starts spec unless an instance is running or starting.  The claim
+// is made before Start runs: of two launches racing for one service (the
+// monitor's restart, the CSC's reconcile) one is refused, not unsupervised.
 func (c *Controller) launch(spec ServiceSpec) error {
+	c.mu.Lock()
+	if r, exists := c.running[spec.Name]; exists && !r.p.Exited() {
+		c.mu.Unlock()
+		return orb.Errf(orb.ExcAlreadyBound, "service %q already running", spec.Name)
+	}
 	p := c.tbl.Spawn(spec.Name)
-	if err := spec.Start(p, c); err != nil {
+	r := &running{p: p, starting: true}
+	c.running[spec.Name] = r
+	c.mu.Unlock()
+	err := spec.Start(p, c)
+	if err != nil {
 		p.Kill()
 		c.reapObjects(p)
-		return err
 	}
 	c.mu.Lock()
-	c.running[spec.Name] = &running{p: p}
+	r.starting = false
+	if err != nil && c.running[spec.Name] == r {
+		delete(c.running, spec.Name)
+	}
 	n := len(c.running)
 	c.mu.Unlock()
 	obs.Node(c.tr.Host()).Gauge("ssc_services_running").Set(int64(n))
-	go c.monitor(spec, p)
-	return nil
+	if err == nil {
+		go c.monitor(spec, p)
+	}
+	return err
 }
 
 // monitor implements the wait()-based supervision loop: when the process

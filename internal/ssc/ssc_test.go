@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,4 +294,38 @@ func TestRemoteStubDrivesSSC(t *testing.T) {
 		names, err := stub.Running()
 		return err == nil && len(names) == 0
 	})
+}
+
+// TestConcurrentStartsLaunchOneInstance: two starts of one service racing —
+// the monitor's restart of a crashed service and the start the CSC's
+// reconcile sends when it sees the service missing — must leave one
+// instance, supervised.  The second is refused while the first is still
+// inside its Start; it used to pass the "already running?" check (the
+// table was only written after Start returned) and run unsupervised.
+func TestConcurrentStartsLaunchOneInstance(t *testing.T) {
+	f := newFixture(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var starts atomic.Int32
+	f.ctl.AddSpec(ServiceSpec{Name: "slow", Start: func(p *proc.Process, c *Controller) error {
+		starts.Add(1)
+		entered <- struct{}{}
+		<-release
+		return nil
+	}})
+	first := make(chan error, 1)
+	go func() { first <- f.ctl.StartService("slow") }()
+	<-entered // the first launch is inside Start
+	if err := f.ctl.StartService("slow"); !orb.IsApp(err, orb.ExcAlreadyBound) {
+		t.Fatalf("start racing a start in progress: err = %v, want AlreadyBound", err)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if n := starts.Load(); n != 1 {
+		t.Fatalf("Start ran %d times, want 1", n)
+	}
+	if got := f.ctl.Running(); len(got) != 1 || got[0] != "slow" {
+		t.Fatalf("Running = %v", got)
+	}
 }

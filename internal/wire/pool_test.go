@@ -106,6 +106,35 @@ func TestReadFrameIntoReuse(t *testing.T) {
 	}
 }
 
+// TestReadFrameIntoWarmLoopAllocatesNothing pins the read loop's floor: once
+// the buffer has grown to the largest frame, header and body both land in
+// it and a frame costs no allocation.  (The header used to be a local array
+// that escaped through the io.Reader: one heap object per frame.)
+func TestReadFrameIntoWarmLoopAllocatesNothing(t *testing.T) {
+	var stream bytes.Buffer
+	for _, n := range []int{0, 3, 4, 100, 1000} { // shorter than the header included
+		if err := writeFrame(&stream, bytes.Repeat([]byte{byte(n)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := stream.Bytes()
+	rd := bytes.NewReader(frames)
+	buf := make([]byte, 0, 1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(frames)
+		for rd.Len() > 0 {
+			got, err := ReadFrameInto(rd, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = got
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ReadFrameInto loop: %.1f allocs per pass over 5 frames, want 0", allocs)
+	}
+}
+
 // TestReadFrameBodyBehindPrefix: a caller that reads a frame's header, then
 // a prefix of the payload, then the rest behind the prefix ends up with the
 // payload ReadFrameInto would have returned — in place when the storage
@@ -117,11 +146,11 @@ func TestReadFrameBodyBehindPrefix(t *testing.T) {
 		if err := writeFrame(&stream, payload); err != nil {
 			t.Fatal(err)
 		}
-		n, err := ReadFrameHeader(&stream)
+		buf := make([]byte, 0, room)
+		n, err := ReadFrameHeader(&stream, buf)
 		if err != nil || n != len(payload) {
 			t.Fatalf("header = %d, %v; want %d", n, err, len(payload))
 		}
-		buf := make([]byte, 0, room)
 		prefix, err := ReadFrameBody(&stream, buf, 8)
 		if err != nil || !bytes.Equal(prefix, payload[:8]) {
 			t.Fatalf("room %d: prefix = %q, %v", room, prefix, err)
@@ -150,9 +179,11 @@ func TestReadFrameBodyBehindPrefix(t *testing.T) {
 // reusable-buffer path.
 func TestReadFrameIntoOversize(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	_, err := ReadFrameInto(bytes.NewReader(hdr), nil)
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	for _, buf := range [][]byte{nil, make([]byte, 0, 64)} {
+		_, err := ReadFrameInto(bytes.NewReader(hdr), buf)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("cap %d: err = %v, want ErrTooLarge", cap(buf), err)
+		}
 	}
 }
 

@@ -384,7 +384,7 @@ func AppendSplitFrame(e *Encoder, m Marshaler, segLen int) error {
 // caller must finish with (or hand off ownership of) one frame before
 // reading the next into the same buffer.
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	n, err := ReadFrameHeader(r)
+	n, err := ReadFrameHeader(r, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -392,13 +392,18 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // ReadFrameHeader reads a frame's 4-byte length header and returns the
-// payload length that follows it, enforcing MaxFrameSize.
-func ReadFrameHeader(r io.Reader) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// payload length that follows it, enforcing MaxFrameSize.  A read loop
+// passes as scratch the frame buffer the body is about to overwrite: a
+// local array would escape through r, one heap object per frame.
+func ReadFrameHeader(r io.Reader, scratch []byte) (int, error) {
+	if cap(scratch) < 4 {
+		scratch = make([]byte, 4)
+	}
+	hdr := scratch[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return 0, ErrTooLarge
 	}
