@@ -329,7 +329,14 @@ func TestWatcherCancel(t *testing.T) {
 	w := NewWatcher(Stub{Ep: client, Ref: RefAt(s.host)}, f.clk, 5*time.Second)
 	defer w.Close()
 	w.Watch(ref, func(oref.Ref) { fired = true })
-	w.Cancel(ref)
+	// A watch is keyed as Ref.Key keys everything else here: by the object
+	// incarnation, whatever type the holder of the reference narrowed it to.
+	narrowed := ref
+	narrowed.TypeID = "itv.Other"
+	w.Cancel(narrowed)
+	if n := w.Watching(); n != 0 {
+		t.Fatalf("%d watches left after cancel", n)
+	}
 	if err := s.ctl.StopService("echo"); err != nil {
 		t.Fatal(err)
 	}

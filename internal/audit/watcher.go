@@ -22,7 +22,7 @@ type Watcher struct {
 	interval time.Duration
 
 	mu      sync.Mutex
-	watches map[string]watch
+	watches map[oref.Ref]watch // by watchKey
 
 	stop chan struct{}
 	done chan struct{}
@@ -33,13 +33,21 @@ type watch struct {
 	onDead func(oref.Ref)
 }
 
+// watchKey identifies a watched object incarnation — what Ref.Key spells
+// out as a string — as a comparable value, so a watch set and cancelled
+// around every movie session allocates no key.
+func watchKey(ref oref.Ref) oref.Ref {
+	ref.TypeID = ""
+	return ref
+}
+
 // NewWatcher starts a watcher polling the given RAS every interval.
 func NewWatcher(ras Stub, clk clock.Clock, interval time.Duration) *Watcher {
 	w := &Watcher{
 		ras:      ras,
 		clk:      clk,
 		interval: interval,
-		watches:  make(map[string]watch),
+		watches:  make(map[oref.Ref]watch),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -50,14 +58,14 @@ func NewWatcher(ras Stub, clk clock.Clock, interval time.Duration) *Watcher {
 // Watch registers onDead to fire once if the entity behind ref dies.
 func (w *Watcher) Watch(ref oref.Ref, onDead func(oref.Ref)) {
 	w.mu.Lock()
-	w.watches[ref.Key()] = watch{ref: ref, onDead: onDead}
+	w.watches[watchKey(ref)] = watch{ref: ref, onDead: onDead}
 	w.mu.Unlock()
 }
 
 // Cancel stops watching ref (the resource was released normally).
 func (w *Watcher) Cancel(ref oref.Ref) {
 	w.mu.Lock()
-	delete(w.watches, ref.Key())
+	delete(w.watches, watchKey(ref))
 	w.mu.Unlock()
 }
 
@@ -110,9 +118,10 @@ func (w *Watcher) pollOnce() {
 	w.mu.Lock()
 	for i, ref := range refs {
 		if !alive[i] {
-			if wt, ok := w.watches[ref.Key()]; ok {
+			k := watchKey(ref)
+			if wt, ok := w.watches[k]; ok {
 				dead = append(dead, wt)
-				delete(w.watches, ref.Key())
+				delete(w.watches, k)
 			}
 		}
 	}

@@ -260,3 +260,76 @@ func (whoamiSkel) Dispatch(c *orb.ServerCall) error {
 	c.Results().PutString(c.Caller().Principal)
 	return nil
 }
+
+// impostor signs as its Signer does but claims another principal's name.
+type impostor struct {
+	*Signer
+	claim string
+}
+
+func (i impostor) Sign(payload, sigBuf []byte) (string, []byte, []byte, error) {
+	_, ticket, sig, err := i.Signer.Sign(payload, sigBuf)
+	return i.claim, ticket, sig, err
+}
+
+// TestClaimedPrincipalMustMatchTicket: the server resolves the principal a
+// request claims through a table of names it has already verified, so the
+// check that the claim matches the ticket must not depend on what that
+// table holds.  A valid ticket under someone else's name is a bad ticket
+// whether the name is unknown to the server or one it verified a moment
+// ago, and the skeleton only ever sees the ticket's own principal.
+func TestClaimedPrincipalMustMatchTicket(t *testing.T) {
+	clk := clock.NewFake()
+	nw := transport.NewNetwork()
+	svc := NewService(clk)
+	appEp, err := orb.NewEndpoint(nw.Host("192.168.0.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer appEp.Close()
+	appEp.SetAuthenticator(NewVerifier(svc.RealmKey(), clk))
+	appRef := appEp.Register("", &whoamiSkel{})
+
+	endpointAs := func(host, principal, claim string) *orb.Endpoint {
+		t.Helper()
+		ep, err := orb.NewEndpoint(nw.Host(host))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ep.Close)
+		signer := NewSigner(principal, svc.Enroll(principal), clk,
+			func() ([]byte, []byte, error) { return svc.IssueTicket(principal) })
+		if claim == "" {
+			ep.SetAuthenticator(signer)
+		} else {
+			ep.SetAuthenticator(impostor{signer, claim})
+		}
+		return ep
+	}
+	whoami := func(ep *orb.Endpoint) (string, error) {
+		var who string
+		err := ep.Invoke(appRef, "whoami", nil, func(d *wire.Decoder) error { who = d.String(); return nil })
+		return who, err
+	}
+	denied := func(err error) bool {
+		var ae *orb.AppError
+		return errors.As(err, &ae) && ae.Name == orb.ExcDenied && ae.Msg == ErrBadTicket.Error()
+	}
+
+	mallory := endpointAs("10.1.0.66", "mallory", "alice")
+	if _, err := whoami(mallory); !denied(err) {
+		t.Fatalf("unknown claimed name: %v, want Denied: %v", err, ErrBadTicket)
+	}
+	alice := endpointAs("10.1.0.5", "alice", "")
+	for i := 0; i < 3; i++ { // the first call admits the name, the rest find it
+		if who, err := whoami(alice); err != nil || who != "alice" {
+			t.Fatalf("alice's own call %d: %q, %v", i, who, err)
+		}
+	}
+	if _, err := whoami(mallory); !denied(err) {
+		t.Fatalf("claimed name the server has verified: %v, want Denied: %v", err, ErrBadTicket)
+	}
+	if who, err := whoami(endpointAs("10.1.0.67", "mallory", "")); err != nil || who != "mallory" {
+		t.Fatalf("mallory under her own name: %q, %v", who, err)
+	}
+}

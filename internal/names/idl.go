@@ -62,6 +62,10 @@ func (b *Binding) UnmarshalWire(d *wire.Decoder) {
 	b.Ref.UnmarshalWire(d)
 }
 
+// minBindingBytes is the least a binding occupies on the wire: an empty
+// name and an empty reference.
+const minBindingBytes = 1 + oref.MinWireBytes
+
 // PutBindings encodes a slice of bindings.
 func PutBindings(e *wire.Encoder, bs []Binding) {
 	e.PutUint(uint64(len(bs)))
@@ -72,7 +76,7 @@ func PutBindings(e *wire.Encoder, bs []Binding) {
 
 // Bindings decodes a slice of bindings.
 func Bindings(d *wire.Decoder) []Binding {
-	n := d.Count()
+	n := d.CountOf(minBindingBytes)
 	out := make([]Binding, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		var b Binding
@@ -82,15 +86,25 @@ func Bindings(d *wire.Decoder) []Binding {
 	return out
 }
 
+// nextComponent splits the first component off a slash-separated name,
+// ignoring leading and duplicate slashes: head is "" when the name has no
+// component left, and rest is "" when head is the last one.  Resolution
+// walks a name with it, one substring at a time, with no slice of parts.
+func nextComponent(name string) (head, rest string) {
+	name = strings.TrimLeft(name, "/")
+	i := strings.IndexByte(name, '/')
+	if i < 0 {
+		return name, ""
+	}
+	return name[:i], strings.TrimLeft(name[i+1:], "/")
+}
+
 // SplitPath splits a slash-separated name into components, ignoring
 // leading, trailing and duplicate slashes.
 func SplitPath(name string) []string {
-	parts := strings.Split(name, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" {
-			out = append(out, p)
-		}
+	out := make([]string, 0, strings.Count(name, "/")+1)
+	for head, rest := nextComponent(name); head != ""; head, rest = nextComponent(rest) {
+		out = append(out, head)
 	}
 	return out
 }

@@ -2,10 +2,12 @@ package names
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"itv/internal/orb"
 	"itv/internal/oref"
+	"itv/internal/wire"
 )
 
 func svcRef(host string, n int) oref.Ref {
@@ -489,15 +491,117 @@ func TestNeighborhoodOf(t *testing.T) {
 }
 
 func TestSplitPath(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-	}{
-		{"", 0}, {"/", 0}, {"a", 1}, {"a/b", 2}, {"/a//b/", 2}, {"svc/mds/forge", 3},
+	// The reference: split on every slash, drop the empty pieces.
+	ref := func(name string) []string {
+		var out []string
+		for _, p := range strings.Split(name, "/") {
+			if p != "" {
+				out = append(out, p)
+			}
+		}
+		return out
 	}
-	for _, tc := range cases {
-		if got := SplitPath(tc.in); len(got) != tc.want {
-			t.Errorf("SplitPath(%q) = %v, want %d parts", tc.in, got, tc.want)
+	for _, in := range []string{"", "/", "//", "a", "a/b", "/a//b/", "svc/mds/forge", "a/ /b", "///x"} {
+		got, want := SplitPath(in), ref(in)
+		if len(got) != len(want) {
+			t.Fatalf("SplitPath(%q) = %q, want %q", in, got, want)
+		}
+		// The resolver walks the same name without the slice; the two must
+		// agree component by component, and on where the name ends.
+		head, rest := nextComponent(in)
+		for i := range want {
+			if got[i] != want[i] || head != want[i] {
+				t.Fatalf("component %d of %q: SplitPath %q, nextComponent %q, want %q", i, in, got[i], head, want[i])
+			}
+			if last := i == len(want)-1; (rest == "") != last {
+				t.Fatalf("after component %d of %q rest = %q", i, in, rest)
+			}
+			head, rest = nextComponent(rest)
+		}
+		if head != "" || rest != "" {
+			t.Fatalf("nextComponent ran past the end of %q: %q, %q", in, head, rest)
 		}
 	}
+}
+
+// TestUpdatePathsNormalize: the write path finds the parent context and
+// the last component of a name however its slashes are doubled up, the
+// same as the read path does.
+func TestUpdatePathsNormalize(t *testing.T) {
+	c := newNSCluster(t, 1)
+	c.waitForMaster()
+	root := c.root(0)
+	if _, err := root.BindNewContext("/a/"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.BindNewContext("a//b"); err != nil {
+		t.Fatal(err)
+	}
+	want := svcRef("x:1", 1)
+	if err := root.Bind("//a///b//c//", want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := root.Resolve("a/b/c"); err != nil || got != want {
+		t.Fatalf("Resolve = %v, %v", got, err)
+	}
+	bs, err := root.List("a//b/")
+	if err != nil || len(bs) != 1 || bs[0].Name != "c" {
+		t.Fatalf("List = %v, %v", bs, err)
+	}
+	if err := root.Unbind("a/b//c/"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Resolve("a/b/c"); !orb.IsApp(err, orb.ExcNotFound) {
+		t.Fatalf("after unbind: %v", err)
+	}
+	for _, empty := range []string{"", "/", "///"} {
+		if err := root.Bind(empty, want); !orb.IsApp(err, orb.ExcBadArgs) {
+			t.Fatalf("Bind(%q) = %v, want BadArgs", empty, err)
+		}
+	}
+}
+
+// TestBindingsHostileCount: a count the message cannot hold fails at the
+// count.  Before the bound, these three bytes reserved 75 MiB on the way to
+// the same error.
+func TestBindingsHostileCount(t *testing.T) {
+	d := wire.NewDecoder([]byte{0xff, 0xff, 0x3f})
+	if out := Bindings(d); len(out) != 0 || cap(out) != 0 {
+		t.Fatalf("decoded %d bindings (capacity %d) from a bare count", len(out), cap(out))
+	}
+	if d.Err() == nil {
+		t.Fatal("a count with nothing behind it decoded cleanly")
+	}
+}
+
+// FuzzBindings: arbitrary bytes never panic the decoder and never make it
+// reserve room for more bindings than the bytes could encode; what decodes
+// cleanly round-trips.
+func FuzzBindings(f *testing.F) {
+	e := wire.NewEncoder(64)
+	PutBindings(e, []Binding{{Name: "mds-1", Ref: svcRef("10.0.0.1:1024", 3)}, {}})
+	f.Add(e.Bytes())
+	f.Add([]byte{0xff, 0xff, 0x3f})
+	f.Add([]byte{0x01, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d := wire.NewDecoder(raw)
+		out := Bindings(d)
+		if cap(out)*minBindingBytes > len(raw) {
+			t.Fatalf("%d bytes reserved room for %d bindings", len(raw), cap(out))
+		}
+		if d.Err() != nil {
+			return
+		}
+		e := wire.NewEncoder(len(raw))
+		PutBindings(e, out)
+		again := Bindings(wire.NewDecoder(e.Bytes()))
+		if len(again) != len(out) {
+			t.Fatalf("round trip changed %d bindings into %d", len(out), len(again))
+		}
+		for i := range out {
+			if again[i] != out[i] {
+				t.Fatalf("binding %d: %v became %v", i, out[i], again[i])
+			}
+		}
+	})
 }

@@ -634,25 +634,29 @@ func (r *Replica) submit(ctx context.Context, u *update) (newID string, adopted 
 
 // ---- read path: resolution ----
 
-// resolvePath resolves parts relative to ctxID on behalf of callerHost,
+// resolvePath resolves path relative to ctxID on behalf of callerHost,
 // recursing across local contexts and remote context objects (§4.3), and
 // applying selectors at replicated contexts (§4.5).  The returned trace is
 // the failure trace the final binding adopted when it repaired an audit
 // eviction (0 otherwise, and 0 for results reached through a remote name
 // service — adoption is propagated one level, not through recursion).
-func (r *Replica) resolvePath(ctxID string, parts []string, callerHost string) (oref.Ref, uint64, error) {
+func (r *Replica) resolvePath(ctxID, path, callerHost string) (oref.Ref, uint64, error) {
 	r.resolves.Inc()
-	ref, trace, err := r.resolvePathInner(ctxID, parts, callerHost)
+	ref, trace, err := r.resolvePathInner(ctxID, path, callerHost)
 	if err != nil {
 		r.resolveErrors.Inc()
 	}
 	return ref, trace, err
 }
 
-func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost string) (oref.Ref, uint64, error) {
+func (r *Replica) resolvePathInner(ctxID, path, callerHost string) (oref.Ref, uint64, error) {
 	const maxHops = 64 // cycle guard for malicious or accidental loops
 	cur := ctxID
+	// path is what remains to resolve, head its first component ("" when
+	// nothing remains) and rest what follows head.
+	path = strings.TrimLeft(path, "/")
 	for hop := 0; hop < maxHops; hop++ {
+		head, rest := nextComponent(path)
 		r.mu.RLock()
 		node, ok := r.store.ctxs[cur]
 		if !ok {
@@ -664,9 +668,9 @@ func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost stri
 			// Direct index: an explicit replica name in the path, e.g.
 			// "svc/cmgr/1" or "svc/mds/forge" (§3.4.4) bypasses the
 			// selector.
-			if len(parts) > 0 {
-				if e, exists := node.bindings[parts[0]]; exists {
-					next, ref, trace, done, err := r.stepLocked(e, parts[1:])
+			if head != "" {
+				if e, exists := node.bindings[head]; exists {
+					next, ref, trace, done, err := r.stepLocked(e, rest)
 					r.mu.RUnlock()
 					if err != nil {
 						return oref.Ref{}, 0, err
@@ -676,10 +680,10 @@ func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost stri
 					}
 					if next != "" {
 						cur = next
-						parts = parts[1:]
+						path = rest
 						continue
 					}
-					return r.remoteResolve(ref, parts[1:], callerHost)
+					return r.remoteResolve(ref, rest, callerHost)
 				}
 			}
 			// Selector choice among the replicas (§4.5).
@@ -703,7 +707,7 @@ func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost stri
 				r.mu.RUnlock()
 				return oref.Ref{}, 0, errNotFound(chosen.Name)
 			}
-			next, ref, trace, done, err := r.stepLocked(e, parts)
+			next, ref, trace, done, err := r.stepLocked(e, path)
 			r.mu.RUnlock()
 			if err != nil {
 				return oref.Ref{}, 0, err
@@ -715,21 +719,21 @@ func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost stri
 				cur = next
 				continue
 			}
-			return r.remoteResolve(ref, parts, callerHost)
+			return r.remoteResolve(ref, path, callerHost)
 		}
 
 		// Ordinary context.
-		if len(parts) == 0 {
+		if head == "" {
 			ref := r.ctxRefLocked(cur)
 			r.mu.RUnlock()
 			return ref, 0, nil
 		}
-		e, exists := node.bindings[parts[0]]
+		e, exists := node.bindings[head]
 		if !exists {
 			r.mu.RUnlock()
-			return oref.Ref{}, 0, errNotFound(parts[0])
+			return oref.Ref{}, 0, errNotFound(head)
 		}
-		next, ref, trace, done, err := r.stepLocked(e, parts[1:])
+		next, ref, trace, done, err := r.stepLocked(e, rest)
 		r.mu.RUnlock()
 		if err != nil {
 			return oref.Ref{}, 0, err
@@ -739,10 +743,10 @@ func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost stri
 		}
 		if next != "" {
 			cur = next
-			parts = parts[1:]
+			path = rest
 			continue
 		}
-		return r.remoteResolve(ref, parts[1:], callerHost)
+		return r.remoteResolve(ref, rest, callerHost)
 	}
 	return oref.Ref{}, 0, orb.Errf(orb.ExcNotContext, "resolution exceeded hop limit")
 }
@@ -752,9 +756,9 @@ func (r *Replica) resolvePathInner(ctxID string, parts []string, callerHost stri
 //   - done: ref is the final result (trace is its adopted failure trace);
 //   - next != "": descend into local context next;
 //   - otherwise: ref is a remote context to continue in.
-func (r *Replica) stepLocked(e entry, rest []string) (next string, ref oref.Ref, trace uint64, done bool, err error) {
+func (r *Replica) stepLocked(e entry, rest string) (next string, ref oref.Ref, trace uint64, done bool, err error) {
 	if e.childCtx != "" {
-		if len(rest) == 0 {
+		if rest == "" {
 			// An ordinary context is itself the result; a replicated
 			// context is resolved through its selector (§4.5), so descend
 			// and let the replicated-context branch choose.
@@ -765,7 +769,7 @@ func (r *Replica) stepLocked(e entry, rest []string) (next string, ref oref.Ref,
 		}
 		return e.childCtx, oref.Ref{}, 0, false, nil
 	}
-	if len(rest) == 0 {
+	if rest == "" {
 		return "", e.ref, e.trace, true, nil
 	}
 	if !IsContextType(e.ref.TypeID) {
@@ -778,11 +782,11 @@ func (r *Replica) stepLocked(e entry, rest []string) (next string, ref oref.Ref,
 // name service (§4.3's third class of bound object).  Trace adoption does
 // not cross this hop: the remote service reports adoption on its own
 // responses, and callers resolving through us see only local adoption.
-func (r *Replica) remoteResolve(ctx oref.Ref, parts []string, callerHost string) (oref.Ref, uint64, error) {
-	if len(parts) == 0 {
+func (r *Replica) remoteResolve(ctx oref.Ref, path, callerHost string) (oref.Ref, uint64, error) {
+	if path == "" {
 		return ctx, 0, nil
 	}
-	ref, err := Context{Ep: r.ep, Ref: ctx}.ResolveAs(strings.Join(parts, "/"), callerHost)
+	ref, err := Context{Ep: r.ep, Ref: ctx}.ResolveAs(path, callerHost)
 	return ref, 0, err
 }
 

@@ -2,6 +2,7 @@ package names
 
 import (
 	"context"
+	"strings"
 
 	"itv/internal/orb"
 	"itv/internal/oref"
@@ -29,7 +30,7 @@ func (s *ctxSkel) Dispatch(c *orb.ServerCall) error {
 	switch c.Method() {
 	case "resolve":
 		name := c.Args().String()
-		ref, trace, err := s.r.resolvePath(s.ctxID, SplitPath(name), c.Caller().Host())
+		ref, trace, err := s.r.resolvePath(s.ctxID, name, c.Caller().Host())
 		if err != nil {
 			return err
 		}
@@ -40,7 +41,7 @@ func (s *ctxSkel) Dispatch(c *orb.ServerCall) error {
 	case "resolveAs":
 		name := c.Args().String()
 		callerHost := c.Args().String()
-		ref, trace, err := s.r.resolvePath(s.ctxID, SplitPath(name), callerHost)
+		ref, trace, err := s.r.resolvePath(s.ctxID, name, callerHost)
 		if err != nil {
 			return err
 		}
@@ -140,24 +141,27 @@ func validPolicy(p string) error {
 // parentOf walks all but the last component of name through local contexts
 // and returns the containing context id plus the final component.
 func (r *Replica) parentOf(ctxID, name string) (string, string, error) {
-	parts := SplitPath(name)
-	if len(parts) == 0 {
+	dir, last := "", strings.TrimRight(name, "/")
+	if i := strings.LastIndexByte(last, '/'); i >= 0 {
+		dir, last = last[:i], last[i+1:]
+	}
+	if last == "" {
 		return "", "", orb.Errf(orb.ExcBadArgs, "empty name")
 	}
-	ctx, err := r.walkLocal(ctxID, parts[:len(parts)-1])
+	ctx, err := r.walkLocal(ctxID, dir)
 	if err != nil {
 		return "", "", err
 	}
-	return ctx, parts[len(parts)-1], nil
+	return ctx, last, nil
 }
 
 // walkLocal descends through locally implemented contexts only; update
 // operations on remote contexts must be invoked on those contexts directly.
-func (r *Replica) walkLocal(ctxID string, parts []string) (string, error) {
+func (r *Replica) walkLocal(ctxID, path string) (string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	cur := ctxID
-	for _, p := range parts {
+	for p, rest := nextComponent(path); p != ""; p, rest = nextComponent(rest) {
 		node, ok := r.store.ctxs[cur]
 		if !ok {
 			return "", errNotFound(cur)
@@ -208,7 +212,7 @@ func (r *Replica) setSelector(cc context.Context, ctxID, name string, sel oref.R
 		_, _, err := r.submit(cc, &update{Op: opSetSelector, Ctx: ctxID, Ref: sel})
 		return err
 	}
-	target, err := r.walkLocal(ctxID, SplitPath(name))
+	target, err := r.walkLocal(ctxID, name)
 	if err != nil {
 		return err
 	}
@@ -220,8 +224,7 @@ func (r *Replica) setSelector(cc context.Context, ctxID, name string, sel oref.R
 // named by name, where a replicated context reports only the selected
 // binding (§4.5).
 func (r *Replica) list(ctxID, name, callerHost string) ([]Binding, error) {
-	parts := SplitPath(name)
-	if id, err := r.walkLocal(ctxID, parts); err == nil {
+	if id, err := r.walkLocal(ctxID, name); err == nil {
 		// The named path denotes a context implemented here: list it.  A
 		// replicated context reports only the selector's choice, so the
 		// distinction between one object and many replicas stays hidden.
@@ -245,7 +248,7 @@ func (r *Replica) list(ctxID, name, callerHost string) ([]Binding, error) {
 	}
 	// Not a purely local context path: resolve it (possibly crossing
 	// remote name services) and list the resulting remote context.
-	ref, _, err := r.resolvePath(ctxID, parts, callerHost)
+	ref, _, err := r.resolvePath(ctxID, name, callerHost)
 	if err != nil {
 		return nil, err
 	}
@@ -258,13 +261,9 @@ func (r *Replica) list(ctxID, name, callerHost string) ([]Binding, error) {
 // listRepl returns all bindings of a local replicated context, including
 // the installed selector under its reserved name.
 func (r *Replica) listRepl(ctxID, name string) ([]Binding, error) {
-	id := ctxID
-	if parts := SplitPath(name); len(parts) > 0 {
-		var err error
-		id, err = r.walkLocal(ctxID, parts)
-		if err != nil {
-			return nil, err
-		}
+	id, err := r.walkLocal(ctxID, name)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()

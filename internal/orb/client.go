@@ -674,7 +674,7 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 	if e.closedFlag.Load() {
 		return ErrShutdown
 	}
-	sk, ok := e.objsnap.Load().lookup(ref.ObjectID)
+	sk, ok := (*e.objsnap.Load())[ref.ObjectID]
 	if method == "_metrics" {
 		return e.metricsResult(res.get)
 	}

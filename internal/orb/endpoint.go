@@ -182,6 +182,14 @@ type Endpoint struct {
 	hlc         *obs.HLC
 	ledger      *obs.SlowLedger
 
+	// principals holds the caller identities this endpoint has accepted,
+	// so a served call's Caller.Principal is the table's string rather
+	// than a fresh copy of the request's.  A claimed principal is looked up
+	// on arrival but admitted only once the authenticator has verified the
+	// call (on arrival where none is installed): a name that fails
+	// verification never occupies a slot.
+	principals wire.Table[string]
+
 	// diag bounds the concurrency of the diagnostic builtins (_health,
 	// _slow, _profile) so a misbehaving scraper cannot monopolize the
 	// dispatch workers; excess requests get a clean ExcBusy refusal.
@@ -259,12 +267,10 @@ func newEndpoint(tr transport.Transport, ln net.Listener, addr string) *Endpoint
 }
 
 // objTable is the immutable published view of an endpoint's object map.
+// Dispatch indexes it with the request's object-id bytes directly, so an
+// id is never turned into a string: per-session objects cost nothing here,
+// and an id that names no object leaves nothing behind.
 type objTable map[string]Skeleton
-
-func (t objTable) lookup(id string) (Skeleton, bool) {
-	sk, ok := t[id]
-	return sk, ok
-}
 
 // republishObjects snapshots e.objects into the lock-free dispatch view.
 // Callers hold e.mu (newEndpoint being the only pre-publication caller).
@@ -548,7 +554,7 @@ func (srv *connServer) worker() {
 // borrowed segment is not the scratch's, and travels with the frame.
 func (srv *connServer) handleOne(sr *serverReq, s *callScratch) {
 	pickup := time.Now()
-	srv.e.handleInto(&sr.req, srv.remote, s)
+	method, sms := srv.e.handleInto(&sr.req, srv.remote, s)
 	// Stamp the reply with this node's HLC — one site covers every response
 	// path, so the caller's clock couples to ours on every round trip.
 	s.resp.HLC = uint64(srv.e.hlc.Now())
@@ -565,15 +571,18 @@ func (srv *connServer) handleOne(sr *serverReq, s *callScratch) {
 	// Attach the latency decomposition for the flusher to record once the
 	// response frame is on the wire.  A version-mismatched request never
 	// decoded its method; it travels unattributed (zero meta).
-	if sr.req.Method != "" {
+	if method != "" {
+		if sms == nil {
+			sms = srv.e.metrics.otherRow()
+		}
 		qf.meta = frameMeta{
-			sms:     srv.e.metrics.serverFor(sr.req.Method),
+			sms:     sms,
 			led:     srv.e.ledger,
 			rec:     srv.e.recorder,
 			hlc:     obs.HLCTime(s.resp.HLC),
 			trace:   sr.req.TraceID,
 			sampled: sr.req.Sampled,
-			method:  sr.req.Method,
+			method:  method,
 			peer:    srv.remote,
 			queue:   pickup.Sub(sr.recvAt),
 			service: done.Sub(pickup),
@@ -587,8 +596,15 @@ func (srv *connServer) handleOne(sr *serverReq, s *callScratch) {
 
 // handleInto executes one request against the object adapter, leaving the
 // response in s.resp.  The response body may alias s.results; the caller
-// encodes the response frame out of s before reusing the scratch.
-func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
+// encodes the response frame out of s before reusing the scratch.  It
+// returns the request's method as a string that outlives the frame and the
+// method's own latency row, nil when it has none (no name at all for a
+// request refused at the version gate).
+//
+// This is the decode boundary for the request's three strings (DESIGN.md
+// §9): each is resolved from its bytes in the frame to a string some table
+// already holds, and only a value no table holds is copied out.
+func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) (method string, sms *serverMethodStats) {
 	e.received.Add(1)
 	resp := &s.resp
 	resp.reset()
@@ -604,6 +620,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 		resp.Body = s.results.Bytes()
 		return
 	}
+	method, sms = e.metrics.serverFor(req.method)
 
 	// Couple our HLC to the sender's.  Only after the version gate: a
 	// mismatched request's HLC field was never decoded.
@@ -612,12 +629,16 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 	}
 
 	caller := Caller{Addr: remoteAddr}
+	principal, accepted := e.principals.Lookup(req.principal)
+	if !accepted {
+		principal = string(req.principal)
+	}
 	if a := e.authenticator(); a != nil {
 		se := wire.GetEncoder()
-		req.appendSigPayload(se)
+		req.appendDecodedSigPayload(se)
 		// The expected signature stages in the scratch's own array, so
 		// steady-state verification allocates nothing.
-		principal, err := a.Verify(req.Principal, req.Ticket, req.Sig, se.Bytes(), s.macBuf[:0])
+		verified, err := a.Verify(principal, req.Ticket, req.Sig, se.Bytes(), s.macBuf[:0])
 		wire.PutEncoder(se)
 		if err != nil {
 			resp.Status = statusApp
@@ -625,10 +646,12 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 			resp.ErrMsg = err.Error()
 			return
 		}
-		caller.Principal = principal
-	} else {
-		caller.Principal = req.Principal
+		principal = verified
 	}
+	if !accepted {
+		principal = wire.Canonical(&e.principals, principal)
+	}
+	caller.Principal = principal
 
 	// Lock-free dispatch lookup: the object table is published as a
 	// copy-on-write snapshot, so concurrent connections (and the resident
@@ -637,12 +660,12 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 		resp.Status = statusShutdown
 		return
 	}
-	sk, ok := e.objsnap.Load().lookup(req.ObjectID)
+	sk, ok := (*e.objsnap.Load())[string(req.objectID)]
 
 	// Built-in metrics scrape: a node property, not an object property, so
 	// it answers before incarnation and object-id validation — scrapers
 	// hold no valid reference to a server they are inspecting.
-	if req.Method == "_metrics" {
+	if method == "_metrics" {
 		s.results.Reset()
 		s.results.PutString(e.metrics.reg.Text())
 		resp.Status = statusOK
@@ -655,7 +678,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 	// is reconstructing the story of nodes whose references died.  Two
 	// optional uints in the body paginate: events with Seq > afterSeq, up to
 	// max of them (an empty body — the common full scrape — returns all).
-	if req.Method == "_events" {
+	if method == "_events" {
 		afterSeq, maxEvents := uint64(0), 0
 		s.args.Reset(req.Body)
 		if n := s.args.Uint(); s.args.Err() == nil {
@@ -679,7 +702,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 	// measured peer offsets — again a node property answered before
 	// reference validation (the watch dashboard inspects nodes it holds no
 	// reference to).  An optional uint in the body bounds the window count.
-	if req.Method == "_health" {
+	if method == "_health" {
 		if !e.diag.acquire() {
 			respBusy(resp)
 			return
@@ -700,7 +723,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 	// Built-in slow-call ledger scrape: the node's tail estimate plus its
 	// ring of calls admitted past the adaptive threshold, each carrying the
 	// queue/service/flush decomposition.  A node property like the rest.
-	if req.Method == "_slow" {
+	if method == "_slow" {
 		if !e.diag.acquire() {
 			respBusy(resp)
 			return
@@ -716,7 +739,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 	// Built-in on-demand profiling: collects a runtime/pprof profile and
 	// pages it back in bounded chunks (see profile.go for the wire form and
 	// the rate-reset discipline).
-	if req.Method == "_profile" {
+	if method == "_profile" {
 		if !e.diag.acquire() {
 			respBusy(resp)
 			return
@@ -750,13 +773,13 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 
 	// Built-in liveness probe, available on every object (§7.2's original
 	// ping-based tracking, retained for the E5/E11 comparison).
-	if req.Method == "_ping" {
+	if method == "_ping" {
 		resp.Status = statusOK
 		return
 	}
 
 	call := &s.call
-	call.method = req.Method
+	call.method = method
 	call.caller = caller
 	call.adopted = 0
 	// Re-materialize the caller's trace span.  Unsampled calls — the hot
@@ -781,6 +804,11 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 		}()
 		return sk.Dispatch(call)
 	}()
+	if sms == nil && !errors.Is(err, ErrNoSuchMethod) {
+		// A skeleton answered to the name: from here on it is one of the
+		// endpoint's methods, with its own row (this call's included).
+		sms, _ = e.metrics.admitMethod(method)
+	}
 	if err == nil && s.args.Err() != nil {
 		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
 	}
@@ -793,7 +821,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 		resp.seg, resp.segAt = seg, segAt
 	case errors.Is(err, ErrNoSuchMethod):
 		resp.Status = statusNoSuchMethod
-		resp.ErrMsg = req.Method
+		resp.ErrMsg = method
 	default:
 		e.metrics.appErrors.Inc()
 		var ae *AppError
@@ -807,4 +835,5 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) {
 			resp.ErrMsg = err.Error()
 		}
 	}
+	return
 }

@@ -101,12 +101,18 @@ func Errf(name, format string, args ...interface{}) error {
 
 // IsApp reports whether err is an application exception with the given name.
 func IsApp(err error, name string) bool {
+	if err == nil {
+		return false // the common case; errors.As would send ae to the heap
+	}
 	var ae *AppError
 	return errors.As(err, &ae) && ae.Name == name
 }
 
 // AppName returns the exception name if err is an application exception.
 func AppName(err error) (string, bool) {
+	if err == nil {
+		return "", false
+	}
 	var ae *AppError
 	if errors.As(err, &ae) {
 		return ae.Name, true

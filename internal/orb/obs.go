@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"itv/internal/obs"
+	"itv/internal/wire"
 )
 
 // epMetrics caches this endpoint's obs counters so the invoke and dispatch
@@ -51,11 +52,17 @@ type epMetrics struct {
 	latMu   sync.RWMutex
 	latency map[methodKey]*methodStats
 
-	// server caches the per-method queue/service/flush decomposition
-	// histograms, keyed by method name alone (the server side may not have
-	// resolved a type when timing starts; builtins have none).
-	srvMu  sync.RWMutex
-	server map[string]*serverMethodStats
+	// methods is the endpoint's table of the method names it serves: what
+	// a request's method bytes resolve through, to the name as a string
+	// that outlives the frame and to that method's queue/service/flush
+	// histograms, keyed by name alone (builtins have no type).  A name
+	// enters only once something here answered to it — a builtin on
+	// sight, any other after a skeleton took the call — so a peer cannot
+	// grow the table, or the registry behind it, by inventing names; calls
+	// whose method is not in it are timed together in other (otherRow).
+	methods   wire.Table[*serverMethodStats]
+	otherOnce sync.Once
+	other     *serverMethodStats
 }
 
 type methodKey struct{ typeID, method string }
@@ -75,6 +82,7 @@ type methodStats struct {
 // handlers (service dominates) from a congested write path (flush
 // dominates).
 type serverMethodStats struct {
+	method  string
 	queue   *obs.Histogram
 	service *obs.Histogram
 	flush   *obs.Histogram
@@ -137,32 +145,57 @@ func (m *epMetrics) methodFor(typeID, method string) *methodStats {
 	return ms
 }
 
-// serverFor returns the per-method decomposition stats, creating and
-// caching them on first use.  Like methodFor, the fast path is a
-// read-locked map hit with zero allocations.
-func (m *epMetrics) serverFor(method string) *serverMethodStats {
-	m.srvMu.RLock()
-	ss := m.server[method]
-	m.srvMu.RUnlock()
-	if ss != nil {
-		return ss
+// otherMethods names the row that times every call whose method the table
+// does not hold.  No skeleton serves a method by this name; one that did
+// would share the row.
+const otherMethods = "_other"
+
+// builtin reports whether the endpoint itself answers to method.
+func builtin(method string) bool {
+	switch method {
+	case "_metrics", "_events", "_health", "_slow", "_profile", "_ping":
+		return true
 	}
-	ss = &serverMethodStats{
+	return false
+}
+
+// serverFor resolves a request's method bytes: the name as a string safe
+// to keep and, when the table holds it, the row that times it (nil when
+// not: the call belongs in otherRow unless admitMethod says otherwise).  A
+// held name costs one lock-free lookup and no allocation; any other is
+// copied out of the frame.
+func (m *epMetrics) serverFor(method []byte) (name string, ss *serverMethodStats) {
+	if ss, ok := m.methods.Lookup(method); ok {
+		return ss.method, ss
+	}
+	name = string(method)
+	if builtin(name) {
+		ss, _ = m.admitMethod(name)
+	}
+	return name, ss
+}
+
+// otherRow returns the row shared by every call whose method has none of
+// its own, made on first use: a node that is only ever asked for what it
+// serves carries no such series.
+func (m *epMetrics) otherRow() *serverMethodStats {
+	m.otherOnce.Do(func() { m.other = m.newServerStats(otherMethods) })
+	return m.other
+}
+
+// admitMethod gives name its own row, room permitting; the caller has seen
+// a skeleton (or the endpoint) answer to it.
+func (m *epMetrics) admitMethod(name string) (*serverMethodStats, bool) {
+	return m.methods.Admit(name, m.newServerStats)
+}
+
+func (m *epMetrics) newServerStats(method string) *serverMethodStats {
+	return &serverMethodStats{
+		method:  method,
 		queue:   m.reg.HistogramBuckets(obs.L("orb_queue_wait", "method", method), obs.MicroLatencyBuckets),
 		service: m.reg.HistogramBuckets(obs.L("orb_service_time", "method", method), obs.MicroLatencyBuckets),
 		flush:   m.reg.HistogramBuckets(obs.L("orb_flush_wait", "method", method), obs.MicroLatencyBuckets),
 	}
-	m.srvMu.Lock()
-	if existing, ok := m.server[method]; ok {
-		ss = existing
-	} else {
-		if m.server == nil {
-			m.server = make(map[string]*serverMethodStats)
-		}
-		m.server[method] = ss
-	}
-	m.srvMu.Unlock()
-	return ss
 }
 
 // outcomeOf classifies an invocation result for traces and counters.

@@ -28,10 +28,19 @@ const (
 
 // request is the on-wire invocation record.
 //
-// Decoding borrows: UnmarshalWire leaves Ticket, Sig and Body aliasing the
-// frame buffer being decoded, so a decoded request is valid only until its
-// frame buffer is reused.  Both endpoint read loops hand the frame buffer's
-// ownership along with the request and release the two together.
+// Decoding borrows: UnmarshalWire leaves every variable-length field
+// aliasing the frame buffer being decoded, so a decoded request is valid
+// only until its frame buffer is reused.  Both endpoint read loops hand the
+// frame buffer's ownership along with the request and release the two
+// together.
+//
+// The three envelope strings therefore have two forms.  A sender sets
+// ObjectID, Method and Principal.  A receiver finds them in objectID,
+// method and principal — views, like Ticket, Sig and Body — and the
+// strings empty: the server turns each view into a string that outlives
+// the frame by looking it up where the value already lives (the object
+// table, the endpoint's method and principal tables; DESIGN.md §9), and
+// builds a fresh string only for a value no table holds.
 //
 // The trace and clock fields ride at the end and are excluded from the
 // signature payload: they are observability routing, not invocation
@@ -50,6 +59,11 @@ type request struct {
 	ParentSpanID uint64
 	Sampled      bool
 	HLC          uint64 // sender's hybrid-logical-clock reading (obs.HLCTime)
+
+	// What UnmarshalWire decodes in place of the three strings above.
+	objectID  []byte
+	method    []byte
+	principal []byte
 
 	// sigScratch is the caller-owned buffer Authenticator.Sign appends the
 	// signature into (Sig then aliases it), sized for any HMAC the auth
@@ -86,10 +100,10 @@ func (r *request) UnmarshalWire(d *wire.Decoder) {
 	if r.Version != wireVersion {
 		return
 	}
-	r.ObjectID = d.String()
+	r.objectID = d.BytesView()
 	r.Incarnation = d.Int()
-	r.Method = d.String()
-	r.Principal = d.String()
+	r.method = d.BytesView()
+	r.principal = d.BytesView()
 	r.Ticket = d.BytesView()
 	r.Sig = d.BytesView()
 	r.Body = d.BytesView()
@@ -115,12 +129,14 @@ func (r *request) appendSigPayload(e *wire.Encoder) {
 	e.PutBytes(r.Body)
 }
 
-// SigPayload returns the signature payload as a fresh slice; hot paths use
-// appendSigPayload with a pooled encoder instead.
-func (r *request) SigPayload() []byte {
-	e := wire.NewEncoder(64 + len(r.Body))
-	r.appendSigPayload(e)
-	return e.Bytes()
+// appendDecodedSigPayload is appendSigPayload for a decoded request: the
+// same bytes, taken from the views (a string and a byte slice encode
+// alike).
+func (r *request) appendDecodedSigPayload(e *wire.Encoder) {
+	e.PutBytes(r.objectID)
+	e.PutInt(r.Incarnation)
+	e.PutBytes(r.method)
+	e.PutBytes(r.Body)
 }
 
 // response is the on-wire reply record.  Like request, UnmarshalWire leaves

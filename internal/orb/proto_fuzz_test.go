@@ -13,7 +13,9 @@ import (
 // FuzzRequestRoundTrip: a request marshals and unmarshals losslessly, and
 // re-marshaling the decoded record reproduces the original bytes exactly.
 // Byte-exactness matters beyond field equality: the per-call signature and
-// the frame pools both assume one canonical encoding per record.
+// the frame pools both assume one canonical encoding per record.  The
+// decoded record holds its three strings as views; the signature payload
+// the server builds from those must be the bytes the client signed.
 func FuzzRequestRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "mms/catalog", int64(42), "echo", "settop-7",
 		[]byte("ticket"), []byte("sig"), []byte("body"),
@@ -50,6 +52,17 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if d.Remaining() != 0 {
 			t.Fatalf("decode left %d trailing bytes", d.Remaining())
 		}
+		if out.ObjectID != "" || out.Method != "" || out.Principal != "" {
+			t.Fatalf("decode built strings out of the frame: %+v", out)
+		}
+		signed, verified := wire.NewEncoder(64), wire.NewEncoder(64)
+		in.appendSigPayload(signed)
+		out.appendDecodedSigPayload(verified)
+		if !bytes.Equal(signed.Bytes(), verified.Bytes()) {
+			t.Fatalf("signature payload differs:\n  signed: %x\nverified: %x", signed.Bytes(), verified.Bytes())
+		}
+		// Back to the sender's form, for the comparison and the re-marshal.
+		out.ObjectID, out.Method, out.Principal = string(out.objectID), string(out.method), string(out.principal)
 		if out.ReqID != in.ReqID || out.Version != in.Version ||
 			out.ObjectID != in.ObjectID || out.Incarnation != in.Incarnation ||
 			out.Method != in.Method || out.Principal != in.Principal ||

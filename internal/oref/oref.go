@@ -9,6 +9,7 @@ package oref
 
 import (
 	"fmt"
+	"strconv"
 
 	"itv/internal/wire"
 )
@@ -58,7 +59,15 @@ func (r Ref) SameObject(o Ref) bool {
 
 // Key returns a map key uniquely identifying the object incarnation.
 func (r Ref) Key() string {
-	return fmt.Sprintf("%s#%d/%s", r.Addr, r.Incarnation, r.ObjectID)
+	// Built by hand rather than with Sprintf, which boxes the incarnation:
+	// this runs per reference per audit round.
+	var scratch [96]byte
+	b := append(scratch[:0], r.Addr...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, r.Incarnation, 10)
+	b = append(b, '/')
+	b = append(b, r.ObjectID...)
+	return string(b)
 }
 
 // String implements fmt.Stringer.
@@ -77,11 +86,29 @@ func (r Ref) MarshalWire(e *wire.Encoder) {
 	e.PutString(r.ObjectID)
 }
 
+// addrs and typeIDs hold the service addresses and IDL type ids this
+// process has decoded.  Both are closed sets in a head-end — one address
+// per service process, one type id per IDL interface — and every reference
+// that crosses the wire repeats them, so a decoded Ref shares the table's
+// strings instead of allocating its own (wire.Table: bounded, and a value
+// the table has no room for is decoded as before).  ObjectID is not
+// interned: it is an open set (one id per open movie), and ids of closed
+// sessions would crowd the live ones out of a table that never evicts.
+//
+// Process-wide because a Ref decodes itself with nothing but the decoder
+// in hand; invisible to callers because an interned string equals the one
+// it replaces.
+var addrs, typeIDs wire.Table[string]
+
+// MinWireBytes is the least a reference occupies on the wire — three empty
+// strings and a one-byte incarnation — for Decoder.CountOf.
+const MinWireBytes = 4
+
 // UnmarshalWire implements wire.Unmarshaler.
 func (r *Ref) UnmarshalWire(d *wire.Decoder) {
-	r.Addr = d.String()
+	r.Addr = d.Symbol(&addrs)
 	r.Incarnation = d.Int()
-	r.TypeID = d.String()
+	r.TypeID = d.Symbol(&typeIDs)
 	r.ObjectID = d.String()
 }
 
@@ -95,7 +122,7 @@ func PutRefs(e *wire.Encoder, refs []Ref) {
 
 // Refs decodes a slice of references.
 func Refs(d *wire.Decoder) []Ref {
-	n := d.Count()
+	n := d.CountOf(MinWireBytes)
 	out := make([]Ref, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		var r Ref

@@ -31,14 +31,14 @@ type Service struct {
 	ref     oref.Ref
 
 	mu        sync.Mutex
-	positions map[string]int64 // settop+"|"+title -> byte position
+	positions map[viewing]int64 // byte position
 }
 
 // New builds a VOD service replica.
 func New(sess *core.Session) *Service {
 	s := &Service{
 		sess:      sess,
-		positions: make(map[string]int64),
+		positions: make(map[viewing]int64),
 	}
 	s.ref = sess.Ep.Register("vod", &skel{s: s})
 	s.elector = sess.NewElector(ServiceName, s.ref)
@@ -74,12 +74,13 @@ func (s *Service) Abort() {
 	s.sess.Ep.Unregister("vod")
 }
 
-func key(settop, title string) string { return settop + "|" + title }
+// viewing keys the position table: one settop watching one title.
+type viewing struct{ settop, title string }
 
 // SavePosition records a viewing position for the settop.
 func (s *Service) SavePosition(settop, title string, pos int64) {
 	s.mu.Lock()
-	s.positions[key(settop, title)] = pos
+	s.positions[viewing{settop, title}] = pos
 	s.mu.Unlock()
 }
 
@@ -87,14 +88,14 @@ func (s *Service) SavePosition(settop, title string, pos int64) {
 func (s *Service) Position(settop, title string) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.positions[key(settop, title)]
+	p, ok := s.positions[viewing{settop, title}]
 	return p, ok
 }
 
 // Forget clears a finished viewing.
 func (s *Service) Forget(settop, title string) {
 	s.mu.Lock()
-	delete(s.positions, key(settop, title))
+	delete(s.positions, viewing{settop, title})
 	s.mu.Unlock()
 }
 

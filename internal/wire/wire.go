@@ -315,13 +315,24 @@ func (d *Decoder) Unmarshaler(u Unmarshaler) { u.UnmarshalWire(d) }
 
 // Count decodes a collection length, bounds-checked, for hand-rolled loops
 // over slices of IDL structs.
-func (d *Decoder) Count() int {
+func (d *Decoder) Count() int { return d.CountOf(1) }
+
+// CountOf is Count for a collection whose elements each take at least
+// elemBytes on the wire.  A count the rest of the message cannot hold is
+// a truncated message and fails here, before the caller sizes a slice by
+// it: a three-byte message claiming a million 56-byte references would
+// otherwise reserve 58 MiB on its way to the same error.
+func (d *Decoder) CountOf(elemBytes int) int {
 	n := d.Uint()
 	if d.err != nil {
 		return 0
 	}
 	if n > maxElems {
 		d.fail(ErrTooLarge)
+		return 0
+	}
+	if n*uint64(elemBytes) > uint64(d.Remaining()) {
+		d.fail(ErrTruncated)
 		return 0
 	}
 	return int(n)
