@@ -195,8 +195,8 @@ func BenchmarkE14NewService(b *testing.B) {
 // ---- micro-benchmarks of the substrate hot paths ----
 
 // netStats samples the client transport's obs counters before the timed
-// loop and reports the per-operation wire cost (bytes and frames sent)
-// afterwards.  The counters are process-global per host, so only the delta
+// loop and reports the per-operation wire cost (bytes and frames sent,
+// transport reads made) afterwards.  The counters are process-global per host, so only the delta
 // across the benchmark is meaningful.
 type netStats struct {
 	src    transport.StatsSource
@@ -218,6 +218,7 @@ func (s *netStats) report(b *testing.B) {
 	d := s.src.Stats().Sub(s.before)
 	b.ReportMetric(float64(d.BytesSent)/float64(b.N), "wire_B/op")
 	b.ReportMetric(float64(d.FramesSent)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(d.Reads)/float64(b.N), "reads/op")
 }
 
 // BenchmarkORBInvoke measures one remote method invocation round trip over

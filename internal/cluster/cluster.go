@@ -262,14 +262,24 @@ func (c *Cluster) Start() {
 	for _, s := range c.Servers {
 		s.start()
 	}
-	// 3: wait for the name-service master.
-	c.MustWaitFor("name-service master elected", func() bool {
+	// 3: wait for the name-service master — and for every replica to know
+	// it.  A majority elects; a slave that has not heard the winner yet
+	// answers the first bind a service sends through it with Unavailable.
+	c.MustWaitFor("name-service master elected and known to every replica", func() bool {
+		master := ""
 		for _, s := range c.Servers {
 			if r := s.NS(); r != nil && r.IsMaster() {
-				return true
+				master = r.Addr()
 			}
 		}
-		return false
+		for _, s := range c.Servers {
+			if r := s.NS(); r != nil {
+				if _, _, known, _ := r.Status(); known != master {
+					return false
+				}
+			}
+		}
+		return master != ""
 	})
 
 	// 4: write the placement into the database and start it.

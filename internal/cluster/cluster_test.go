@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"itv/internal/atm"
+	"itv/internal/clock"
 	"itv/internal/core"
 	"itv/internal/media"
 	"itv/internal/orb"
@@ -325,6 +326,35 @@ func TestServerRebootRepopulatedByCSC(t *testing.T) {
 	})
 }
 
+// TestRebootOfTheCSCPrimarysServer: the same reboot when the acting CSC
+// lived on the rebooted machine.  Nothing on the fresh server exports an
+// object yet, and its SSC used to replay only a non-empty live set, so its
+// RAS never learned that it knew everything there was to know, vouched for
+// every object of the old incarnation, the dead CSC's binding was never
+// audited away, the backup never took over and nobody repopulated the
+// server.  Which replica wins svc/csc at start-up is a race the first
+// server's usually wins; the test forces the other outcome.
+func TestRebootOfTheCSCPrimarysServer(t *testing.T) {
+	c := startCluster(t, twoServers())
+	forge, kiln := c.ServerByName("forge"), c.ServerByName("kiln")
+	if forge.CSC() != nil && forge.CSC().IsPrimary() {
+		if err := forge.SSC.KillService("csc"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, c, "kiln's CSC replica acting", func() bool {
+		return kiln.CSC() != nil && kiln.CSC().IsPrimary()
+	})
+	kiln.Restart()
+	waitFor(t, c, "rebooted server repopulated by the surviving CSC", func() bool {
+		running := map[string]bool{}
+		for _, name := range kiln.SSC.Running() {
+			running[name] = true
+		}
+		return running["mds"] && running["cmgr-2"] && running["rds-2"] && running["boot"]
+	})
+}
+
 func TestVODPositionSurvivesSettopReboot(t *testing.T) {
 	// §10.1.1: position is tracked on both sides; after a settop reboot,
 	// the VOD service supplies the resume point.
@@ -412,4 +442,28 @@ func TestKernelFetchAndBootTime(t *testing.T) {
 	if st.Neighborhood() != "2" {
 		t.Fatalf("neighborhood = %q", st.Neighborhood())
 	}
+}
+
+// TestStartStopRepeatedly: Start returns only once every name-service
+// replica knows the master, so no service's first bind meets a slave that
+// has nobody to forward it to — which used to panic Start about once in 150
+// runs.  Two hundred clusters in a row, or as many as fit a minute.
+func TestStartStopRepeatedly(t *testing.T) {
+	cfg := twoServers()
+	cfg.Apps, cfg.Kernel = nil, nil
+	wall := clock.Real() // the budget is real time; the clusters run on fake clocks
+	began := wall.Now()
+	n := 0
+	for ; n < 200 && wall.Since(began) < time.Minute; n++ {
+		c := New(cfg)
+		c.Start()
+		for _, s := range c.Servers {
+			_, _, master, _ := s.NS().Status()
+			if master == "" {
+				t.Fatalf("start %d: %s's replica knows no master after Start", n, s.Spec.Name)
+			}
+		}
+		c.Stop()
+	}
+	t.Logf("%d consecutive Start/Stop", n)
 }

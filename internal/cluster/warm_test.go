@@ -124,6 +124,13 @@ func TestWarmFlowsLeaveTheNameServiceAlone(t *testing.T) {
 	if d := after["core_rebinds"] - before["core_rebinds"]; d != 0 {
 		t.Errorf("core_rebinds moved by %d in steady state", d)
 	}
+	// Every one of those calls (and pushes) is a request frame and a reply
+	// frame on an idle connection: one transport read each, two a call.
+	remote := after["orb_client_calls"] - before["orb_client_calls"] -
+		(after["orb_client_local_calls"] - before["orb_client_local_calls"])
+	if reads := after["transport_reads"] - before["transport_reads"]; reads != 2*remote {
+		t.Errorf("%d remote ORB calls took %d transport reads, want two each", remote, reads)
+	}
 
 	before = quiesce(t, c)
 	for i := 0; i < n; i++ {

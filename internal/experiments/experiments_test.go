@@ -70,18 +70,20 @@ func TestE3WarmOpensCheaper(t *testing.T) {
 	if warmNS >= coldNS {
 		t.Errorf("warm resolutions (%d) not fewer than cold (%d)", warmNS, coldNS)
 	}
-	// The warm row exactly: the settop's three calls and nothing asked of
-	// the name service (§3.4.2) — services hold references the way clients
-	// do.  The cold row is 8 / 4 in a fresh process (the settop resolves
-	// the MMS and the VOD service, the MMS its Connection Manager and the
-	// MDS listing); its settop count reads lower on a -count repeat and a
-	// start-up straggler can add to its name-service count, so only the
-	// four lookups it must make are required of it.
+	// The warm row exactly: the settop's three calls and not one name
+	// resolved (§3.4.2) — services hold references the way clients do.  The
+	// column is the replicas' own count of resolutions served, so nothing
+	// else the name service was asked meanwhile lands in it.  The cold row
+	// is 8 / 3 in a fresh process (the settop resolves the MMS and the VOD
+	// service, the MMS its Connection Manager; the MDS listing is a list,
+	// not a resolution); its settop count reads lower on a -count repeat
+	// and a service still settling in can resolve alongside it, so only the
+	// three lookups it must make are required of it.
 	if warm != 3 || warmNS != 0 {
-		t.Errorf("warm open cost %d settop RPCs / %d name-service requests, want 3 / 0", warm, warmNS)
+		t.Errorf("warm open cost %d settop RPCs / %d name resolutions, want 3 / 0", warm, warmNS)
 	}
-	if coldNS < 4 {
-		t.Errorf("cold open made %d name-service requests, want its 4 lookups", coldNS)
+	if coldNS < 3 {
+		t.Errorf("cold open resolved %d names, want its 3 lookups", coldNS)
 	}
 }
 

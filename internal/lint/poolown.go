@@ -14,10 +14,10 @@ import (
 // release on every path out of the acquiring function — or visibly hand
 // ownership off (channel send, return, closure capture) — and must not be
 // touched after it is released.  A second, flow-insensitive pass guards
-// the aliases: slices returned by Decoder.BytesView or ReadFrameInto (and
-// ReadFrameBody, the half of it a split read calls on its own) alias the
-// frame buffer and must not be stored into fields, globals,
-// channels, or closures that outlive the frame.
+// the aliases: slices returned by Decoder.BytesView, by a FrameReader's
+// Next (and Begin and Body, the halves of it a split read calls on their
+// own) or by ReadFrameInto alias the frame buffer and must not be stored
+// into fields, globals, channels, or closures that outlive the frame.
 //
 // Acquire/release pairs are recognized structurally, not from a list: a
 // package-level niladic-receiver function `getX`/`GetX` with exactly one
@@ -415,22 +415,22 @@ func (f *poolFunc) useCheck(s flowState, id *ast.Ident, report bool) {
 }
 
 // ---------------------------------------------------------------------
-// Alias pass: BytesView / ReadFrameInto results alias the frame buffer.
+// Alias pass: BytesView / frame-read results alias the frame buffer.
 // ---------------------------------------------------------------------
 
 // aliasInfo describes one view of a frame buffer within a function.
 type aliasInfo struct {
-	src string // "Decoder.BytesView", "wire.ReadFrameInto" or "wire.ReadFrameBody"
+	src string // "Decoder.BytesView", "FrameReader.Next" (Begin, Body) or "wire.ReadFrameInto"
 	// sanctioned are exprKey targets this alias may be stored to: the
-	// ReadFrameInto recycle pattern stores the returned frame back into
-	// the buffer slot it was read into (rf.buf = frame).
+	// frame-read recycle pattern stores the returned frame back into the
+	// buffer slot it was read into (rf.buf = frame).
 	sanctioned map[string]bool
 }
 
 // poolAliasFunc runs the flow-insensitive alias-escape pass over one
 // function body.  Stores of a view into a field, index, global, channel,
 // return value, or closure extend the alias past the frame's lifetime;
-// the two sanctioned shapes are the ReadFrameInto buffer recycle and
+// the two sanctioned shapes are the frame-read buffer recycle and
 // UnmarshalWire storing views into its own receiver (the decoded message
 // owns the view until the next Reset — DESIGN §9).
 func poolAliasFunc(p *Pass, node ast.Node, body *ast.BlockStmt) {
@@ -453,12 +453,24 @@ func poolAliasFunc(p *Pass, node ast.Node, body *ast.BlockStmt) {
 		}
 		return isNamed(p.TypeOf(sel.X), wirePath, "Decoder")
 	}
-	isReadFrameInto := func(call *ast.CallExpr) bool {
+	// frameRead recognizes the calls that read a frame, or a part of one,
+	// into storage an argument lends and return a view of it first among
+	// their results: fr.Next(buf), fr.Begin(buf), fr.Body(have, n) on a
+	// wire.FrameReader and wire.ReadFrameInto(r, buf).  lent is the index of
+	// the lending argument.
+	frameRead := func(call *ast.CallExpr) (src string, lent int, ok bool) {
 		fn, _ := calleeObject(p, call).(*types.Func)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != wirePath {
-			return false
+			return "", 0, false
 		}
-		return fn.Name() == "ReadFrameInto" || fn.Name() == "ReadFrameBody"
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			switch fn.Name() {
+			case "Next", "Begin", "Body":
+				return "FrameReader." + fn.Name(), 0, isNamed(recv.Type(), wirePath, "FrameReader")
+			}
+			return "", 0, false
+		}
+		return "wire.ReadFrameInto", 1, fn.Name() == "ReadFrameInto"
 	}
 
 	aliases := make(map[*types.Var]*aliasInfo)
@@ -525,13 +537,13 @@ func poolAliasFunc(p *Pass, node ast.Node, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// frame, err := wire.ReadFrameInto(r, buf)
-			if len(n.Rhs) == 1 && len(n.Lhs) == 2 {
-				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && isReadFrameInto(call) {
+			// frame, err := fr.Next(x.buf); have, n, err := fr.Begin(x.buf)
+			if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(n.Rhs) == 1 && len(n.Lhs) >= 2 {
+				if src, lent, ok := frameRead(call); ok {
 					if v := defVar(n.Lhs[0]); v != nil {
-						info := &aliasInfo{src: "wire." + calleeObject(p, call).Name(), sanctioned: make(map[string]bool)}
-						if len(call.Args) >= 2 {
-							if key := exprKey(call.Args[1]); key != "" {
+						info := &aliasInfo{src: src, sanctioned: make(map[string]bool)}
+						if len(call.Args) > lent {
+							if key := exprKey(call.Args[lent]); key != "" {
 								info.sanctioned[key] = true
 							}
 						}

@@ -205,6 +205,27 @@ func recycleSanctioned(r io.Reader, f *frameBox) error {
 	return nil
 }
 
+// serveLoop is the read loop's recycle: each frame goes back into the slot
+// the next one is read into.
+func serveLoop(fr *wire.FrameReader, f *frameBox) error {
+	for {
+		frame, err := fr.Next(f.buf)
+		if err != nil {
+			return err
+		}
+		f.buf = frame // sanctioned: stored back into the slot it was read from
+	}
+}
+
+func frameKept(fr *wire.FrameReader, f *frameBox, m *msg) error {
+	frame, err := fr.Next(f.buf)
+	if err != nil {
+		return err
+	}
+	m.Body = frame // want "FrameReader.Next alias stored to m.Body escapes the frame buffer"
+	return nil
+}
+
 func recycleLocal(r io.Reader, buf []byte) int {
 	got, err := wire.ReadFrameInto(r, buf)
 	if err != nil {

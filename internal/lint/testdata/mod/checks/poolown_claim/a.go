@@ -1,7 +1,6 @@
 package poolownclaim
 
 import (
-	"io"
 	"sync"
 
 	"golden/internal/wire"
@@ -30,7 +29,7 @@ type waiter struct {
 }
 
 type conn struct {
-	r       io.Reader
+	fr      *wire.FrameReader
 	mu      sync.Mutex
 	pending map[uint64]*waiter
 }
@@ -72,32 +71,40 @@ func (c *conn) readLoop() {
 	}
 }
 
-// readReply reads a prefix into the frame's recycled buffer, claims, fills
-// the lent storage, then reads the tail into the same recycled buffer.
-// Storing each read back into the slot it was read from is the sanctioned
-// recycle; storing the lent storage on the frame is a plain field store.
+// readReply begins a frame in the frame's recycled buffer, tops the prefix
+// up, claims, fills the lent storage, then reads the tail into the same
+// recycled buffer.  Storing each read back into the slot it was read from
+// is the sanctioned recycle; storing the lent storage on the frame is a
+// plain field store.
 func (c *conn) readReply(f *frame) (*waiter, error) {
-	f.buf = f.buf[:0]
-	prefix, err := wire.ReadFrameBody(c.r, f.buf, 8)
+	have, n, err := c.fr.Begin(f.buf)
 	if err != nil {
 		return nil, err
 	}
-	f.buf = prefix
-	w := c.claim(uint64(prefix[0]))
+	f.buf = have
+	if len(have) < 8 {
+		prefix, err := c.fr.Body(f.buf, 8)
+		if err != nil {
+			return nil, err
+		}
+		f.buf = prefix
+	}
+	w := c.claim(uint64(f.buf[0]))
 	if w == nil {
-		whole, err := wire.ReadFrameBody(c.r, f.buf, 64)
+		whole, err := c.fr.Body(f.buf, n)
 		if err != nil {
 			return nil, err
 		}
 		f.buf = whole
 		return nil, nil
 	}
-	if _, err := io.ReadFull(c.r, w.dst); err != nil {
+	got := copy(w.dst, f.buf[8:])
+	if _, err := c.fr.Body(w.dst[:got], len(w.dst)); err != nil {
 		return w, err // claimed: the caller still owes w its delivery
 	}
 	f.data = w.dst
 	f.buf = f.buf[:0]
-	tail, err := wire.ReadFrameBody(c.r, f.buf, 4)
+	tail, err := c.fr.Body(f.buf, 4)
 	if err != nil {
 		return w, err
 	}
@@ -157,10 +164,20 @@ type stash struct{ last []byte }
 // tailKept stores the tail read somewhere other than the slot it was read
 // into: the next frame overwrites it under whoever holds the stash.
 func (c *conn) tailKept(f *frame, s *stash) error {
-	tail, err := wire.ReadFrameBody(c.r, f.buf, 4)
+	tail, err := c.fr.Body(f.buf, 4)
 	if err != nil {
 		return err
 	}
-	s.last = tail // want "wire.ReadFrameBody alias stored to s.last escapes the frame buffer"
+	s.last = tail // want "FrameReader.Body alias stored to s.last escapes the frame buffer"
+	return nil
+}
+
+// prefixKept does the same with what Begin hands over.
+func (c *conn) prefixKept(f *frame, s *stash) error {
+	have, _, err := c.fr.Begin(f.buf)
+	if err != nil {
+		return err
+	}
+	s.last = have // want "FrameReader.Begin alias stored to s.last escapes the frame buffer"
 	return nil
 }

@@ -1,6 +1,7 @@
 // Package wire is a miniature stand-in for itv/internal/wire: the pooled
 // Encoder pair and the frame-buffer aliasing entry points poolown guards
-// (Decoder.BytesView, ReadFrameInto and its body half ReadFrameBody).
+// (Decoder.BytesView, FrameReader's Next with its halves Begin and Body,
+// ReadFrameInto).
 package wire
 
 import "io"
@@ -33,15 +34,39 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	return buf[:n], err
 }
 
-// ReadFrameBody reads a payload up to its n-th byte behind the bytes have
-// already holds, in have's storage when it fits; the returned slice
-// aliases the (possibly reallocated) frame buffer.
-func ReadFrameBody(r io.Reader, have []byte, n int) ([]byte, error) {
+// FrameReader reads a connection's frames into buffers its caller lends;
+// every slice it returns aliases the (possibly reallocated) frame buffer.
+type FrameReader struct{ r io.Reader }
+
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Next reads one frame, reusing buf when it fits.
+func (fr *FrameReader) Next(buf []byte) ([]byte, error) {
+	have, n, err := fr.Begin(buf)
+	if err != nil {
+		return nil, err
+	}
+	return fr.Body(have, n)
+}
+
+// Begin starts a frame: its payload length, and in buf's storage the
+// leading bytes of the payload already here.
+func (fr *FrameReader) Begin(buf []byte) ([]byte, int, error) {
+	if cap(buf) < 16 {
+		buf = make([]byte, 16)
+	}
+	n, err := fr.r.Read(buf[:16])
+	return buf[:n], 64, err
+}
+
+// Body reads a payload up to its n-th byte behind the bytes have already
+// holds, in have's storage when it fits.
+func (fr *FrameReader) Body(have []byte, n int) ([]byte, error) {
 	buf := have
 	if n > cap(buf) {
 		buf = make([]byte, n)
 		copy(buf, have)
 	}
-	_, err := io.ReadFull(r, buf[len(have):n])
+	_, err := io.ReadFull(fr.r, buf[len(have):n])
 	return buf[:n], err
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,24 +112,21 @@ func TestHealthStartStop(t *testing.T) {
 	h.Start(clk, time.Second)
 	h.Start(clk, time.Second) // idempotent: returns immediately while running
 
-	// The sampler's ticker registers asynchronously, so keep advancing the
-	// fake clock until windows accumulate.
-	for tries := 0; tries < 10_000 && len(h.Windows(0)) < 3; tries++ {
-		clk.Advance(time.Second)
-		runtime.Gosched()
+	// The sampler's ticker registers asynchronously: time moved before it
+	// exists is time it never hears about.
+	for i := 0; i < 1000 && clk.Waiters() == 0; i++ {
+		clk.Settle()
 	}
-	if n := len(h.Windows(0)); n < 3 {
-		t.Fatalf("sampler never produced windows: have %d", n)
+	if !clk.Await(time.Second, 100, func() bool { return len(h.Windows(0)) >= 3 }) {
+		t.Fatalf("sampler never produced windows: have %d", len(h.Windows(0)))
 	}
 
 	h.Stop()
-	for i := 0; i < 10_000; i++ { // let any in-flight tick drain
-		runtime.Gosched()
-	}
+	clk.Settle() // let any in-flight tick drain
 	n := len(h.Windows(0))
 	for i := 0; i < 5; i++ {
 		clk.Advance(time.Second)
-		runtime.Gosched()
+		clk.Settle()
 	}
 	if got := len(h.Windows(0)); got != n {
 		t.Fatalf("sampling continued after Stop: %d -> %d windows", n, got)

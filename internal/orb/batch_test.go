@@ -372,11 +372,12 @@ func TestFrameWriterPoolCanary(t *testing.T) {
 	wg.Wait()
 
 	seen := make(map[string]int)
-	rd := bytes.NewReader(stream.Bytes())
+	fr := wire.NewFrameReader(bytes.NewReader(stream.Bytes()))
 	var dec wire.Decoder
-	for rd.Len() > 0 {
-		frame, err := wire.ReadFrameInto(rd, nil)
-		if err != nil {
+	var frame []byte
+	for n := 0; n < goroutines*frames; n++ {
+		var err error
+		if frame, err = fr.Next(frame); err != nil {
 			t.Fatalf("corrupt frame stream: %v", err)
 		}
 		dec.Reset(frame)

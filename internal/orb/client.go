@@ -3,7 +3,6 @@ package orb
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -41,6 +40,7 @@ type pendingShard struct {
 // per-core shards so registration does not serialize under load.
 type clientConn struct {
 	conn net.Conn
+	fr   *wire.FrameReader // the read loop's
 	m    *epMetrics
 	fw   frameWriter
 
@@ -53,7 +53,7 @@ type clientConn struct {
 }
 
 func newClientConn(conn net.Conn, m *epMetrics) *clientConn {
-	cc := &clientConn{conn: conn, m: m,
+	cc := &clientConn{conn: conn, fr: wire.NewFrameReader(conn), m: m,
 		shards: make([]pendingShard, pendingShardCount)}
 	for i := range cc.shards {
 		cc.shards[i].m = make(map[uint64]*waiter)
@@ -77,7 +77,8 @@ func (cc *clientConn) writeFailed(err error) {
 }
 
 // splitPrefix is how much of a frame larger than flushCopyLimit the read
-// loop reads before deciding where the rest goes.  It covers the envelope
+// loop makes sure it holds before deciding where the rest goes (the frame
+// reader usually hands over more).  It covers the envelope
 // of any statusOK reply up to the first byte of its leading string (two
 // ids of at most ten bytes, two empty strings, two lengths); a reply whose
 // envelope runs longer — an error with a long message — does not parse
@@ -122,32 +123,35 @@ func (cc *clientConn) readLoop() {
 // (nil when that caller has given up).  A waiter returned alongside an
 // error was claimed before the failure and is still owed its delivery.
 //
-// A frame above flushCopyLimit is read in two steps: a prefix first, and
-// when that shows a statusOK reply whose body leads with a byte string
-// above the same limit, addressed to a waiter that declared as much, the
-// string goes straight into the waiter's storage (readInto).  Anything
-// else — an error reply, an undeclared or departed caller, a prefix that
-// does not parse — is read whole behind the prefix and decoded as every
-// small frame is.
+// A small frame is whole once the frame reader has begun it.  A frame above
+// flushCopyLimit is read in two steps: the prefix that came with the
+// header first, and when that shows a statusOK reply whose body leads with
+// a byte string above the same limit, addressed to a waiter that declared
+// as much, the string goes straight into the waiter's storage (readInto).
+// Anything else — an error reply, an undeclared or departed caller, a
+// prefix that does not parse — is read whole behind the prefix and decoded
+// as every small frame is.
 func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
-	// The header borrows the frame buffer the body is about to overwrite.
-	n, err := wire.ReadFrameHeader(cc.conn, rf.buf)
+	// rf.buf holds what has been read of this frame so far.
+	have, n, err := cc.fr.Begin(rf.buf)
 	if err != nil {
 		return nil, &ConnError{Op: "read", Err: err}
 	}
-	// rf.buf holds what has been read of this frame so far.
-	rf.buf = rf.buf[:0]
+	rf.buf = have
 	if n > flushCopyLimit {
-		prefix, err := wire.ReadFrameBody(cc.conn, rf.buf, splitPrefix)
-		if err != nil {
-			return nil, &ConnError{Op: "read", Err: err}
+		if len(have) < splitPrefix {
+			// A vectored reply's head arrived alone, or less than that.
+			prefix, err := cc.fr.Body(rf.buf, splitPrefix)
+			if err != nil {
+				return nil, &ConnError{Op: "read", Err: err}
+			}
+			rf.buf = prefix
 		}
-		rf.buf = prefix
 		if w, cerr := cc.readInto(rf, n); w != nil {
 			return w, cerr
 		}
 	}
-	frame, err := wire.ReadFrameBody(cc.conn, rf.buf, n)
+	frame, err := cc.fr.Body(rf.buf, n)
 	if err != nil {
 		return nil, &ConnError{Op: "read", Err: err}
 	}
@@ -173,14 +177,14 @@ func tailErr(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// readInto is the split read of an n-byte reply frame whose first
-// splitPrefix bytes are in rf.buf.  It decodes the envelope from the prefix
-// and, when the reply is statusOK, its body leads with a byte string above
-// flushCopyLimit and the waiter it answers declared one, claims that waiter
-// — removes it from the pending shard and marks it filling, so that from
-// here on the read loop alone delivers to it — and reads the string into
-// the waiter's storage under BytesInto's sizing rule, then the few bytes
-// behind it into rf.buf.  A nil waiter (and nil error) means nothing was
+// readInto is the split read of an n-byte reply frame whose first bytes,
+// splitPrefix of them or more, are in rf.buf.  It decodes the envelope from
+// that prefix and, when the reply is statusOK, its body leads with a byte
+// string above flushCopyLimit and the waiter it answers declared one,
+// claims that waiter — removes it from the pending shard and marks it
+// filling, so that from here on the read loop alone delivers to it — and
+// reads the string into the waiter's storage under BytesInto's sizing rule,
+// then the few bytes behind it into rf.buf.  A nil waiter (and nil error) means nothing was
 // decided or read: take the frame whole.
 //
 // The bounds are the whole-frame decode's — body within the frame, string
@@ -221,13 +225,15 @@ func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
 	w.filling = true
 	sh.mu.Unlock()
 
+	// The string is longer than anything Begin reads ahead, so all of the
+	// prefix behind strOff is the string's.
 	data := sized(w.dst, int(strLen))
 	got := copy(data, prefix[strOff:])
-	if _, err := io.ReadFull(cc.conn, data[got:]); err != nil {
+	if _, err := cc.fr.Body(data[:got], len(data)); err != nil {
 		return w, &ConnError{Op: "read", Err: err}
 	}
 	rf.buf = rf.buf[:0]
-	tail, err := wire.ReadFrameBody(cc.conn, rf.buf, n-strOff-len(data))
+	tail, err := cc.fr.Body(rf.buf, n-strOff-len(data))
 	if err != nil {
 		return w, &ConnError{Op: "read", Err: err}
 	}

@@ -486,9 +486,10 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	// requests first (their response writes fail fast on the closed conn).
 	defer close(srv.work)
 	started := int32(0)
+	fr := wire.NewFrameReader(conn)
 	for {
 		sr := getServerReq()
-		frame, err := wire.ReadFrameInto(conn, sr.buf)
+		frame, err := fr.Next(sr.buf)
 		if err != nil {
 			putServerReq(sr)
 			return

@@ -56,7 +56,8 @@ var unitMetrics = newEpMetrics("10.9.0.1")
 // running, so the test calls readReply itself, and registers w under id.
 func looplessConn(stream io.Reader, id uint64, w *waiter) *clientConn {
 	conn := streamConn{newScriptConn(func(p []byte) (int, error) { return len(p), nil }), stream}
-	cc := &clientConn{conn: conn, m: unitMetrics, shards: make([]pendingShard, pendingShardCount)}
+	cc := &clientConn{conn: conn, fr: wire.NewFrameReader(conn), m: unitMetrics,
+		shards: make([]pendingShard, pendingShardCount)}
 	for i := range cc.shards {
 		cc.shards[i].m = make(map[uint64]*waiter)
 	}
@@ -258,23 +259,54 @@ func hostileReplies(blobLen int) []hostileReply {
 	}
 }
 
-// checkHostile runs readReply over stream for a declared waiter with a
-// lent buffer and checks the invariants that hold whatever the bytes are:
-// no read past the frame the header announced, nothing written past the
-// announced string, nothing written at all unless the waiter was claimed.
-func checkHostile(t testing.TB, stream []byte, dstCap int) (w, got *waiter, cerr *ConnError, rf *respFrame) {
+// firstRead caps the first Read at n bytes (all of them when n is zero):
+// the transport had only that much of the stream when the read loop asked.
+type firstRead struct {
+	r io.Reader
+	n int
+}
+
+func (f *firstRead) Read(p []byte) (int, error) {
+	if f.n > 0 {
+		p = p[:min(len(p), f.n)]
+		f.n = 0
+	}
+	return f.r.Read(p)
+}
+
+// frameReadAhead is wire's read-ahead: the most a frame read takes off the
+// transport beyond the frame it is reading.
+const frameReadAhead = 4 << 10
+
+// checkHostile runs readReply over stream, whose first read brings in at
+// most first bytes, for a declared waiter with a lent buffer and checks the
+// invariants that hold whatever the bytes are: nothing read beyond the
+// frame the header announced but a bounded read-ahead, which the next frame
+// read gets to see in full; nothing written past the announced string;
+// nothing written at all unless the waiter was claimed.
+func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waiter, cerr *ConnError, rf *respFrame) {
 	t.Helper()
 	const slack = 64
 	dst := lentBuf(0, dstCap+slack)
 	w = &waiter{into: true, dst: dst[:0:dstCap]}
-	cr := &countingReader{r: bytes.NewReader(stream)}
+	cr := &countingReader{r: &firstRead{r: bytes.NewReader(stream), n: first}}
 	cc := looplessConn(cr, 7, w)
 	rf = getRespFrame()
 	got, cerr = cc.readReply(rf)
 
 	if len(stream) >= 4 {
-		if n := int(binary.BigEndian.Uint32(stream)); n <= wire.MaxFrameSize && cr.n > 4+n {
-			t.Fatalf("read %d bytes of a %d-byte frame", cr.n-4, n)
+		if n := int(binary.BigEndian.Uint32(stream)); n <= wire.MaxFrameSize {
+			if cr.n > max(4+n, frameReadAhead) {
+				t.Fatalf("read %d bytes for a %d-byte frame", cr.n-4, n)
+			}
+			if cerr == nil {
+				// What was read ahead is the next frame's, every byte of it.
+				want, wantErr := wire.ReadFrameInto(bytes.NewReader(stream[4+n:]), nil)
+				next, err := cc.fr.Next(nil)
+				if !bytes.Equal(next, want) || !errors.Is(err, wantErr) {
+					t.Fatalf("the frame behind read as %d bytes, %v; want %d bytes, %v", len(next), err, len(want), wantErr)
+				}
+			}
 		}
 	}
 	if got != nil && got != w {
@@ -302,8 +334,11 @@ func checkHostile(t testing.TB, stream []byte, dstCap int) (w, got *waiter, cerr
 // delivery.
 func TestSplitReadHostilePrefixes(t *testing.T) {
 	const blobLen = flushCopyLimit + 10
-	for _, h := range hostileReplies(blobLen) {
-		w, got, cerr, rf := checkHostile(t, h.stream, blobLen)
+	// However much of the frame the first read brings in: the header alone,
+	// less than splitPrefix, more, everything.
+	firsts := []int{4, 4 + splitPrefix/2, 4 + splitPrefix + 100, 0}
+	for i, h := range hostileReplies(blobLen) {
+		w, got, cerr, rf := checkHostile(t, h.stream, firsts[i%len(firsts)], blobLen)
 		op := ""
 		if cerr != nil {
 			op = cerr.Op
@@ -338,14 +373,21 @@ func TestSplitReadHostilePrefixes(t *testing.T) {
 // panic, does not read past the frame, and writes lent storage only inside
 // the bounds it claimed.
 func FuzzReadReply(f *testing.F) {
+	// A small frame rides directly behind each reply: what the read loop
+	// reads ahead must reach neither lent storage nor the floor.
+	behind := frameOf(f, &response{ReqID: 8, HLC: 1})
 	for _, h := range hostileReplies(flushCopyLimit + 10) {
-		f.Add(h.stream, uint16(flushCopyLimit>>4))
-		f.Add(h.stream, uint16(0))
+		piped := append(bytes.Clone(h.stream), behind...)
+		f.Add(h.stream, uint16(0), uint16(flushCopyLimit>>4))
+		f.Add(h.stream, uint16(4+splitPrefix/2), uint16(0))
+		f.Add(piped, uint16(4+splitPrefix+100), uint16(flushCopyLimit>>4))
+		f.Add(piped, uint16(4), uint16(flushCopyLimit>>4))
+		f.Add(append(bytes.Clone(behind), h.stream...), uint16(0), uint16(flushCopyLimit>>4))
 	}
-	f.Add([]byte{0, 0, 0, 3, 7, 0, 0}, uint16(9))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(9))
-	f.Fuzz(func(t *testing.T, stream []byte, dstCap uint16) {
-		_, _, _, rf := checkHostile(t, stream, int(dstCap)<<4)
+	f.Add([]byte{0, 0, 0, 3, 7, 0, 0}, uint16(0), uint16(9))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(2), uint16(9))
+	f.Fuzz(func(t *testing.T, stream []byte, first, dstCap uint16) {
+		_, _, _, rf := checkHostile(t, stream, int(first), int(dstCap)<<4)
 		putRespFrame(rf)
 	})
 }

@@ -22,9 +22,10 @@ import (
 
 // blobSkel serves one blob four ways: lent to the reply between two small
 // results ("get"), lent as the leading result ("lead"), lent twice
-// ("twice"), and copied ("copy"); and fails two ways, briefly ("missing")
-// and with an error whose own frame is larger than flushCopyLimit
-// ("verbose"), which the client's read loop meets on its prefix path.
+// ("twice"), and copied ("copy"); copies its argument back ("mirror"); and
+// fails two ways, briefly ("missing") and with an error whose own frame is
+// larger than flushCopyLimit ("verbose"), which the client's read loop meets
+// on its prefix path.
 type blobSkel struct {
 	mu   sync.Mutex
 	blob []byte
@@ -56,6 +57,8 @@ func (s *blobSkel) Dispatch(c *ServerCall) error {
 		c.PutBytesRef(blob)
 	case "copy":
 		c.Results().PutBytes(blob)
+	case "mirror":
+		c.Results().PutBytes(c.Args().BytesView())
 	case "missing":
 		return Errf(ExcNotFound, "no item %q", "ghost")
 	case "verbose":

@@ -298,7 +298,9 @@ func (c *Controller) NotifyReady(pid int, refs []oref.Ref) {
 
 // RegisterCallback adds a callback object invoked whenever the live-object
 // set changes; it is immediately invoked with all currently live objects
-// (§6.1), which is how a restarted RAS rebuilds its state.
+// (§6.1), which is how a restarted RAS rebuilds its state.  An empty set is
+// replayed too: on a server that has just rebooted it is the news that
+// every object the old SSC supervised is gone.
 func (c *Controller) RegisterCallback(cb oref.Ref) {
 	c.mu.Lock()
 	c.callbacks = append(c.callbacks, cb)
@@ -307,9 +309,7 @@ func (c *Controller) RegisterCallback(cb oref.Ref) {
 		live = append(live, refs...)
 	}
 	c.mu.Unlock()
-	if len(live) > 0 {
-		c.invokeCallbacks(context.Background(), []oref.Ref{cb}, live, true)
-	}
+	c.invokeCallbacks(context.Background(), []oref.Ref{cb}, live, true)
 }
 
 func (c *Controller) invokeCallbacks(ctx context.Context, cbs []oref.Ref, refs []oref.Ref, alive bool) {

@@ -284,6 +284,7 @@ func (c *memConn) Read(b []byte) (int, error) {
 	if n > 0 {
 		c.ctr.bytesRecv.Add(int64(n))
 	}
+	c.ctr.reads.Inc()
 	return n, err
 }
 

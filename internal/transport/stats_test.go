@@ -26,8 +26,9 @@ func sendFrame(c io.Writer, payload []byte) error {
 }
 
 // TestMemnetStats checks the per-host counters: one frame per sendFrame
-// call, byte totals matching header+payload, and dial/accept bookkeeping
-// attributed to the right side.
+// call, one read per frame taken through a wire.FrameReader, byte totals
+// matching header+payload, and dial/accept bookkeeping attributed to the
+// right side.
 func TestMemnetHostStats(t *testing.T) {
 	n := NewNetwork()
 	srv := n.Host("192.168.77.1")
@@ -53,7 +54,7 @@ func TestMemnetHostStats(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		p, err := wire.ReadFrameInto(c, nil)
+		p, err := wire.NewFrameReader(c).Next(nil)
 		if err != nil {
 			return
 		}
@@ -68,7 +69,7 @@ func TestMemnetHostStats(t *testing.T) {
 	if err := sendFrame(c, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrameInto(c, nil); err != nil {
+	if _, err := wire.NewFrameReader(c).Next(nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -85,6 +86,9 @@ func TestMemnetHostStats(t *testing.T) {
 	}
 	if cs.BytesRecv != frameBytes || ss.BytesRecv != frameBytes {
 		t.Errorf("bytes recv client=%d server=%d, want %d", cs.BytesRecv, ss.BytesRecv, frameBytes)
+	}
+	if cs.Reads != 1 || ss.Reads != 1 {
+		t.Errorf("reads client=%d server=%d, want one per frame", cs.Reads, ss.Reads)
 	}
 	if cs.ConnsDialed != 1 || cs.ConnsAccepted != 0 {
 		t.Errorf("client dialed=%d accepted=%d, want 1/0", cs.ConnsDialed, cs.ConnsAccepted)
@@ -126,7 +130,7 @@ func TestTCPStats(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		p, err := wire.ReadFrameInto(c, nil)
+		p, err := wire.NewFrameReader(c).Next(nil)
 		if err != nil {
 			return
 		}
@@ -141,7 +145,7 @@ func TestTCPStats(t *testing.T) {
 	if err := sendFrame(c, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrameInto(c, nil); err != nil {
+	if _, err := wire.NewFrameReader(c).Next(nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -156,6 +160,9 @@ func TestTCPStats(t *testing.T) {
 	}
 	if d.BytesRecv != 2*frameBytes {
 		t.Errorf("bytesRecv=%d, want %d", d.BytesRecv, 2*frameBytes)
+	}
+	if d.Reads != 2 {
+		t.Errorf("reads=%d, want one per frame", d.Reads)
 	}
 	if d.ConnsDialed != 1 || d.ConnsAccepted != 1 {
 		t.Errorf("dialed=%d accepted=%d, want 1/1", d.ConnsDialed, d.ConnsAccepted)

@@ -96,5 +96,6 @@ func (c *countingConn) Read(b []byte) (int, error) {
 	if n > 0 {
 		c.ctr.bytesRecv.Add(int64(n))
 	}
+	c.ctr.reads.Inc()
 	return n, err
 }

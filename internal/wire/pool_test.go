@@ -74,35 +74,56 @@ func TestAppendFrameConcatenates(t *testing.T) {
 	}
 }
 
+// frameReaders are the two ways to take frames off a stream: the exact
+// read and the connection reader that reads ahead.  What holds of one
+// holds of the other.
+var frameReaders = map[string]func(io.Reader) func(buf []byte) ([]byte, error){
+	"ReadFrameInto": func(r io.Reader) func([]byte) ([]byte, error) {
+		return func(buf []byte) ([]byte, error) { return ReadFrameInto(r, buf) }
+	},
+	"FrameReader": func(r io.Reader) func([]byte) ([]byte, error) {
+		return NewFrameReader(r).Next
+	},
+}
+
 // TestReadFrameIntoReuse checks that a read loop reusing one buffer gets
 // correct payloads, grows only when needed, and reuses grown capacity.
 func TestReadFrameIntoReuse(t *testing.T) {
-	var stream bytes.Buffer
 	payloads := [][]byte{
 		bytes.Repeat([]byte{1}, 10),
 		bytes.Repeat([]byte{2}, 1000),
 		bytes.Repeat([]byte{3}, 10), // shrinks back: must reuse, not realloc
 		{},
 		bytes.Repeat([]byte{4}, 1000),
+		bytes.Repeat([]byte{5}, 3*readAhead), // grows once...
+		bytes.Repeat([]byte{6}, 3*readAhead), // ...and is reused at full capacity
+		bytes.Repeat([]byte{7}, 10),
 	}
-	for _, p := range payloads {
-		if err := writeFrame(&stream, p); err != nil {
-			t.Fatal(err)
+	for name, open := range frameReaders {
+		var stream bytes.Buffer
+		for _, p := range payloads {
+			if err := writeFrame(&stream, p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	var buf []byte
-	for i, want := range payloads {
-		got, err := ReadFrameInto(&stream, buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		next := open(&stream)
+		var buf []byte
+		for i, want := range payloads {
+			got, err := next(buf)
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: frame %d: payload mismatch (len %d vs %d)", name, i, len(got), len(want))
+			}
+			if i >= 1 && cap(buf) >= len(want) && len(want) > 0 && &got[0] != &buf[:1][0] {
+				t.Fatalf("%s: frame %d: buffer was reallocated despite sufficient capacity", name, i)
+			}
+			if i >= 1 && cap(got) < cap(buf) {
+				t.Fatalf("%s: frame %d: buffer capacity crept from %d to %d", name, i, cap(buf), cap(got))
+			}
+			buf = got
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: payload mismatch (len %d vs %d)", i, len(got), len(want))
-		}
-		if i >= 1 && cap(buf) >= len(want) && len(want) > 0 && &got[0] != &buf[:1][0] {
-			t.Fatalf("frame %d: buffer was reallocated despite sufficient capacity", i)
-		}
-		buf = got
 	}
 }
 
@@ -112,77 +133,101 @@ func TestReadFrameIntoReuse(t *testing.T) {
 // that escaped through the io.Reader: one heap object per frame.)
 func TestReadFrameIntoWarmLoopAllocatesNothing(t *testing.T) {
 	var stream bytes.Buffer
-	for _, n := range []int{0, 3, 4, 100, 1000} { // shorter than the header included
+	for _, n := range []int{0, 3, 4, 100, 1000, readAhead, 5000} { // shorter than the header included
 		if err := writeFrame(&stream, bytes.Repeat([]byte{byte(n)}, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	frames := stream.Bytes()
-	rd := bytes.NewReader(frames)
-	buf := make([]byte, 0, 1000)
-	allocs := testing.AllocsPerRun(100, func() {
-		rd.Reset(frames)
-		for rd.Len() > 0 {
-			got, err := ReadFrameInto(rd, buf)
-			if err != nil {
-				t.Fatal(err)
+	for name, open := range frameReaders {
+		rd := bytes.NewReader(frames)
+		next := open(rd) // every pass ends on a frame boundary, nothing carried
+		buf := make([]byte, 0, 5000)
+		allocs := testing.AllocsPerRun(100, func() {
+			rd.Reset(frames)
+			for rd.Len() > 0 {
+				got, err := next(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf = got
 			}
-			buf = got
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s loop: %.1f allocs per pass over 7 frames, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm ReadFrameInto loop: %.1f allocs per pass over 5 frames, want 0", allocs)
 	}
 }
 
-// TestReadFrameBodyBehindPrefix: a caller that reads a frame's header, then
-// a prefix of the payload, then the rest behind the prefix ends up with the
-// payload ReadFrameInto would have returned — in place when the storage
-// fits, in a fresh exact-size slice carrying the prefix when it does not.
+// TestReadFrameBodyBehindPrefix: a caller that begins a frame, tops the
+// prefix it was handed up to a length of its choosing, then reads the rest
+// behind the prefix ends up with the payload Next would have returned — in
+// place when the storage fits, in a fresh exact-size slice carrying the
+// prefix when it does not — however little of the frame the first read
+// brought in.
 func TestReadFrameBodyBehindPrefix(t *testing.T) {
-	payload := bytes.Repeat([]byte("0123456789"), 100)
-	for _, room := range []int{0, 8, len(payload), len(payload) + 50} {
-		var stream bytes.Buffer
-		if err := writeFrame(&stream, payload); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 0, room)
-		n, err := ReadFrameHeader(&stream, buf)
-		if err != nil || n != len(payload) {
-			t.Fatalf("header = %d, %v; want %d", n, err, len(payload))
-		}
-		prefix, err := ReadFrameBody(&stream, buf, 8)
-		if err != nil || !bytes.Equal(prefix, payload[:8]) {
-			t.Fatalf("room %d: prefix = %q, %v", room, prefix, err)
-		}
-		got, err := ReadFrameBody(&stream, prefix, n)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("room %d: payload mismatch (%d bytes, %v)", room, len(got), err)
-		}
-		if inPlace := room > 0 && &got[0] == &buf[:1][0]; inPlace != (room >= n) {
-			t.Fatalf("room %d: read in place = %v, want %v", room, inPlace, room >= n)
-		}
-		if room < n && cap(got) != n {
-			t.Fatalf("room %d: grown storage has capacity %d, want exactly %d", room, cap(got), n)
-		}
-		if stream.Len() != 0 {
-			t.Fatalf("room %d: %d bytes left unread", room, stream.Len())
+	payload := bytes.Repeat([]byte("0123456789"), 1000)
+	n := len(payload)
+	const top = 64
+	for _, first := range []int{1, frameHeaderLen, frameHeaderLen + 8, readAhead, 2 * n} {
+		for _, room := range []int{0, readAhead, n, n + 50} {
+			// The transport has only the first bytes of the stream when
+			// the reader first asks.
+			stream := frameBytes(t, payload)
+			cut := min(first, len(stream))
+			rd := &chunkReader{chunks: [][]byte{stream[:cut], stream[cut:]}}
+			fr := NewFrameReader(rd)
+			buf := make([]byte, 0, room)
+			prefix, got, err := fr.Begin(buf)
+			if err != nil || got != n {
+				t.Fatalf("first %d room %d: Begin = %d, %v; want %d", first, room, got, err, n)
+			}
+			want := min(first, readAhead) - frameHeaderLen
+			if first < frameHeaderLen {
+				want = readAhead - frameHeaderLen // the header took a second read, which ran ahead
+			}
+			if len(prefix) != want {
+				t.Fatalf("first %d room %d: Begin handed over %d bytes, want %d", first, room, len(prefix), want)
+			}
+			if len(prefix) < top {
+				if prefix, err = fr.Body(prefix, top); err != nil {
+					t.Fatalf("first %d room %d: top-up: %v", first, room, err)
+				}
+			}
+			if !bytes.Equal(prefix, payload[:len(prefix)]) {
+				t.Fatalf("first %d room %d: prefix = %q", first, room, prefix)
+			}
+			whole, err := fr.Body(prefix, n)
+			if err != nil || !bytes.Equal(whole, payload) {
+				t.Fatalf("first %d room %d: payload mismatch (%d bytes, %v)", first, room, len(whole), err)
+			}
+			if inPlace := &whole[0] == &prefix[0]; inPlace != (room >= n) {
+				t.Fatalf("first %d room %d: read in place = %v, want %v", first, room, inPlace, room >= n)
+			}
+			if room < n && cap(whole) != n {
+				t.Fatalf("first %d room %d: grown storage has capacity %d, want exactly %d", first, room, cap(whole), n)
+			}
+			if unread := len(bytes.Join(rd.chunks, nil)); unread != 0 || len(fr.carry) != 0 {
+				t.Fatalf("first %d room %d: %d bytes unread, %d carried", first, room, unread, len(fr.carry))
+			}
 		}
 	}
 	// A stream that ends inside the body is an error, not a short payload.
-	if _, err := ReadFrameBody(bytes.NewReader(payload[:5]), nil, 9); err == nil {
-		t.Fatal("short body not detected")
+	if _, err := NewFrameReader(bytes.NewReader(payload[:5])).Body(nil, 9); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 // TestReadFrameIntoOversize checks the frame ceiling still holds on the
-// reusable-buffer path.
+// reusable-buffer path, before anything is sized by the hostile length.
 func TestReadFrameIntoOversize(t *testing.T) {
-	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	for _, buf := range [][]byte{nil, make([]byte, 0, 64)} {
-		_, err := ReadFrameInto(bytes.NewReader(hdr), buf)
-		if !errors.Is(err, ErrTooLarge) {
-			t.Fatalf("cap %d: err = %v, want ErrTooLarge", cap(buf), err)
+	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}
+	for name, open := range frameReaders {
+		for _, buf := range [][]byte{nil, make([]byte, 0, 64)} {
+			got, err := open(bytes.NewReader(hdr))(buf)
+			if !errors.Is(err, ErrTooLarge) || got != nil {
+				t.Fatalf("%s: cap %d: %d bytes, err = %v, want ErrTooLarge", name, cap(buf), len(got), err)
+			}
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -385,58 +384,4 @@ func AppendSplitFrame(e *Encoder, m Marshaler, segLen int) error {
 	}
 	binary.BigEndian.PutUint32(e.buf[mark:mark+4], uint32(n))
 	return nil
-}
-
-// ReadFrameInto reads one length-prefixed frame into buf's storage, growing
-// it only when the frame exceeds buf's capacity, and returns the payload
-// sized to the frame.  A connection read loop that passes the returned
-// slice back in on the next call reaches a steady state of zero allocations
-// per frame.  The payload aliases buf whenever capacity sufficed, so the
-// caller must finish with (or hand off ownership of) one frame before
-// reading the next into the same buffer.
-func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	n, err := ReadFrameHeader(r, buf)
-	if err != nil {
-		return nil, err
-	}
-	return ReadFrameBody(r, buf[:0], n)
-}
-
-// ReadFrameHeader reads a frame's 4-byte length header and returns the
-// payload length that follows it, enforcing MaxFrameSize.  A read loop
-// passes as scratch the frame buffer the body is about to overwrite: a
-// local array would escape through r, one heap object per frame.
-func ReadFrameHeader(r io.Reader, scratch []byte) (int, error) {
-	if cap(scratch) < 4 {
-		scratch = make([]byte, 4)
-	}
-	hdr := scratch[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrameSize {
-		return 0, ErrTooLarge
-	}
-	return int(n), nil
-}
-
-// ReadFrameBody reads a payload up to its n-th byte.  have holds the bytes
-// of it already read (none, as ReadFrameInto passes; or a prefix the
-// caller looked at before deciding where the rest should go) and lends its
-// storage: the rest is read in behind them, in place when n fits have's
-// capacity, otherwise in a fresh slice of exactly n bytes that have is
-// copied to.  n must be at least len(have).
-func ReadFrameBody(r io.Reader, have []byte, n int) ([]byte, error) {
-	var payload []byte
-	if n <= cap(have) {
-		payload = have[:n]
-	} else {
-		payload = make([]byte, n)
-		copy(payload, have)
-	}
-	if _, err := io.ReadFull(r, payload[len(have):]); err != nil {
-		return nil, err
-	}
-	return payload, nil
 }
