@@ -280,7 +280,7 @@ func BenchmarkORBInvokeParallel(b *testing.B) {
 	stats := startNetStats(clientTr)
 	b.ReportAllocs()
 	// Oversubscribe GOMAXPROCS so frames genuinely queue behind in-flight
-	// writes even on a 2-core CI runner; the frames/op gate in BENCH_pr8.json
+	// writes even on a 2-core CI runner; the frames/op gate in BENCH_pr9.json
 	// asserts the coalescer is batching (< 1 frame per call on the wire).
 	b.SetParallelism(8)
 	b.ResetTimer()
@@ -440,28 +440,10 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkWireRoundTripLegacy keeps the unpooled NewEncoder/NewDecoder
-// construction measurable while that API stays public: the perf trajectory
-// in BENCH_*.json compares it against the pooled framed path above.
-func BenchmarkWireRoundTripLegacy(b *testing.B) {
-	bindings := benchBindings()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := wire.NewEncoder(256)
-		names.PutBindings(e, bindings)
-		dec := wire.NewDecoder(e.Bytes())
-		got := names.Bindings(dec)
-		if len(got) != len(bindings) || dec.Err() != nil {
-			b.Fatal("round trip failed")
-		}
-	}
-}
-
 // benchSaturation drives b.N echo calls through 64 concurrent client
 // endpoints (each its own connection) against one server and reports
 // aggregate throughput as calls/s — the §8.2 saturation figure the
-// BENCH_pr8.json gate tracks.  The work is drawn from a shared atomic
+// BENCH_pr9.json gate tracks.  The work is drawn from a shared atomic
 // counter so the fastest connections soak up the slack of the slowest.
 func benchSaturation(b *testing.B, signed bool) {
 	const conns = 64

@@ -32,8 +32,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -55,95 +57,99 @@ import (
 func main() {
 	nsAddr := flag.String("ns", "127.0.0.1:555", "name-service replica address")
 	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
+	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-
 	ep, err := orb.NewEndpoint(transport.TCP())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ep.Close()
-	sess := core.NewSession(ep, names.RootRefAt(*nsAddr), clock.Real())
+	err = run(os.Stdout, ep, *nsAddr, flag.Args())
+	ep.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+}
 
-	switch args[0] {
+// run executes one command (args[0]) through ep against the cluster whose
+// name service answers at nsAddr, writing what the operator sees to w.
+func run(w io.Writer, ep *orb.Endpoint, nsAddr string, args []string) error {
+	sess := core.NewSession(ep, names.RootRefAt(nsAddr), clock.Real())
+	cmd, args := args[0], args[1:]
+	need := func(n int, usage string) error {
+		if len(args) < n {
+			return fmt.Errorf("usage: %s %s", cmd, usage)
+		}
+		return nil
+	}
+
+	switch cmd {
 	case "list":
 		path := ""
-		if len(args) > 1 {
-			path = args[1]
+		if len(args) > 0 {
+			path = args[0]
 		}
-		listTree(sess, path, 0)
+		return listTree(w, sess, path, 0)
 
 	case "resolve":
-		if len(args) < 2 {
-			log.Fatal("usage: resolve <name>")
+		if err := need(1, "<name>"); err != nil {
+			return err
 		}
-		ref, err := sess.Root.Resolve(args[1])
+		ref, err := sess.Root.Resolve(args[0])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println(ref)
+		fmt.Fprintln(w, ref)
 		if err := ep.Ping(ref); err != nil {
-			fmt.Println("liveness: DEAD —", err)
+			fmt.Fprintln(w, "liveness: DEAD —", err)
 		} else {
-			fmt.Println("liveness: up")
+			fmt.Fprintln(w, "liveness: up")
 		}
 
 	case "status":
-		role, term, master, seq, err := names.StatusOf(ep, *nsAddr)
+		role, term, master, seq, err := names.StatusOf(ep, nsAddr)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("name service %s: %s, term %d, master %s, seq %d\n",
-			*nsAddr, role, term, master, seq)
-		stub := csc.NewStub(sess)
-		st, err := stub.Status()
+		fmt.Fprintf(w, "name service %s: %s, term %d, master %s, seq %d\n",
+			nsAddr, role, term, master, seq)
+		st, err := csc.NewStub(sess).Status()
 		if err != nil {
-			fmt.Println("csc: unavailable:", err)
-			return
+			fmt.Fprintln(w, "csc: unavailable:", err)
+			return nil
 		}
-		fmt.Println("cluster (per the acting CSC):")
+		fmt.Fprintln(w, "cluster (per the acting CSC):")
 		for h, up := range st {
 			state := "UP"
 			if !up {
 				state = "DOWN"
 			}
-			fmt.Printf("  %-16s %s\n", h, state)
+			fmt.Fprintf(w, "  %-16s %s\n", h, state)
 		}
 
 	case "running":
-		if len(args) < 2 {
-			log.Fatal("usage: running <host>")
+		if err := need(1, "<host>"); err != nil {
+			return err
 		}
-		stub := ssc.Stub{Ep: ep, Ref: ssc.RefAt(args[1])}
-		svcs, err := stub.Running()
+		svcs, err := ssc.Stub{Ep: ep, Ref: ssc.RefAt(args[0])}.Running()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, s := range svcs {
-			fmt.Println(" ", s)
+			fmt.Fprintln(w, " ", s)
 		}
 
 	case "kill", "stop", "start":
-		if len(args) < 3 {
-			log.Fatalf("usage: %s <host> <svc>", args[0])
+		if err := need(2, "<host> <svc>"); err != nil {
+			return err
 		}
-		stub := ssc.Stub{Ep: ep, Ref: ssc.RefAt(args[1])}
-		var err error
-		switch args[0] {
-		case "kill":
-			err = stub.Kill(args[2])
-		case "stop":
-			err = stub.Stop(args[2])
-		case "start":
-			err = stub.Start(args[2])
+		stub := ssc.Stub{Ep: ep, Ref: ssc.RefAt(args[0])}
+		do := map[string]func(string) error{"kill": stub.Kill, "stop": stub.Stop, "start": stub.Start}[cmd]
+		if err := do(args[1]); err != nil {
+			return err
 		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s %s on %s: ok\n", args[0], args[2], args[1])
+		fmt.Fprintf(w, "%s %s on %s: ok\n", cmd, args[1], args[0])
 
 	case "usage":
 		// §7.3 resource accounting from the caller's neighborhood cmgr.
@@ -152,179 +158,165 @@ func main() {
 			// No neighborhood match for an admin host: take any replica.
 			all, lerr := sess.Root.ListRepl("svc/cmgr")
 			if lerr != nil || len(all) == 0 {
-				log.Fatal(err)
+				return err
 			}
 			ref = all[0].Ref
 		}
 		report, err := (cmgr.Stub{Ep: ep, Ref: ref}).Usage()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-18s %8s %8s %14s\n", "settop", "opened", "denied", "Mbit-seconds")
+		fmt.Fprintf(w, "%-18s %8s %8s %14s\n", "settop", "opened", "denied", "Mbit-seconds")
 		for _, u := range report {
-			fmt.Printf("%-18s %8d %8d %14.1f\n", u.Settop, u.Opened, u.Denied, u.MbitSeconds)
+			fmt.Fprintf(w, "%-18s %8d %8d %14.1f\n", u.Settop, u.Opened, u.Denied, u.MbitSeconds)
 		}
 
 	case "metrics":
-		// Scrape any ORB endpoint's node registry over the wire (the
-		// built-in _metrics operation; works against servers that never
-		// opened a debug HTTP port).
-		if len(args) < 2 {
-			log.Fatal("usage: metrics <host:port>")
+		// Scrape any ORB endpoint's node registry over the wire (works
+		// against servers that never opened a debug HTTP port).
+		if err := need(1, "<host:port>"); err != nil {
+			return err
 		}
-		text, err := ep.MetricsOf(args[1])
+		text, err := ep.MetricsOf(args[0])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Print(text)
+		fmt.Fprint(w, text)
 		// Latency quantiles, interpolated from the histogram buckets above,
 		// with the highest-bucket exemplar's trace id beside them — the
 		// sampled call an operator chasing the p99 resolves via `trace`.
 		samples := obs.ParseText(text)
 		exes := obs.ParseExemplars(samples)
 		if sums := obs.SummarizeHistograms(samples); len(sums) > 0 {
-			fmt.Printf("\n%-44s %8s %8s %8s %8s %18s\n", "HISTOGRAM", "COUNT", "P50", "P95", "P99", "TRACE")
+			fmt.Fprintf(w, "\n%-44s %8s %8s %8s %8s %18s\n", "HISTOGRAM", "COUNT", "P50", "P95", "P99", "TRACE")
 			for _, s := range sums {
 				trace := "-"
 				if ex, ok := obs.TopExemplar(exes, s.Name); ok {
 					trace = fmt.Sprintf("%016x", ex.Trace)
 				}
-				fmt.Printf("%-44s %8d %8s %8s %8s %18s\n", s.Name, s.Count, s.P50, s.P95, s.P99, trace)
+				fmt.Fprintf(w, "%-44s %8d %8s %8s %8s %18s\n", s.Name, s.Count, s.P50, s.P95, s.P99, trace)
 			}
 		}
 
 	case "events":
-		// Fan the built-in _events scrape out across the cluster and print
-		// one merged timeline in HLC order (wall order lies across skewed
-		// machines); unorderable neighbors are marked "?~".
-		hosts, err := clusterHosts(sess, args[1:])
+		// Fan the _events scrape out across the cluster and print one merged
+		// timeline in HLC order (wall order lies across skewed machines);
+		// unorderable neighbors are marked "?~".
+		merged, unc, err := timeline(w, ep, sess, args)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		merged := obs.MergeEventsHLC(scrapeEvents(ep, hosts)...)
-		obs.WriteEventsHLC(os.Stdout, merged, clusterUncertainty(ep, hosts))
+		obs.WriteEventsHLC(w, merged, unc)
 
 	case "trace":
 		// Reconstruct one failover end-to-end: every node's flight-recorder
 		// entries carrying the given trace id, in causal (HLC) order.
-		if len(args) < 2 {
-			log.Fatal("usage: trace <trace-id> [host ...]")
+		if err := need(1, "<trace-id> [host ...]"); err != nil {
+			return err
 		}
-		id, err := strconv.ParseUint(strings.TrimPrefix(args[1], "0x"), 16, 64)
+		id, err := strconv.ParseUint(strings.TrimPrefix(args[0], "0x"), 16, 64)
 		if err != nil || id == 0 {
-			log.Fatalf("bad trace id %q (want hex, e.g. 4a1f00d2c3b4a596)", args[1])
+			return fmt.Errorf("bad trace id %q (want hex, e.g. 4a1f00d2c3b4a596)", args[0])
 		}
-		hosts, err := clusterHosts(sess, args[2:])
+		merged, unc, err := timeline(w, ep, sess, args[1:])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		merged := obs.MergeEventsHLC(scrapeEvents(ep, hosts)...)
 		chain := obs.FilterTrace(merged, id)
 		if len(chain) == 0 {
-			log.Fatalf("no events for trace %016x (rings are bounded; scrape sooner)", id)
+			return fmt.Errorf("no events for trace %016x (rings are bounded; scrape sooner)", id)
 		}
-		obs.WriteEventsHLC(os.Stdout, chain, clusterUncertainty(ep, hosts))
+		obs.WriteEventsHLC(w, chain, unc)
 
 	case "watch":
 		// Live cluster dashboard: every node's _health windows rendered as
 		// per-method RED rows (rate, errors, p50/p99) plus runtime gauges
 		// and measured clock offsets.
-		wf := flag.NewFlagSet("watch", flag.ExitOnError)
+		wf := flag.NewFlagSet("watch", flag.ContinueOnError)
 		once := wf.Bool("once", false, "render a single frame and exit")
 		interval := wf.Duration("interval", 2*time.Second, "refresh interval")
-		wf.Parse(args[1:])
+		if err := wf.Parse(args); err != nil {
+			return err
+		}
 		hosts, err := clusterHosts(sess, wf.Args())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		clk := clock.Real()
 		for {
+			// A frame is built whole, then painted over the last one.
+			var frame bytes.Buffer
 			var reports []*obs.HealthReport
-			var down []string
-			for _, h := range hosts {
-				rep, err := ep.HealthOf(sscAddr(h), 0)
-				if err != nil {
-					// A dead node is part of the dashboard, not a footnote on
-					// stderr: show it as an explicit row with the failure class.
-					down = append(down, fmt.Sprintf("node %-15s UNREACHABLE (%s)", h, orb.ConnClass(err)))
-					continue
-				}
-				reports = append(reports, rep)
-			}
+			scrape(&frame, hosts,
+				func(addr string) (*obs.HealthReport, error) { return ep.HealthOf(addr, 0) },
+				func(_ string, r *obs.HealthReport) { reports = append(reports, r) })
+			obs.RenderHealth(&frame, reports, 24)
 			if !*once {
-				fmt.Print("\x1b[H\x1b[2J") // clear screen, cursor home
+				fmt.Fprint(w, "\x1b[H\x1b[2J") // clear screen, cursor home
 			}
-			for _, line := range down {
-				fmt.Println(line)
-			}
-			obs.RenderHealth(os.Stdout, reports, 24)
+			w.Write(frame.Bytes())
 			if *once {
-				return
+				return nil
 			}
-			clk.Sleep(*interval)
+			clock.Real().Sleep(*interval)
 		}
 
 	case "slow":
-		// Fan the built-in _slow scrape out across the cluster: each node's
-		// ledger of calls past its adaptive tail threshold, with the
+		// Fan the _slow scrape out across the cluster: each node's ledger of
+		// calls past its adaptive tail threshold, with the
 		// queue/service/flush split saying where the time went.
-		hosts, err := clusterHosts(sess, args[1:])
+		hosts, err := clusterHosts(sess, args)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		for _, h := range hosts {
-			rep, err := ep.SlowOf(sscAddr(h))
-			if err != nil {
-				fmt.Printf("node %-15s UNREACHABLE (%s)\n", h, orb.ConnClass(err))
-				continue
-			}
-			fmt.Printf("# node %s  tail-estimate %s  entries %d\n", h, rep.Estimate, len(rep.Calls))
-			obs.WriteSlowCalls(os.Stdout, rep.Calls)
-		}
+		scrape(w, hosts, ep.SlowOf, func(h string, rep *orb.SlowReport) {
+			fmt.Fprintf(w, "# node %s  tail-estimate %s  entries %d\n", h, rep.Estimate, len(rep.Calls))
+			obs.WriteSlowCalls(w, rep.Calls)
+		})
 
 	case "profile":
-		// Pull a runtime profile from one node over the ORB (_profile RPC):
-		// cpu, heap, goroutine, mutex or block, written as pprof's gzipped
+		// Pull a runtime profile from one node over the ORB (_profile): cpu,
+		// heap, goroutine, mutex or block, written as pprof's gzipped
 		// protobuf for `go tool pprof`.
-		pf := flag.NewFlagSet("profile", flag.ExitOnError)
+		pf := flag.NewFlagSet("profile", flag.ContinueOnError)
 		seconds := pf.Int("seconds", 5, "collection window for cpu/mutex/block profiles")
 		rate := pf.Int("rate", 0, "mutex fraction / block rate during collection (0 = default)")
 		out := pf.String("o", "", "output file (default <kind>.pb.gz)")
-		pf.Parse(args[1:])
-		rest := pf.Args()
-		if len(rest) < 2 {
-			log.Fatal("usage: profile [-seconds N] [-rate R] [-o file] <cpu|heap|goroutine|mutex|block> <host>")
+		if err := pf.Parse(args); err != nil {
+			return err
 		}
-		kind, host := rest[0], rest[1]
+		if pf.NArg() < 2 {
+			return fmt.Errorf("usage: profile [-seconds N] [-rate R] [-o file] <cpu|heap|goroutine|mutex|block> <host>")
+		}
+		kind, host := pf.Arg(0), pf.Arg(1)
 		// Timed collections run synchronously inside the first call; give the
 		// round trip room beyond the collection window.
 		ep.SetCallTimeout(time.Duration(*seconds)*time.Second + 30*time.Second)
 		data, err := ep.ProfileOf(sscAddr(host), kind, *seconds, *rate)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		name := *out
 		if name == "" {
 			name = kind + ".pb.gz"
 		}
 		if err := os.WriteFile(name, data, 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s profile of %s: %d bytes -> %s\n", kind, host, len(data), name)
+		fmt.Fprintf(w, "%s profile of %s: %d bytes -> %s\n", kind, host, len(data), name)
 
 	case "move":
-		if len(args) < 3 {
-			log.Fatal("usage: move <svc> <host,...>")
+		if err := need(2, "<svc> <host,...>"); err != nil {
+			return err
 		}
-		stub := csc.NewStub(sess)
-		if err := stub.Move(args[1], strings.Split(args[2], ",")); err != nil {
-			log.Fatal(err)
+		if err := csc.NewStub(sess).Move(args[0], strings.Split(args[1], ",")); err != nil {
+			return err
 		}
-		fmt.Printf("move %s -> %s: recorded; the CSC applies it on its next round\n", args[1], args[2])
+		fmt.Fprintf(w, "move %s -> %s: recorded; the CSC applies it on its next round\n", args[0], args[1])
 
 	default:
-		log.Fatalf("unknown command %q", args[0])
+		return fmt.Errorf("unknown command %q", cmd)
 	}
+	return nil
 }
 
 // clusterHosts resolves the target host list: the ones given, or every
@@ -352,34 +344,36 @@ func sscAddr(h string) string {
 	return fmt.Sprintf("%s:%d", h, ssc.WellKnownPort)
 }
 
-// scrapeEvents fetches every host's flight-recorder ring.
-func scrapeEvents(ep *orb.Endpoint, hosts []string) [][]obs.Event {
-	var lists [][]obs.Event
+// scrape runs one node operation against every host and hands each result
+// to each.  A down node is part of the story, not a reason to abort or a
+// footnote on stderr: it is rendered to w as an explicit UNREACHABLE row
+// with the failure class, and the survivors are still scraped.
+func scrape[T any](w io.Writer, hosts []string, get func(addr string) (T, error), each func(host string, v T)) {
 	for _, h := range hosts {
-		addr := sscAddr(h)
-		evs, err := ep.EventsOf(addr)
+		v, err := get(sscAddr(h))
 		if err != nil {
-			// A down node is part of the story, not a reason to abort the
-			// scrape: render it as an explicit row and keep merging survivors.
-			fmt.Printf("node %-15s UNREACHABLE (%s)\n", h, orb.ConnClass(err))
+			fmt.Fprintf(w, "node %-15s UNREACHABLE (%s)\n", h, orb.ConnClass(err))
 			continue
 		}
-		lists = append(lists, evs)
+		each(h, v)
 	}
-	return lists
 }
 
-// clusterUncertainty returns the worst measured clock-offset uncertainty
-// across the scraped nodes (the clock_offset_unc_ms gauges the CSC ping and
-// RAS poll loops maintain), floored at 2ms — the bound WriteEventsHLC uses
-// to flag orderings the clocks cannot prove.
-func clusterUncertainty(ep *orb.Endpoint, hosts []string) time.Duration {
+// timeline scrapes the flight recorders of hosts (every server's when none
+// is given) into one HLC-ordered list, and returns beside it the worst
+// measured clock-offset uncertainty across those nodes (the
+// clock_offset_unc_ms gauges the CSC ping and RAS poll loops maintain),
+// floored at 2ms — the bound WriteEventsHLC uses to flag orderings the
+// clocks cannot prove.
+func timeline(w io.Writer, ep *orb.Endpoint, sess *core.Session, hosts []string) ([]obs.Event, time.Duration, error) {
+	hosts, err := clusterHosts(sess, hosts)
+	if err != nil {
+		return nil, 0, err
+	}
+	var lists [][]obs.Event
+	scrape(w, hosts, ep.EventsOf, func(_ string, evs []obs.Event) { lists = append(lists, evs) })
 	unc := 2 * time.Millisecond
-	for _, h := range hosts {
-		text, err := ep.MetricsOf(sscAddr(h))
-		if err != nil {
-			continue
-		}
+	scrape(io.Discard, hosts, ep.MetricsOf, func(_ string, text string) {
 		for _, s := range obs.ParseText(text) {
 			if strings.HasPrefix(s.Name, "clock_offset_unc_ms") {
 				if d := time.Duration(s.Value) * time.Millisecond; d > unc {
@@ -387,22 +381,22 @@ func clusterUncertainty(ep *orb.Endpoint, hosts []string) time.Duration {
 				}
 			}
 		}
-	}
-	return unc
+	})
+	return obs.MergeEventsHLC(lists...), unc, nil
 }
 
 // listTree prints the name space as an indented tree (Fig. 8).
-func listTree(sess *core.Session, path string, depth int) {
+func listTree(w io.Writer, sess *core.Session, path string, depth int) error {
 	bindings, err := sess.Root.List(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, b := range bindings {
 		full := b.Name
 		if path != "" {
 			full = path + "/" + b.Name
 		}
-		fmt.Printf("%s%-20s %s\n", strings.Repeat("  ", depth), b.Name, b.Ref.TypeID)
+		fmt.Fprintf(w, "%s%-20s %s\n", strings.Repeat("  ", depth), b.Name, b.Ref.TypeID)
 		if names.IsContextType(b.Ref.TypeID) {
 			// Replicated contexts are expanded through listRepl so every
 			// replica shows, not just the selected one.
@@ -410,12 +404,15 @@ func listTree(sess *core.Session, path string, depth int) {
 				all, err := sess.Root.ListRepl(full)
 				if err == nil {
 					for _, r := range all {
-						fmt.Printf("%s%-20s %s\n", strings.Repeat("  ", depth+1), r.Name, r.Ref.TypeID)
+						fmt.Fprintf(w, "%s%-20s %s\n", strings.Repeat("  ", depth+1), r.Name, r.Ref.TypeID)
 					}
 					continue
 				}
 			}
-			listTree(sess, full, depth+1)
+			if err := listTree(w, sess, full, depth+1); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }

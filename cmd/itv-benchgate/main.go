@@ -6,7 +6,7 @@
 // Usage (see .github/workflows/ci.yml):
 //
 //	go test -run xxx -bench 'ORBInvoke|WireRoundTrip' -benchmem -benchtime=1x . \
-//	  | go run ./cmd/itv-benchgate -baseline BENCH_pr8.json -out bench_ci.json
+//	  | go run ./cmd/itv-benchgate -baseline BENCH_pr9.json -out bench_ci.json
 //
 // The baseline file carries both the recorded perf trajectory (before/after
 // of the PR that introduced it) and a "gates" section mapping benchmark

@@ -32,7 +32,7 @@ func main() {
 	if *debugAddr != "" {
 		// The simulated servers all live in this process, so one endpoint
 		// exposes every node's registry, grouped by host.
-		addr, err := obs.ServeDebug(*debugAddr, obs.WriteAllNodes, obs.WriteAllEvents, obs.WriteAllHealth, obs.WriteAllSlow)
+		addr, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
 			log.Fatal(err)
 		}

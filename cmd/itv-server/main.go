@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -56,14 +55,7 @@ func main() {
 	if *debugAddr != "" {
 		// Every service on this node shares the host registry, so one
 		// scrape covers the ORB, transport, names, RAS and SSC counters.
-		addr, err := obs.ServeDebug(*debugAddr, obs.Node(host).WriteText, func(w io.Writer) {
-			obs.WriteEvents(w, obs.NodeRecorder(host).Events())
-		}, func(w io.Writer) {
-			h := obs.NodeHealth(host)
-			obs.RenderHealth(w, []*obs.HealthReport{h.Report(clock.Real().Now(), 0)}, 24)
-		}, func(w io.Writer) {
-			obs.WriteSlowCalls(w, obs.NodeSlowLedger(host).Calls())
-		})
+		addr, err := obs.ServeDebug(*debugAddr, host)
 		if err != nil {
 			log.Fatalf("debug server: %v", err)
 		}

@@ -133,15 +133,15 @@ func run() int {
 		diags = kept
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
 		if diags == nil {
 			diags = []lint.Diagnostic{}
 		}
-		if err := enc.Encode(diags); err != nil {
+		out, err := json.MarshalIndent(diags, "", "  ")
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "itv-vet:", err)
 			return 2
 		}
+		fmt.Printf("%s\n", out)
 	} else {
 		for _, d := range diags {
 			fmt.Println(d)

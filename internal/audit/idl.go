@@ -81,29 +81,9 @@ func getStatuses(d *wire.Decoder) ([]bool, []uint64) {
 	return alive, traces
 }
 
-// Invoker is the slice of orb.Endpoint the stubs need.
-type Invoker interface {
-	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-// CtxInvoker is the context-propagating invoker; orb.Endpoint implements
-// it.  Stub methods taking a context use it when available and fall back
-// to plain Invoke otherwise, so test fakes satisfying only Invoker keep
-// working.
-type CtxInvoker interface {
-	InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-func invokeCtx(ep Invoker, ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if ci, ok := ep.(CtxInvoker); ok {
-		return ci.InvokeCtx(ctx, ref, method, put, get)
-	}
-	return ep.Invoke(ref, method, put, get)
-}
-
 // Stub is the client proxy for a RAS instance.
 type Stub struct {
-	Ep  Invoker
+	Ep  orb.Invoker
 	Ref oref.Ref
 }
 
@@ -147,7 +127,7 @@ func (s Stub) LocalStatusT(refs []oref.Ref) ([]bool, []uint64, error) {
 func (s Stub) LocalStatusTCtx(ctx context.Context, refs []oref.Ref) ([]bool, []uint64, error) {
 	var alive []bool
 	var traces []uint64
-	err := invokeCtx(s.Ep, ctx, s.Ref, "localStatusT",
+	err := orb.InvokeVia(ctx, s.Ep, s.Ref, "localStatusT",
 		func(e *wire.Encoder) { oref.PutRefs(e, refs) },
 		func(d *wire.Decoder) error { alive, traces = getStatuses(d); return nil })
 	return alive, traces, err
@@ -157,7 +137,7 @@ func (s Stub) LocalStatusTCtx(ctx context.Context, refs []oref.Ref) ([]bool, []u
 // the wiring behind §4.7/§8.3 (the name service is one of the RAS's two
 // clients, along with the MMS).
 type Checker struct {
-	Ep  Invoker
+	Ep  orb.Invoker
 	Ref oref.Ref
 }
 

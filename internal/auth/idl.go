@@ -44,14 +44,8 @@ func (s *ServiceSkeleton) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the client-side proxy for the authentication service.
 type Stub struct {
-	Ep  Invoker
+	Ep  orb.Invoker
 	Ref oref.Ref
-}
-
-// Invoker is the slice of orb.Endpoint the stubs need; an interface so
-// higher layers can interpose (rebinding, fault injection in tests).
-type Invoker interface {
-	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
 }
 
 // IssueTicket invokes the ticket-granting exchange.

@@ -64,7 +64,8 @@ const (
 )
 
 func (s *Store) replay(data []byte) error {
-	d := wire.NewDecoder(data)
+	var d wire.Decoder
+	d.Reset(data)
 	for d.Remaining() > 0 {
 		op := d.Uint()
 		table := d.String()
@@ -89,12 +90,13 @@ func (s *Store) appendLog(op uint64, table, key, val string) {
 	if s.log == nil {
 		return
 	}
-	e := wire.NewEncoder(64)
+	e := wire.GetEncoder()
 	e.PutUint(op)
 	e.PutString(table)
 	e.PutString(key)
 	e.PutString(val)
 	_, _ = s.log.Write(e.Bytes())
+	wire.PutEncoder(e)
 }
 
 func (s *Store) putLocked(table, key, val string) {
@@ -241,14 +243,9 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 	}
 }
 
-// Invoker is the slice of orb.Endpoint the stub needs.
-type Invoker interface {
-	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
 // Stub is the database client proxy.
 type Stub struct {
-	Ep  Invoker
+	Ep  orb.Invoker
 	Ref oref.Ref
 }
 

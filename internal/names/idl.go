@@ -109,25 +109,9 @@ func SplitPath(name string) []string {
 	return out
 }
 
-// Invoker is the slice of orb.Endpoint the stubs need.
-type Invoker interface {
-	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-// CtxInvoker is the context-propagating invoker; orb.Endpoint implements
-// it.  Stub methods taking a context use it when available and fall back
-// to plain Invoke otherwise, so test fakes satisfying only Invoker keep
-// working.
-type CtxInvoker interface {
-	InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-func invokeCtx(ep Invoker, ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if ci, ok := ep.(CtxInvoker); ok {
-		return ci.InvokeCtx(ctx, ref, method, put, get)
-	}
-	return ep.Invoke(ref, method, put, get)
-}
+// Invoker is orb.Invoker, under the name this package's stubs (and the
+// benchmark) have always used for it.
+type Invoker = orb.Invoker
 
 // Context is the client-side proxy for any object implementing the
 // NamingContext interface — a name-service context, a remote
@@ -150,7 +134,7 @@ func (c Context) Resolve(name string) (oref.Ref, error) {
 // causal join, §8.2).
 func (c Context) ResolveCtx(ctx context.Context, name string) (oref.Ref, error) {
 	var out oref.Ref
-	err := invokeCtx(c.Ep, ctx, c.Ref, "resolve",
+	err := orb.InvokeVia(ctx, c.Ep, c.Ref, "resolve",
 		func(e *wire.Encoder) { e.PutString(name) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err
@@ -167,7 +151,7 @@ func (c Context) Bind(name string, obj oref.Ref) error {
 // the failure trace this bind adopted when it repaired an audit eviction —
 // how a backup's election win learns which failure it is the answer to.
 func (c Context) BindCtx(ctx context.Context, name string, obj oref.Ref) error {
-	return invokeCtx(c.Ep, ctx, c.Ref, "bind",
+	return orb.InvokeVia(ctx, c.Ep, c.Ref, "bind",
 		func(e *wire.Encoder) { e.PutString(name); obj.MarshalWire(e) }, nil)
 }
 
@@ -238,7 +222,7 @@ func (c Context) ResolveAs(name, callerHost string) (oref.Ref, error) {
 // ResolveAsCtx is ResolveAs with ResolveCtx's context propagation.
 func (c Context) ResolveAsCtx(ctx context.Context, name, callerHost string) (oref.Ref, error) {
 	var out oref.Ref
-	err := invokeCtx(c.Ep, ctx, c.Ref, "resolveAs",
+	err := orb.InvokeVia(ctx, c.Ep, c.Ref, "resolveAs",
 		func(e *wire.Encoder) { e.PutString(name); e.PutString(callerHost) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err

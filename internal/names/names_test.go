@@ -565,7 +565,8 @@ func TestUpdatePathsNormalize(t *testing.T) {
 // count.  Before the bound, these three bytes reserved 75 MiB on the way to
 // the same error.
 func TestBindingsHostileCount(t *testing.T) {
-	d := wire.NewDecoder([]byte{0xff, 0xff, 0x3f})
+	d := new(wire.Decoder)
+	d.Reset([]byte{0xff, 0xff, 0x3f})
 	if out := Bindings(d); len(out) != 0 || cap(out) != 0 {
 		t.Fatalf("decoded %d bindings (capacity %d) from a bare count", len(out), cap(out))
 	}
@@ -578,13 +579,14 @@ func TestBindingsHostileCount(t *testing.T) {
 // reserve room for more bindings than the bytes could encode; what decodes
 // cleanly round-trips.
 func FuzzBindings(f *testing.F) {
-	e := wire.NewEncoder(64)
+	e := new(wire.Encoder)
 	PutBindings(e, []Binding{{Name: "mds-1", Ref: svcRef("10.0.0.1:1024", 3)}, {}})
 	f.Add(e.Bytes())
 	f.Add([]byte{0xff, 0xff, 0x3f})
 	f.Add([]byte{0x01, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d := wire.NewDecoder(raw)
+		d := new(wire.Decoder)
+		d.Reset(raw)
 		out := Bindings(d)
 		if cap(out)*minBindingBytes > len(raw) {
 			t.Fatalf("%d bytes reserved room for %d bindings", len(raw), cap(out))
@@ -592,9 +594,10 @@ func FuzzBindings(f *testing.F) {
 		if d.Err() != nil {
 			return
 		}
-		e := wire.NewEncoder(len(raw))
+		e := new(wire.Encoder)
 		PutBindings(e, out)
-		again := Bindings(wire.NewDecoder(e.Bytes()))
+		d.Reset(e.Bytes())
+		again := Bindings(d)
 		if len(again) != len(out) {
 			t.Fatalf("round trip changed %d bindings into %d", len(out), len(again))
 		}

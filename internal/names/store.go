@@ -205,7 +205,7 @@ func (n *ctxNode) sortedBindings() []Binding {
 // ---- snapshot (full-state transfer for lagging or fresh slaves) ----
 
 func (s *store) snapshot() []byte {
-	e := wire.NewEncoder(1024)
+	e := new(wire.Encoder)
 	e.PutInt(s.nextID)
 	ids := make([]string, 0, len(s.ctxs))
 	for id := range s.ctxs {
@@ -247,7 +247,8 @@ func (s *store) snapshot() []byte {
 }
 
 func storeFromSnapshot(buf []byte) (*store, error) {
-	d := wire.NewDecoder(buf)
+	d := new(wire.Decoder)
+	d.Reset(buf)
 	s := &store{ctxs: make(map[string]*ctxNode), failures: make(map[string]uint64)}
 	s.nextID = d.Int()
 	nctx := d.Count()

@@ -15,7 +15,7 @@ import (
 // rebinds, elections, SSC restarts, CSC ping failures.  Counters say *how
 // often* those happened; the recorder says *in what order, on which node,
 // and as part of which causal trace*.  Every node exposes its ring through
-// the ORB's built-in _events call and the debug server's /debug/events;
+// the ORB's node operation _events and the debug server's /debug/events;
 // itv-admin merges the rings into one cluster timeline.
 //
 // Event names follow the subsystem_event convention (lowercase, underscore-
@@ -68,18 +68,21 @@ type Recorder struct {
 	hlc  *HLC
 
 	mu   sync.Mutex
-	buf  []Event // ring storage; grows to capacity, then wraps
-	next int     // overwrite position once the ring is full
-	seq  uint64  // total events ever recorded
+	ring ring[Event]
+	seq  uint64 // total events ever recorded
 }
 
 // NewRecorder returns a recorder for a node identity with the given ring
 // capacity (DefaultEventRing if size <= 0).
 func NewRecorder(node string, size int) *Recorder {
+	return newRecorder(node, NodeHLC(node), size)
+}
+
+func newRecorder(node string, hlc *HLC, size int) *Recorder {
 	if size <= 0 {
 		size = DefaultEventRing
 	}
-	return &Recorder{node: node, hlc: NodeHLC(node), buf: make([]Event, 0, size)}
+	return &Recorder{node: node, hlc: hlc, ring: ring[Event]{buf: make([]Event, 0, size), max: size}}
 }
 
 // Record appends one event.  t is the injected clock's now — passed in by
@@ -90,13 +93,7 @@ func (r *Recorder) Record(t time.Time, trace uint64, name, detail string) {
 	h := r.hlc.Tick(t)
 	r.mu.Lock()
 	r.seq++
-	e := Event{Seq: r.seq, Time: t, HLC: h, Node: r.node, Trace: trace, Name: name, Detail: detail}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % len(r.buf)
-	}
+	r.ring.push(Event{Seq: r.seq, Time: t, HLC: h, Node: r.node, Trace: trace, Name: name, Detail: detail})
 	r.mu.Unlock()
 }
 
@@ -104,13 +101,7 @@ func (r *Recorder) Record(t time.Time, trace uint64, name, detail string) {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-		return out
-	}
-	return append(out, r.buf...)
+	return r.ring.items()
 }
 
 // EventsAfter returns up to max events with Seq > afterSeq, oldest first
@@ -126,95 +117,48 @@ func (r *Recorder) EventsAfter(afterSeq uint64, max int) []Event {
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
-	// Re-slice into a fresh backing array so callers never alias the ring copy.
-	return append(make([]Event, 0, len(out)), out...)
-}
-
-// ---- per-node recorders ----
-
-var (
-	recordersMu sync.Mutex
-	recorders   = make(map[string]*Recorder)
-)
-
-// NodeRecorder returns the flight recorder for a host identity, creating it
-// on first use — the event-side twin of Node.
-func NodeRecorder(host string) *Recorder {
-	recordersMu.Lock()
-	defer recordersMu.Unlock()
-	r, ok := recorders[host]
-	if !ok {
-		r = NewRecorder(host, DefaultEventRing)
-		recorders[host] = r
-	}
-	return r
-}
-
-// RecorderHosts lists every node with a recorder, sorted.
-func RecorderHosts() []string {
-	recordersMu.Lock()
-	out := make([]string, 0, len(recorders))
-	for h := range recorders {
-		out = append(out, h)
-	}
-	recordersMu.Unlock()
-	sort.Strings(out)
 	return out
 }
 
-// MergeEvents merges per-node event lists into one causally-ordered
-// timeline: by time, then node, then per-node sequence.  With the cluster's
-// injected clock all nodes share a time base, so time order *is* the causal
-// order wherever causality crosses nodes through an RPC.
+// MergeEvents merges per-node event lists into one timeline: by time, then
+// node, then per-node sequence.  With the cluster's injected clock all
+// nodes share a time base, so time order *is* the causal order wherever
+// causality crosses nodes through an RPC.
 func MergeEvents(lists ...[]Event) []Event {
-	var n int
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]Event, 0, n)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].Time.Equal(out[j].Time) {
-			return out[i].Time.Before(out[j].Time)
-		}
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
+	return mergeEvents(lists, wallBefore)
 }
 
 // MergeEventsHLC merges per-node event lists into one timeline ordered by
-// hybrid logical clock, then wall time, node and per-node sequence as
-// tie-breakers.  Unlike MergeEvents this order is correct under clock skew:
-// whenever causality crossed nodes through an RPC, the receiver's HLC is
-// strictly above the sender's, whatever their wall clocks said.  Events
-// recorded before the HLC layer existed (HLC zero) sort by wall time among
-// themselves, first.
+// hybrid logical clock, with MergeEvents' order as the tie-break.  Unlike
+// MergeEvents this order is correct under clock skew: whenever causality
+// crossed nodes through an RPC, the receiver's HLC is strictly above the
+// sender's, whatever their wall clocks said.  Events recorded before the
+// HLC layer existed (HLC zero) sort by wall time among themselves, first.
 func MergeEventsHLC(lists ...[]Event) []Event {
-	var n int
-	for _, l := range lists {
-		n += len(l)
+	return mergeEvents(lists, func(a, b *Event) bool {
+		if a.HLC != b.HLC {
+			return a.HLC < b.HLC
+		}
+		return wallBefore(a, b)
+	})
+}
+
+func wallBefore(a, b *Event) bool {
+	if !a.Time.Equal(b.Time) {
+		return a.Time.Before(b.Time)
 	}
-	out := make([]Event, 0, n)
+	if a.Node != b.Node {
+		return a.Node < b.Node
+	}
+	return a.Seq < b.Seq
+}
+
+func mergeEvents(lists [][]Event, before func(a, b *Event) bool) []Event {
+	var out []Event
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].HLC != out[j].HLC {
-			return out[i].HLC < out[j].HLC
-		}
-		if !out[i].Time.Equal(out[j].Time) {
-			return out[i].Time.Before(out[j].Time)
-		}
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	sort.SliceStable(out, func(i, j int) bool { return before(&out[i], &out[j]) })
 	return out
 }
 
@@ -275,15 +219,6 @@ func WriteEventsHLC(w io.Writer, events []Event, unc time.Duration) {
 	}
 }
 
-// WriteAllEvents writes the merged timeline of every node's ring.
-func WriteAllEvents(w io.Writer) {
-	lists := make([][]Event, 0, 8)
-	for _, h := range RecorderHosts() {
-		lists = append(lists, NodeRecorder(h).Events())
-	}
-	WriteEvents(w, MergeEvents(lists...))
-}
-
 // DumpEventsOnFailure writes the merged cluster timeline to w when the
 // ITV_FLIGHT_DUMP environment variable is set — called from TestMain on a
 // failing run so CI logs carry the failover timeline for flaky-test triage.
@@ -298,13 +233,10 @@ func DumpEventsOnFailure(w io.Writer) bool {
 		return false
 	}
 	dump := func(w io.Writer) {
+		lists := eventLists(records(nil))
 		fmt.Fprintln(w, "=== flight recorder (ITV_FLIGHT_DUMP) ===")
-		WriteAllEvents(w)
+		WriteEvents(w, MergeEvents(lists...))
 		fmt.Fprintln(w, "=== flight recorder, HLC order ===")
-		lists := make([][]Event, 0, 8)
-		for _, h := range RecorderHosts() {
-			lists = append(lists, NodeRecorder(h).Events())
-		}
 		WriteEventsHLC(w, MergeEventsHLC(lists...), 2*time.Millisecond)
 	}
 	dump(w)

@@ -16,7 +16,7 @@ import (
 // metric snapshots — counter and histogram *deltas* plus instantaneous
 // gauges and Go runtime levels — so "what was this node doing in the last
 // ten minutes" has an answer without an external metrics pipeline.  The
-// ring feeds the ORB's built-in _health call, the debug server's
+// ring feeds the ORB's node operation _health, the debug server's
 // /debug/health page, and itv-admin's live `watch` dashboard; ROADMAP item
 // 1's admission control will read the same windows.
 
@@ -50,8 +50,7 @@ type Health struct {
 	hlc  *HLC
 
 	mu        sync.Mutex
-	ring      []HealthWindow // ring storage; grows to capacity, then wraps
-	next      int
+	ring      ring[HealthWindow]
 	prev      map[string]float64 // cumulative values at last sample
 	prevAt    time.Time
 	primed    bool
@@ -64,14 +63,18 @@ type Health struct {
 // NewHealth returns a health ring over a registry (windows <= 0 means
 // DefaultHealthWindows).
 func NewHealth(node string, reg *Registry, windows int) *Health {
+	return newHealth(node, reg, NodeHLC(node), windows)
+}
+
+func newHealth(node string, reg *Registry, hlc *HLC, windows int) *Health {
 	if windows <= 0 {
 		windows = DefaultHealthWindows
 	}
 	return &Health{
 		node: node,
 		reg:  reg,
-		hlc:  NodeHLC(node),
-		ring: make([]HealthWindow, 0, windows),
+		hlc:  hlc,
+		ring: ring[HealthWindow]{buf: make([]HealthWindow, 0, windows), max: windows},
 		prev: make(map[string]float64),
 	}
 }
@@ -125,12 +128,7 @@ func (h *Health) Sample(now time.Time) {
 	h.prevPause = ms.PauseTotalNs
 	h.prevNumGC = ms.NumGC
 
-	if len(h.ring) < cap(h.ring) {
-		h.ring = append(h.ring, w)
-	} else {
-		h.ring[h.next] = w
-		h.next = (h.next + 1) % len(h.ring)
-	}
+	h.ring.push(w)
 }
 
 // Windows returns up to max of the most recent windows, oldest first
@@ -138,13 +136,7 @@ func (h *Health) Sample(now time.Time) {
 func (h *Health) Windows(max int) []HealthWindow {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]HealthWindow, 0, len(h.ring))
-	if len(h.ring) == cap(h.ring) && cap(h.ring) > 0 {
-		out = append(out, h.ring[h.next:]...)
-		out = append(out, h.ring[:h.next]...)
-	} else {
-		out = append(out, h.ring...)
-	}
+	out := h.ring.items()
 	if max > 0 && len(out) > max {
 		out = out[len(out)-max:]
 	}
@@ -194,44 +186,6 @@ func (h *Health) Stop() {
 	close(h.stop)
 	h.stop = nil
 	h.primed = false
-}
-
-// ---- per-node health rings ----
-
-var (
-	healthMu sync.Mutex
-	healths  = map[string]*Health{}
-)
-
-// NodeHealth returns host's health ring over its node registry, creating
-// it on first use.
-func NodeHealth(host string) *Health {
-	healthMu.Lock()
-	defer healthMu.Unlock()
-	h, ok := healths[host]
-	if !ok {
-		h = NewHealth(host, Node(host), DefaultHealthWindows)
-		healths[host] = h
-	}
-	return h
-}
-
-// WriteAllHealth renders the RED dashboard over every node's health ring —
-// the debug-server form, where all simulated nodes live in one process.
-func WriteAllHealth(w io.Writer) {
-	healthMu.Lock()
-	hosts := make([]string, 0, len(healths))
-	for h := range healths {
-		hosts = append(hosts, h)
-	}
-	healthMu.Unlock()
-	sort.Strings(hosts)
-	reports := make([]*HealthReport, 0, len(hosts))
-	for _, h := range hosts {
-		hl := NodeHealth(h)
-		reports = append(reports, hl.Report(hl.hlc.Current().Physical(), 0))
-	}
-	RenderHealth(w, reports, 24)
 }
 
 // HealthReport is the _health RPC's payload: one node's identity, clock

@@ -99,8 +99,8 @@ func TestHealthRingWraps(t *testing.T) {
 
 func TestHealthDefaultWindows(t *testing.T) {
 	h := NewHealth("health-test-default", NewRegistry(), 0)
-	if cap(h.ring) != DefaultHealthWindows {
-		t.Fatalf("cap = %d, want %d", cap(h.ring), DefaultHealthWindows)
+	if h.ring.max != DefaultHealthWindows {
+		t.Fatalf("cap = %d, want %d", h.ring.max, DefaultHealthWindows)
 	}
 }
 

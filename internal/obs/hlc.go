@@ -127,27 +127,6 @@ func (h *HLC) Tick(t time.Time) HLCTime { return h.advance(packHLC(t)) }
 // Current returns the latest reading without advancing the clock.
 func (h *HLC) Current() HLCTime { return HLCTime(h.state.Load()) }
 
-// Per-node HLC registry, mirroring Node and NodeRecorder: every endpoint,
-// recorder and health sampler on one simulated host shares one clock, so a
-// node's events interleave correctly no matter which component stamps them.
-var (
-	hlcMu sync.Mutex
-	hlcs  = map[string]*HLC{}
-)
-
-// NodeHLC returns the shared hybrid logical clock for host, creating it on
-// first use.
-func NodeHLC(host string) *HLC {
-	hlcMu.Lock()
-	defer hlcMu.Unlock()
-	h, ok := hlcs[host]
-	if !ok {
-		h = NewHLC(nil)
-		hlcs[host] = h
-	}
-	return h
-}
-
 // ClockSink mirrors TraceSink for time coupling: an RPC caller installs one
 // in its context, and the client runtime deposits the peer's response HLC
 // there so the caller can estimate the peer's clock offset.
@@ -247,23 +226,6 @@ func (t *OffsetTable) Peers() []OffsetSample {
 		out = append(out, s)
 	}
 	return out
-}
-
-var (
-	offsetsMu sync.Mutex
-	offsets   = map[string]*OffsetTable{}
-)
-
-// NodeOffsets returns host's offset table, creating it on first use.
-func NodeOffsets(host string) *OffsetTable {
-	offsetsMu.Lock()
-	defer offsetsMu.Unlock()
-	t, ok := offsets[host]
-	if !ok {
-		t = &OffsetTable{}
-		offsets[host] = t
-	}
-	return t
 }
 
 // MeasureOffset records one offset measurement from host toward peer and

@@ -12,41 +12,29 @@ import (
 // (label-order-stable, sorted) subset of.
 const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// DebugHandler builds the opt-in debug surface: /metrics (sorted text
-// snapshot via metrics, also mounted at /debug/metrics), /debug/events (the
-// flight-recorder timeline via events, may be nil), /debug/health (the
-// windowed RED dashboard via health, may be nil), /debug/slow (the
-// slow-call ledger via slow, may be nil), /healthz, and the pprof family
-// under /debug/pprof/.  The handler is mounted on its own mux so nothing
-// leaks into http.DefaultServeMux.
-func DebugHandler(metrics, events, health, slow func(w io.Writer)) http.Handler {
+// DebugHandler builds the opt-in debug surface over the named hosts'
+// records, or every host's when none is named: /metrics (the sorted text
+// snapshot, also mounted at /debug/metrics), /debug/events (the
+// flight-recorder timeline), /debug/health (the windowed RED dashboard),
+// /debug/slow (the slow-call ledger), /healthz, and the pprof family under
+// /debug/pprof/.  The handler is mounted on its own mux so nothing leaks into
+// http.DefaultServeMux.
+func DebugHandler(hosts ...string) http.Handler {
 	mux := http.NewServeMux()
-	serveMetrics := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", MetricsContentType)
-		metrics(w)
-	}
-	mux.HandleFunc("/metrics", serveMetrics)
-	mux.HandleFunc("/debug/metrics", serveMetrics)
-	if events != nil {
-		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			events(w)
+	page := func(path, ctype string, render func(io.Writer, []hostRecord)) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", ctype)
+			render(w, records(hosts))
 		})
 	}
-	if health != nil {
-		mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			health(w)
-		})
-	}
-	if slow != nil {
-		mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			slow(w)
-		})
-	}
+	const plain = "text/plain; charset=utf-8"
+	page("/metrics", MetricsContentType, writeMetrics)
+	page("/debug/metrics", MetricsContentType, writeMetrics)
+	page("/debug/events", plain, writeEvents)
+	page("/debug/health", plain, writeHealth)
+	page("/debug/slow", plain, writeSlow)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("Content-Type", plain)
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -57,15 +45,15 @@ func DebugHandler(metrics, events, health, slow func(w io.Writer)) http.Handler 
 	return mux
 }
 
-// ServeDebug listens on addr and serves the debug surface until the process
-// exits.  It returns the bound address (useful with ":0") or an error if
-// the listen fails; serving itself runs on a background goroutine.
-func ServeDebug(addr string, metrics, events, health, slow func(w io.Writer)) (string, error) {
+// ServeDebug listens on addr and serves the debug surface for hosts until
+// the process exits.  It returns the bound address (useful with ":0") or an
+// error if the listen fails; serving itself runs on a background goroutine.
+func ServeDebug(addr string, hosts ...string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: DebugHandler(metrics, events, health, slow)}
+	srv := &http.Server{Handler: DebugHandler(hosts...)}
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

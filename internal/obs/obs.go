@@ -6,7 +6,7 @@
 // latencies (§7.2.1, §9.7); this package is the measurement machinery those
 // claims are reproduced against.  Every layer — transport, ORB, name
 // service, RAS, controllers — feeds counters here, and every node exposes
-// its registry through the ORB's built-in _metrics call, the itv-admin
+// its registry through the ORB's node operation _metrics, the itv-admin
 // `metrics` subcommand, and the opt-in HTTP debug server.
 //
 // The package depends only on the standard library and is safe for
@@ -305,40 +305,33 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
+// lookup returns m[name], making it with mk on first use.  The hit path
+// takes the read lock only.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	c, ok := r.counts[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counts[name]; ok {
-		return c
+	if v, ok = m[name]; ok {
+		return v
 	}
-	c = &Counter{}
-	r.counts[name] = c
-	return c
+	v = mk()
+	m[name] = v
+	return v
+}
+
+// Counter returns the named counter, creating it if needed.
+func (r *Registry) Counter(name string) *Counter {
+	return lookup(r, r.counts, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the named gauge, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the named histogram with the default latency buckets,
@@ -350,20 +343,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // HistogramBuckets returns the named histogram, creating it with the given
 // bucket upper bounds if needed.  Bounds must be ascending.
 func (r *Registry) HistogramBuckets(name string, bounds []time.Duration) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
-	}
-	h = newHistogram(bounds)
-	r.hists[name] = h
-	return h
+	return lookup(r, r.hists, name, func() *Histogram { return newHistogram(bounds) })
 }
 
 // Snapshot returns every metric as samples, sorted by metric name.  A
@@ -448,47 +428,4 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'f', 3, 64)
-}
-
-// ---- per-node registries ----
-
-var (
-	nodesMu sync.Mutex
-	nodes   = make(map[string]*Registry)
-)
-
-// Node returns the registry for a host identity (a synthetic memnet IP, or
-// "127.0.0.1" for a real TCP process), creating it on first use.  All the
-// services of one simulated server share its node registry, which is what
-// the Metrics RPC and the debug server expose.
-func Node(host string) *Registry {
-	nodesMu.Lock()
-	defer nodesMu.Unlock()
-	r, ok := nodes[host]
-	if !ok {
-		r = NewRegistry()
-		nodes[host] = r
-	}
-	return r
-}
-
-// Hosts lists every node with a registry, sorted.
-func Hosts() []string {
-	nodesMu.Lock()
-	out := make([]string, 0, len(nodes))
-	for h := range nodes {
-		out = append(out, h)
-	}
-	nodesMu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// WriteAllNodes writes every node's snapshot, each under a "# node <host>"
-// header — the multi-node form served by itv-cluster's debug endpoint.
-func WriteAllNodes(w io.Writer) {
-	for _, h := range Hosts() {
-		fmt.Fprintf(w, "# node %s\n", h)
-		Node(h).WriteText(w)
-	}
 }

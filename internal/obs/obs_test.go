@@ -186,18 +186,21 @@ func TestTracer(t *testing.T) {
 	}
 }
 
+// TestDebugServer serves the debug surface twice over the same host records
+// — for one named host (itv-server's form) and for every host
+// (itv-cluster's) — and checks each page renders from them.
 func TestDebugServer(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("debug_hits").Add(9)
-	rec := NewRecorder("testnode", 8)
-	rec.Record(time.Unix(5, 0), 0xabc, "test_event", "hello")
-	addr, err := ServeDebug("127.0.0.1:0", r.WriteText, func(w io.Writer) {
-		WriteEvents(w, rec.Events())
-	}, WriteAllHealth, WriteAllSlow)
-	if err != nil {
-		t.Fatalf("ServeDebug: %v", err)
+	at := time.Unix(5, 0)
+	for _, h := range []string{"debug-a", "debug-b"} {
+		Node(h).Gauge("debug_hits").Set(9) // a level: the records outlive a -count repetition
+		NodeRecorder(h).Record(at, 0xabc, "test_event", "hello from "+h)
+		hl := NodeHealth(h)
+		hl.Sample(at)
+		Node(h).Histogram(L("orb_call_latency", "method", "itv.Test."+h)).Observe(time.Millisecond)
+		hl.Sample(at.Add(time.Second))
+		NodeSlowLedger(h).Record(SlowCall{Method: "slow_" + h, Total: time.Second})
 	}
-	get := func(path string) (int, string, string) {
+	get := func(addr, path string) (string, string) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -207,27 +210,57 @@ func TestDebugServer(t *testing.T) {
 		if _, err := io.Copy(&b, resp.Body); err != nil {
 			t.Fatalf("read %s: %v", path, err)
 		}
-		return resp.StatusCode, b.String(), resp.Header.Get("Content-Type")
+		if resp.StatusCode != 200 {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		return b.String(), resp.Header.Get("Content-Type")
 	}
-	code, body, ctype := get("/metrics")
-	if code != 200 || !strings.Contains(body, "debug_hits 9") {
-		t.Fatalf("/metrics = %d %q", code, body)
+	pages := map[string]string{ // path -> what host debug-a contributes to it
+		"/metrics":       "debug_hits 9",
+		"/debug/events":  "hello from debug-a",
+		"/debug/health":  "itv.Test.debug-a",
+		"/debug/slow":    "slow_debug-a",
+		"/debug/metrics": "debug_hits 9",
 	}
-	if ctype != MetricsContentType {
+
+	one, err := ServeDebug("127.0.0.1:0", "debug-a")
+	if err != nil {
+		t.Fatalf("ServeDebug: %v", err)
+	}
+	all, err := ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeDebug: %v", err)
+	}
+	for path, want := range pages {
+		body, _ := get(one, path)
+		if !strings.Contains(body, want) || strings.Contains(body, "debug-b") {
+			t.Errorf("one host %s = %q, want %q and nothing of debug-b", path, body, want)
+		}
+		body, _ = get(all, path)
+		if !strings.Contains(body, want) || !strings.Contains(body, "debug-b") {
+			t.Errorf("all hosts %s = %q, want %q and debug-b beside it", path, body, want)
+		}
+	}
+	if body, _ := get(one, "/metrics"); strings.Contains(body, "# node") {
+		t.Errorf("one host /metrics carries a node header:\n%s", body)
+	}
+	if body, _ := get(all, "/metrics"); !strings.Contains(body, "# node debug-a\n") {
+		t.Errorf("all hosts /metrics lacks node headers:\n%s", body)
+	}
+	if _, ctype := get(one, "/metrics"); ctype != MetricsContentType {
 		t.Fatalf("/metrics Content-Type = %q, want %q", ctype, MetricsContentType)
 	}
-	if code2, body2, _ := get("/debug/metrics"); code2 != 200 || body2 != body {
-		t.Fatalf("/debug/metrics = %d %q, want the /metrics body", code2, body2)
+	if body, _ := get(one, "/healthz"); body != "ok\n" {
+		t.Fatalf("/healthz = %q", body)
 	}
-	if code, body, _ := get("/debug/events"); code != 200 ||
-		!strings.Contains(body, "test_event") || !strings.Contains(body, "hello") {
-		t.Fatalf("/debug/events = %d %q", code, body)
-	}
-	if code, body, _ := get("/healthz"); code != 200 || body != "ok\n" {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-	if code, _, _ := get("/debug/pprof/"); code != 200 {
-		t.Fatalf("/debug/pprof/ = %d", code)
+	get(one, "/debug/pprof/")
+
+	// A host that only ever kept a clock renders as nothing and gains
+	// nothing by being rendered.
+	NodeHLC("debug-bare")
+	get(all, "/debug/events")
+	if r := records([]string{"debug-bare"}); len(r) != 1 || r[0].rec != nil || r[0].health != nil || r[0].reg != nil {
+		t.Errorf("rendering built parts of a bare host: %+v", r)
 	}
 }
 

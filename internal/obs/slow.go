@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,10 +53,8 @@ type SlowLedger struct {
 	est   atomic.Int64 // asymmetric-EWMA tail estimate, ns
 
 	mu   sync.Mutex
-	buf  []SlowCall
-	next int
+	ring ring[SlowCall] // grows as calls are admitted: a healthy node keeps none
 	seq  uint64
-	max  int
 }
 
 // NewSlowLedger returns a ledger holding up to size calls.
@@ -65,7 +62,7 @@ func NewSlowLedger(node string, size int) *SlowLedger {
 	if size < 1 {
 		size = 1
 	}
-	l := &SlowLedger{node: node, max: size}
+	l := &SlowLedger{node: node, ring: ring[SlowCall]{max: size}}
 	l.floor.Store(int64(DefaultSlowFloor))
 	return l
 }
@@ -108,15 +105,7 @@ func (l *SlowLedger) Record(c SlowCall) {
 	l.mu.Lock()
 	l.seq++
 	c.Seq = l.seq
-	if len(l.buf) < l.max {
-		l.buf = append(l.buf, c)
-	} else {
-		l.buf[l.next] = c
-	}
-	l.next++
-	if l.next >= l.max {
-		l.next = 0
-	}
+	l.ring.push(c)
 	l.mu.Unlock()
 }
 
@@ -124,46 +113,7 @@ func (l *SlowLedger) Record(c SlowCall) {
 func (l *SlowLedger) Calls() []SlowCall {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]SlowCall, 0, len(l.buf))
-	if len(l.buf) < l.max {
-		out = append(out, l.buf...)
-		return out
-	}
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
-	return out
-}
-
-// ---- per-node ledgers ----
-
-var (
-	slowMu      sync.Mutex
-	slowLedgers = make(map[string]*SlowLedger)
-)
-
-// NodeSlowLedger returns the ledger for a host identity, creating it on
-// first use — the same per-node registry discipline as Node/NodeRecorder.
-func NodeSlowLedger(host string) *SlowLedger {
-	slowMu.Lock()
-	defer slowMu.Unlock()
-	l, ok := slowLedgers[host]
-	if !ok {
-		l = NewSlowLedger(host, DefaultSlowRing)
-		slowLedgers[host] = l
-	}
-	return l
-}
-
-// SlowHosts lists every node with a ledger, sorted.
-func SlowHosts() []string {
-	slowMu.Lock()
-	out := make([]string, 0, len(slowLedgers))
-	for h := range slowLedgers {
-		out = append(out, h)
-	}
-	slowMu.Unlock()
-	sort.Strings(out)
-	return out
+	return l.ring.items()
 }
 
 // WriteSlowCalls renders ledger entries as one line per call.
@@ -176,14 +126,5 @@ func WriteSlowCalls(w io.Writer, calls []SlowCall) {
 		fmt.Fprintf(w, "%6d %s %-14s %-18s %-16s total=%-10s q=%-10s s=%-10s f=%-10s thr=%s\n",
 			c.Seq, c.HLC.String(), c.Node, c.Method, trace,
 			c.Total, c.Queue, c.Service, c.Flush, c.Threshold)
-	}
-}
-
-// WriteAllSlow writes every node's ledger under "# node <host>" headers —
-// the multi-node form served by itv-cluster's /debug/slow endpoint.
-func WriteAllSlow(w io.Writer) {
-	for _, h := range SlowHosts() {
-		fmt.Fprintf(w, "# node %s\n", h)
-		WriteSlowCalls(w, NodeSlowLedger(h).Calls())
 	}
 }

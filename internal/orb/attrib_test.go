@@ -300,12 +300,13 @@ func TestProfileChunking(t *testing.T) {
 	server.profMu.Unlock()
 
 	page := func(offset uint64) (uint64, []byte) {
-		enc := wire.NewEncoder(32)
+		enc := new(wire.Encoder)
 		enc.PutString("cpu")
 		enc.PutUint(0)
 		enc.PutUint(0)
 		enc.PutUint(offset)
-		d := wire.NewDecoder(enc.Bytes())
+		d := new(wire.Decoder)
+		d.Reset(enc.Bytes())
 		total, chunk, err := server.serveProfile(d)
 		if err != nil {
 			t.Fatalf("offset %d: %v", offset, err)
@@ -336,12 +337,15 @@ func TestProfileChunking(t *testing.T) {
 }
 
 func TestDiagGuardBusy(t *testing.T) {
-	server, client, _ := newAttribPair(t, "192.168.7.7", "10.7.0.11")
+	server, client, ref := newAttribPair(t, "192.168.7.7", "10.7.0.11")
 
-	// Saturate the guard: every diagnostic builtin refuses cleanly.
+	// Saturate the guard: every guarded node operation refuses cleanly.
 	server.diag.inflight.Add(maxDiagInflight)
 	defer server.diag.inflight.Add(-maxDiagInflight)
 
+	if _, err := client.EventsOf(server.Addr()); !IsApp(err, ExcBusy) {
+		t.Errorf("_events under saturation = %v, want %s", err, ExcBusy)
+	}
 	if _, err := client.HealthOf(server.Addr(), 0); !IsApp(err, ExcBusy) {
 		t.Errorf("_health under saturation = %v, want %s", err, ExcBusy)
 	}
@@ -354,6 +358,17 @@ func TestDiagGuardBusy(t *testing.T) {
 	// The local short-circuits respect the same guard.
 	if _, err := server.SlowOf(server.Addr()); !IsApp(err, ExcBusy) {
 		t.Errorf("local _slow under saturation = %v, want %s", err, ExcBusy)
+	}
+	if _, err := server.EventsOf(server.Addr()); !IsApp(err, ExcBusy) {
+		t.Errorf("local _events under saturation = %v, want %s", err, ExcBusy)
+	}
+	// The unguarded rows still answer: the scrape that shows why, and the
+	// liveness probe.
+	if _, err := client.MetricsOf(server.Addr()); err != nil {
+		t.Errorf("_metrics under saturation = %v", err)
+	}
+	if err := client.Ping(ref); err != nil {
+		t.Errorf("_ping under saturation = %v", err)
 	}
 }
 

@@ -680,30 +680,12 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 	if e.closedFlag.Load() {
 		return ErrShutdown
 	}
-	sk, ok := (*e.objsnap.Load())[ref.ObjectID]
-	if method == "_metrics" {
-		return e.metricsResult(res.get)
-	}
-	if method == "_events" {
-		return e.eventsResult(put, res.get)
-	}
-	if method == "_health" {
-		return e.healthResult(put, res.get)
-	}
-	if method == "_slow" {
-		return e.slowResult(res.get)
-	}
-	if method == "_profile" {
-		return e.profileResult(put, res.get)
-	}
-	if !ok || (ref.Incarnation != e.incarnation && ref.Incarnation != oref.AnyIncarnation) {
+	sk := e.answerer(method, (*e.objsnap.Load())[ref.ObjectID], ref.Incarnation)
+	if sk == nil {
 		return ErrInvalidReference
 	}
 	e.localCalls.Add(1)
 	e.metrics.localCalls.Inc()
-	if method == "_ping" {
-		return nil
-	}
 	enc := wire.GetEncoder()
 	if put != nil {
 		put(enc)
@@ -715,14 +697,11 @@ func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string,
 	s.call.adopted = 0
 	s.args.Reset(enc.Bytes())
 	s.results.Reset()
-	err := sk.Dispatch(&s.call)
+	err := e.dispatch(sk, s)
 	if s.call.adopted != 0 {
 		if sink := obs.SinkFrom(ctx); sink != nil {
 			sink.Set(s.call.adopted)
 		}
-	}
-	if err == nil && s.args.Err() != nil {
-		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
 	}
 	seg, segAt := s.call.takeSeg()
 	if err == nil && (res.get != nil || res.into != nil) {
@@ -781,41 +760,44 @@ func decodeResponse(rf *respFrame, res *results, dst []byte) error {
 	}
 }
 
-// Ping probes liveness of the object behind ref using the built-in _ping
-// method.  It reports nil for a live object, ErrInvalidReference for a
-// stale one, and ErrUnreachable for a dead process.
-func (e *Endpoint) Ping(ref oref.Ref) error {
-	return e.Invoke(ref, "_ping", nil, nil)
+// Invoker is the slice of Endpoint a client stub needs: stubs hold one
+// beside the reference they call through, so a test fake or a retargeting
+// wrapper (names.FailoverInvoker) can stand in for the endpoint.
+type Invoker interface {
+	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
 }
 
-// metricsResult encodes the node registry snapshot the way the _metrics
-// response carries it and hands it to get (the local short-circuit path).
-func (e *Endpoint) metricsResult(get func(*wire.Decoder) error) error {
-	if get == nil {
-		return nil
-	}
-	text := e.metrics.reg.Text()
-	enc := wire.NewEncoder(16 + len(text))
-	enc.PutString(text)
-	d := wire.NewDecoder(enc.Bytes())
-	if err := get(d); err != nil {
-		return err
-	}
-	if d.Err() != nil {
-		return Errf(ExcBadArgs, "result decode: %v", d.Err())
-	}
-	return nil
+// CtxInvoker is the context-propagating invoker; Endpoint implements it.
+type CtxInvoker interface {
+	InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
 }
 
-// MetricsOf scrapes the node registry of the endpoint at addr using the
-// built-in _metrics method and returns the text snapshot.  It works against
-// any live endpoint regardless of incarnation or object ids — metrics are a
-// node property, not an object property — which is what lets itv-admin and
-// in-memory tests inspect a server they hold no valid reference to.
+// InvokeVia invokes through inv with ctx when inv can carry one and falls
+// back to plain Invoke otherwise, so stubs offering a context-taking method
+// keep working over an Invoker that is not the endpoint.
+func InvokeVia(ctx context.Context, inv Invoker, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+	if ci, ok := inv.(CtxInvoker); ok {
+		return ci.InvokeCtx(ctx, ref, method, put, get)
+	}
+	return inv.Invoke(ref, method, put, get)
+}
+
+// Ping probes liveness of the object behind ref through inv, using the node
+// operation _ping.  It reports nil for a live object, ErrInvalidReference
+// for a stale one, and ErrUnreachable for a dead process.
+func Ping(inv Invoker, ref oref.Ref) error { return inv.Invoke(ref, "_ping", nil, nil) }
+
+// Ping is orb.Ping through this endpoint.
+func (e *Endpoint) Ping(ref oref.Ref) error { return Ping(e, ref) }
+
+// MetricsOf scrapes the node registry of the endpoint at addr and returns
+// the text snapshot.  Like every helper over NodeRef it works against any
+// live endpoint regardless of incarnation or object ids, which is what lets
+// itv-admin and in-memory tests inspect a server they hold no valid
+// reference to.
 func (e *Endpoint) MetricsOf(addr string) (string, error) {
-	ref := oref.Ref{Addr: addr, Incarnation: oref.AnyIncarnation, TypeID: "itv.Node"}
 	var text string
-	err := e.Invoke(ref, "_metrics", nil, func(d *wire.Decoder) error {
+	err := e.Invoke(NodeRef(addr), "_metrics", nil, func(d *wire.Decoder) error {
 		text = d.String()
 		return nil
 	})

@@ -190,9 +190,10 @@ type Endpoint struct {
 	// verification never occupies a slot.
 	principals wire.Table[string]
 
-	// diag bounds the concurrency of the diagnostic builtins (_health,
-	// _slow, _profile) so a misbehaving scraper cannot monopolize the
-	// dispatch workers; excess requests get a clean ExcBusy refusal.
+	// node is the skeleton of the endpoint's own itv.Node object (node.go);
+	// diag bounds the concurrency of its guarded operations so a misbehaving
+	// scraper cannot monopolize the dispatch workers.
+	node *nodeSkel
 	diag diagGuard
 
 	// profBuf holds the most recently collected runtime profile between the
@@ -258,6 +259,7 @@ func newEndpoint(tr transport.Transport, ln net.Listener, addr string) *Endpoint
 		dialing:     make(map[string]*dialWait),
 		serving:     make(map[net.Conn]struct{}),
 	}
+	e.node = &nodeSkel{e}
 	e.callTimeout.Store(int64(10 * time.Second))
 	e.wireVer.Store(wireVersion)
 	e.republishObjects()
@@ -661,121 +663,9 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) (
 		resp.Status = statusShutdown
 		return
 	}
-	sk, ok := (*e.objsnap.Load())[string(req.objectID)]
-
-	// Built-in metrics scrape: a node property, not an object property, so
-	// it answers before incarnation and object-id validation — scrapers
-	// hold no valid reference to a server they are inspecting.
-	if method == "_metrics" {
-		s.results.Reset()
-		s.results.PutString(e.metrics.reg.Text())
-		resp.Status = statusOK
-		resp.Body = s.results.Bytes()
-		return
-	}
-
-	// Built-in flight-recorder scrape: like _metrics, a node property that
-	// answers before incarnation and object-id validation — the whole point
-	// is reconstructing the story of nodes whose references died.  Two
-	// optional uints in the body paginate: events with Seq > afterSeq, up to
-	// max of them (an empty body — the common full scrape — returns all).
-	if method == "_events" {
-		afterSeq, maxEvents := uint64(0), 0
-		s.args.Reset(req.Body)
-		if n := s.args.Uint(); s.args.Err() == nil {
-			afterSeq = n
-			if mx := s.args.Uint(); s.args.Err() == nil {
-				maxEvents = int(mx)
-			}
-		}
-		s.results.Reset()
-		if afterSeq == 0 && maxEvents == 0 {
-			appendEvents(&s.results, e.recorder.Events())
-		} else {
-			appendEvents(&s.results, e.recorder.EventsAfter(afterSeq, maxEvents))
-		}
-		resp.Status = statusOK
-		resp.Body = s.results.Bytes()
-		return
-	}
-
-	// Built-in health scrape: the rolling metric windows, clock state and
-	// measured peer offsets — again a node property answered before
-	// reference validation (the watch dashboard inspects nodes it holds no
-	// reference to).  An optional uint in the body bounds the window count.
-	if method == "_health" {
-		if !e.diag.acquire() {
-			respBusy(resp)
-			return
-		}
-		maxWindows := 0
-		s.args.Reset(req.Body)
-		if n := s.args.Uint(); s.args.Err() == nil {
-			maxWindows = int(n)
-		}
-		s.results.Reset()
-		appendHealth(&s.results, e.healthReport(maxWindows))
-		e.diag.release()
-		resp.Status = statusOK
-		resp.Body = s.results.Bytes()
-		return
-	}
-
-	// Built-in slow-call ledger scrape: the node's tail estimate plus its
-	// ring of calls admitted past the adaptive threshold, each carrying the
-	// queue/service/flush decomposition.  A node property like the rest.
-	if method == "_slow" {
-		if !e.diag.acquire() {
-			respBusy(resp)
-			return
-		}
-		s.results.Reset()
-		appendSlowCalls(&s.results, e.ledger)
-		e.diag.release()
-		resp.Status = statusOK
-		resp.Body = s.results.Bytes()
-		return
-	}
-
-	// Built-in on-demand profiling: collects a runtime/pprof profile and
-	// pages it back in bounded chunks (see profile.go for the wire form and
-	// the rate-reset discipline).
-	if method == "_profile" {
-		if !e.diag.acquire() {
-			respBusy(resp)
-			return
-		}
-		s.args.Reset(req.Body)
-		total, chunk, perr := e.serveProfile(&s.args)
-		e.diag.release()
-		if perr != nil {
-			resp.Status = statusApp
-			var ae *AppError
-			if errors.As(perr, &ae) {
-				resp.ErrName, resp.ErrMsg = ae.Name, ae.Msg
-			} else {
-				resp.ErrName, resp.ErrMsg = "ServerError", perr.Error()
-			}
-			return
-		}
-		s.results.Reset()
-		s.results.PutUint(total)
-		s.results.PutBytes(chunk)
-		resp.Status = statusOK
-		resp.Body = s.results.Bytes()
-		return
-	}
-
-	if (req.Incarnation != e.incarnation && req.Incarnation != oref.AnyIncarnation) || !ok {
-		e.metrics.invalidRefs.Inc()
+	sk := e.answerer(method, (*e.objsnap.Load())[string(req.objectID)], req.Incarnation)
+	if sk == nil {
 		resp.Status = statusInvalidRef
-		return
-	}
-
-	// Built-in liveness probe, available on every object (§7.2's original
-	// ping-based tracking, retained for the E5/E11 comparison).
-	if method == "_ping" {
-		resp.Status = statusOK
 		return
 	}
 
@@ -794,24 +684,11 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) (
 	}
 	s.args.Reset(req.Body)
 	s.results.Reset()
-	e.metrics.dispatches.Inc()
-	e.metrics.inflight.Inc()
-	err := func() (err error) {
-		defer e.metrics.inflight.Dec()
-		defer func() {
-			if r := recover(); r != nil {
-				err = Errf("ServerPanic", "%v", r)
-			}
-		}()
-		return sk.Dispatch(call)
-	}()
+	err := e.dispatch(sk, s)
 	if sms == nil && !errors.Is(err, ErrNoSuchMethod) {
 		// A skeleton answered to the name: from here on it is one of the
 		// endpoint's methods, with its own row (this call's included).
 		sms, _ = e.metrics.admitMethod(method)
-	}
-	if err == nil && s.args.Err() != nil {
-		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
 	}
 	resp.TraceID = call.adopted
 	seg, segAt := call.takeSeg()
@@ -824,17 +701,44 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) (
 		resp.Status = statusNoSuchMethod
 		resp.ErrMsg = method
 	default:
-		e.metrics.appErrors.Inc()
-		var ae *AppError
-		if errors.As(err, &ae) {
-			resp.Status = statusApp
-			resp.ErrName = ae.Name
-			resp.ErrMsg = ae.Msg
-		} else {
-			resp.Status = statusApp
-			resp.ErrName = "ServerError"
-			resp.ErrMsg = err.Error()
-		}
+		ae := err.(*AppError)
+		resp.Status = statusApp
+		resp.ErrName = ae.Name
+		resp.ErrMsg = ae.Msg
 	}
 	return
+}
+
+// dispatch runs the invocation set up in s through sk, the way every call
+// is served wherever it came from: counted, gauged while in flight, a panic
+// recovered into a ServerPanic exception, arguments the skeleton could not
+// decode refused as ExcBadArgs.  The error it returns is nil,
+// ErrNoSuchMethod or an *AppError — what a remote caller would be told.
+func (e *Endpoint) dispatch(sk Skeleton, s *callScratch) error {
+	e.metrics.dispatches.Inc()
+	e.metrics.inflight.Inc()
+	err := recovered(sk, &s.call)
+	e.metrics.inflight.Dec()
+	if err == nil && s.args.Err() != nil {
+		err = Errf(ExcBadArgs, "argument decode: %v", s.args.Err())
+	}
+	if err == nil || errors.Is(err, ErrNoSuchMethod) {
+		return err
+	}
+	e.metrics.appErrors.Inc()
+	var ae *AppError
+	if !errors.As(err, &ae) {
+		ae = &AppError{Name: "ServerError", Msg: err.Error()}
+	}
+	return ae
+}
+
+// recovered is sk.Dispatch with a panic turned into a ServerPanic exception.
+func recovered(sk Skeleton, c *ServerCall) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = Errf("ServerPanic", "%v", r)
+		}
+	}()
+	return sk.Dispatch(c)
 }

@@ -190,16 +190,17 @@ func TestKeptStringsSurviveTheFrame(t *testing.T) {
 		t.Helper()
 		s := getScratch()
 		defer putScratch(s)
-		e := wire.NewEncoder(128)
+		e := new(wire.Encoder)
 		putArg(arg)(e)
 		out := request{ReqID: 1, Version: wireVersion, ObjectID: ref.ObjectID, Incarnation: ref.Incarnation,
 			Method: method, Principal: principal, Body: e.Bytes()}
-		fe := wire.NewEncoder(256)
+		fe := new(wire.Encoder)
 		out.MarshalWire(fe)
 		frame := fe.Bytes()
 
 		var in request
-		d := wire.NewDecoder(frame)
+		d := new(wire.Decoder)
+		d.Reset(frame)
 		in.UnmarshalWire(d)
 		if d.Err() != nil {
 			t.Fatal(d.Err())

@@ -4,15 +4,14 @@ import (
 	"time"
 
 	"itv/internal/obs"
-	"itv/internal/oref"
 	"itv/internal/wire"
 )
 
-// Wire form of the flight-recorder scrape (the built-in _events call): an
-// event count, then per event the sequence, unix-nano time, node, trace id,
-// name and detail.  Like _metrics this is a node property served before
-// reference validation, so operators can interrogate nodes they hold no
-// valid reference to.
+// Wire form of the flight-recorder scrape (the node operation _events): an
+// event count, then per event the sequence, unix-nano time, HLC, node, trace
+// id, name and detail.  Two optional uints in the request paginate: events
+// with Seq > afterSeq, up to max of them (none — the common full scrape —
+// returns the ring).
 
 func appendEvents(e *wire.Encoder, events []obs.Event) {
 	e.PutUint(uint64(len(events)))
@@ -47,53 +46,11 @@ func decodeEvents(d *wire.Decoder) []obs.Event {
 	return out
 }
 
-// eventsResult serves the local short-circuit path of _events, honoring
-// the same optional (afterSeq, max) pagination args the remote path takes.
-func (e *Endpoint) eventsResult(put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if get == nil {
-		return nil
-	}
-	afterSeq, maxEvents := uint64(0), 0
-	if put != nil {
-		pe := wire.GetEncoder()
-		put(pe)
-		pd := wire.NewDecoder(pe.Bytes())
-		if n := pd.Uint(); pd.Err() == nil {
-			afterSeq = n
-			if mx := pd.Uint(); pd.Err() == nil {
-				maxEvents = int(mx)
-			}
-		}
-		wire.PutEncoder(pe)
-	}
-	enc := wire.NewEncoder(256)
-	if afterSeq == 0 && maxEvents == 0 {
-		appendEvents(enc, e.recorder.Events())
-	} else {
-		appendEvents(enc, e.recorder.EventsAfter(afterSeq, maxEvents))
-	}
-	d := wire.NewDecoder(enc.Bytes())
-	if err := get(d); err != nil {
-		return err
-	}
-	if d.Err() != nil {
-		return Errf(ExcBadArgs, "result decode: %v", d.Err())
-	}
-	return nil
-}
-
-// EventsOf scrapes the flight-recorder ring of the endpoint at addr using
-// the built-in _events method.  Like MetricsOf it works against any live
-// endpoint regardless of incarnation or object ids; itv-admin fans it out
-// across the cluster to build the merged failover timeline.
+// EventsOf scrapes the flight-recorder ring of the endpoint at addr;
+// itv-admin fans it out across the cluster to build the merged failover
+// timeline.
 func (e *Endpoint) EventsOf(addr string) ([]obs.Event, error) {
-	ref := oref.Ref{Addr: addr, Incarnation: oref.AnyIncarnation, TypeID: "itv.Node"}
-	var out []obs.Event
-	err := e.Invoke(ref, "_events", nil, func(d *wire.Decoder) error {
-		out = decodeEvents(d)
-		return nil
-	})
-	return out, err
+	return e.EventsPageOf(addr, 0, 0)
 }
 
 // EventsPageOf scrapes events with Seq > afterSeq (up to max of them; 0
@@ -101,11 +58,12 @@ func (e *Endpoint) EventsOf(addr string) ([]obs.Event, error) {
 // EventsOf, letting a periodic scraper resume from its cursor instead of
 // re-reading the whole ring each pass.
 func (e *Endpoint) EventsPageOf(addr string, afterSeq uint64, max int) ([]obs.Event, error) {
-	ref := oref.Ref{Addr: addr, Incarnation: oref.AnyIncarnation, TypeID: "itv.Node"}
 	var out []obs.Event
-	err := e.Invoke(ref, "_events", func(enc *wire.Encoder) {
-		enc.PutUint(afterSeq)
-		enc.PutUint(uint64(max))
+	err := e.Invoke(NodeRef(addr), "_events", func(enc *wire.Encoder) {
+		if afterSeq != 0 || max != 0 {
+			enc.PutUint(afterSeq)
+			enc.PutUint(uint64(max))
+		}
 	}, func(d *wire.Decoder) error {
 		out = decodeEvents(d)
 		return nil

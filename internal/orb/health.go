@@ -4,15 +4,13 @@ import (
 	"time"
 
 	"itv/internal/obs"
-	"itv/internal/oref"
 	"itv/internal/wire"
 )
 
-// Wire form of the health scrape (the built-in _health call): the node's
+// Wire form of the health scrape (the node operation _health): the node's
 // identity and clock state, its measured peer offsets, and its recent
-// metric windows.  The request body carries one optional uint bounding how
-// many windows to return (0 = all).  Like _metrics and _events this is a
-// node property served before reference validation.
+// metric windows.  The request carries one optional uint bounding how many
+// windows to return (0 = all).
 
 func appendHealth(e *wire.Encoder, r *obs.HealthReport) {
 	e.PutString(r.Node)
@@ -83,53 +81,12 @@ func decodeHealth(d *wire.Decoder) *obs.HealthReport {
 	return r
 }
 
-// healthReport assembles this endpoint's node report; the node's own idea
-// of "now" is its HLC physical reading, so nodes on injected clocks report
-// simulated time.
-func (e *Endpoint) healthReport(maxWindows int) *obs.HealthReport {
-	h := obs.NodeHealth(e.tr.Host())
-	return h.Report(e.hlc.Current().Physical(), maxWindows)
-}
-
-// healthResult serves the local short-circuit path of _health.
-func (e *Endpoint) healthResult(put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if !e.diag.acquire() {
-		return Errf(ExcBusy, "diagnostic endpoint busy")
-	}
-	defer e.diag.release()
-	if get == nil {
-		return nil
-	}
-	maxWindows := 0
-	if put != nil {
-		pe := wire.GetEncoder()
-		put(pe)
-		pd := wire.NewDecoder(pe.Bytes())
-		if n := pd.Uint(); pd.Err() == nil {
-			maxWindows = int(n)
-		}
-		wire.PutEncoder(pe)
-	}
-	enc := wire.NewEncoder(1024)
-	appendHealth(enc, e.healthReport(maxWindows))
-	d := wire.NewDecoder(enc.Bytes())
-	if err := get(d); err != nil {
-		return err
-	}
-	if d.Err() != nil {
-		return Errf(ExcBadArgs, "result decode: %v", d.Err())
-	}
-	return nil
-}
-
-// HealthOf scrapes the rolling health windows of the endpoint at addr using
-// the built-in _health method (maxWindows <= 0 returns all).  Like
-// MetricsOf it works against any live endpoint regardless of incarnation or
-// object ids; itv-admin's watch dashboard fans it out across the cluster.
+// HealthOf scrapes the rolling health windows of the endpoint at addr
+// (maxWindows <= 0 returns all); itv-admin's watch dashboard fans it out
+// across the cluster.
 func (e *Endpoint) HealthOf(addr string, maxWindows int) (*obs.HealthReport, error) {
-	ref := oref.Ref{Addr: addr, Incarnation: oref.AnyIncarnation, TypeID: "itv.Node"}
 	var out *obs.HealthReport
-	err := e.Invoke(ref, "_health",
+	err := e.Invoke(NodeRef(addr), "_health",
 		func(enc *wire.Encoder) {
 			if maxWindows > 0 {
 				enc.PutUint(uint64(maxWindows))

@@ -77,7 +77,7 @@ func bulkReply(id uint64, blob, rest []byte) response {
 
 func frameOf(t testing.TB, r *response) []byte {
 	t.Helper()
-	e := wire.NewEncoder(len(r.Body) + 64)
+	e := new(wire.Encoder)
 	if err := wire.AppendFrame(e, r); err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,8 @@ type epMetrics struct {
 	// methods is the endpoint's table of the method names it serves: what
 	// a request's method bytes resolve through, to the name as a string
 	// that outlives the frame and to that method's queue/service/flush
-	// histograms, keyed by name alone (builtins have no type).  A name
-	// enters only once something here answered to it — a builtin on
+	// histograms, keyed by name alone (node operations have no type).  A name
+	// enters only once something here answered to it — a node operation on
 	// sight, any other after a skeleton took the call — so a peer cannot
 	// grow the table, or the registry behind it, by inventing names; calls
 	// whose method is not in it are timed together in other (otherRow).
@@ -150,15 +150,6 @@ func (m *epMetrics) methodFor(typeID, method string) *methodStats {
 // would share the row.
 const otherMethods = "_other"
 
-// builtin reports whether the endpoint itself answers to method.
-func builtin(method string) bool {
-	switch method {
-	case "_metrics", "_events", "_health", "_slow", "_profile", "_ping":
-		return true
-	}
-	return false
-}
-
 // serverFor resolves a request's method bytes: the name as a string safe
 // to keep and, when the table holds it, the row that times it (nil when
 // not: the call belongs in otherRow unless admitMethod says otherwise).  A
@@ -169,7 +160,7 @@ func (m *epMetrics) serverFor(method []byte) (name string, ss *serverMethodStats
 		return ss.method, ss
 	}
 	name = string(method)
-	if builtin(name) {
+	if nodeOpFor(name) != nil {
 		ss, _ = m.admitMethod(name)
 	}
 	return name, ss

@@ -9,12 +9,11 @@ import (
 	"time"
 
 	"itv/internal/obs"
-	"itv/internal/oref"
 	"itv/internal/wire"
 )
 
-// On-demand profiling surface (DESIGN.md §13.4): the built-in _profile
-// method collects a runtime/pprof profile on the serving node and pages it
+// On-demand profiling surface (DESIGN.md §13.4): the node operation
+// _profile collects a runtime/pprof profile on the serving node and pages it
 // back in bounded chunks, so an operator who spotted a suspicious trace in
 // the slow ledger can pull a profile from that exact node without
 // restarting it or exposing an HTTP port.
@@ -41,45 +40,16 @@ const (
 	maxProfileSeconds = 30
 )
 
-// maxDiagInflight bounds concurrently served diagnostic builtins per
-// endpoint; past it, callers get ExcBusy instead of queueing behind each
-// other on the dispatch workers.
-const maxDiagInflight = 4
-
-// diagGuard is the shared concurrency bound for the diagnostic builtins
-// (_health, _slow, _profile).  acquire/release cost one atomic each.
-type diagGuard struct {
-	inflight atomic.Int32
-}
-
-func (g *diagGuard) acquire() bool {
-	if g.inflight.Add(1) > maxDiagInflight {
-		g.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (g *diagGuard) release() { g.inflight.Add(-1) }
-
-// respBusy fills resp with the refusal a guarded builtin returns at its
-// concurrency bound.
-func respBusy(resp *response) {
-	resp.Status = statusApp
-	resp.ErrName = ExcBusy
-	resp.ErrMsg = "diagnostic endpoint busy"
-}
-
 // cpuProfileBusy serializes CPU profiling process-wide: runtime/pprof
 // supports one CPU profile at a time, and in the in-memory test-bed every
 // simulated node shares the process.  The loser gets ExcBusy, not an error
 // from deep inside pprof.
 var cpuProfileBusy atomic.Bool
 
-// serveProfile handles one _profile request whose decoded body is in d.
-// It returns the profile's total size and the requested chunk (aliasing
-// the endpoint's buffered profile; the caller copies it into the response
-// before any new collection can replace the buffer).
+// serveProfile handles one _profile request whose arguments are in d.  It
+// returns the profile's total size and the requested chunk (aliasing the
+// endpoint's buffered profile; the caller copies it into the results before
+// any new collection can replace the buffer).
 func (e *Endpoint) serveProfile(d *wire.Decoder) (total uint64, chunk []byte, err error) {
 	kind := d.String()
 	seconds := d.Uint()
@@ -143,29 +113,20 @@ func (e *Endpoint) collectProfile(kind string, seconds, rate uint64) error {
 		if err := pprof.Lookup(kind).WriteTo(&buf, 0); err != nil {
 			return Errf("ServerError", "%s profile: %v", kind, err)
 		}
-	case "mutex":
-		r := int(rate)
-		if r <= 0 {
-			r = 5 // sample 1/5 of contention events
+	case "mutex", "block":
+		setRate, r := func(r int) { runtime.SetMutexProfileFraction(r) }, 5 // 1/5 of contention events
+		if kind == "block" {
+			setRate, r = runtime.SetBlockProfileRate, 10000 // one sample per ~10µs blocked
 		}
-		runtime.SetMutexProfileFraction(r)
+		if asked := int(rate); asked > 0 {
+			r = asked
+		}
+		setRate(r)
 		time.Sleep(time.Duration(secs) * time.Second)
-		err := pprof.Lookup("mutex").WriteTo(&buf, 0)
-		runtime.SetMutexProfileFraction(0) // never leave sampling on
+		err := pprof.Lookup(kind).WriteTo(&buf, 0)
+		setRate(0) // never leave sampling on
 		if err != nil {
-			return Errf("ServerError", "mutex profile: %v", err)
-		}
-	case "block":
-		r := int(rate)
-		if r <= 0 {
-			r = 10000 // one sample per ~10µs blocked
-		}
-		runtime.SetBlockProfileRate(r)
-		time.Sleep(time.Duration(secs) * time.Second)
-		err := pprof.Lookup("block").WriteTo(&buf, 0)
-		runtime.SetBlockProfileRate(0) // never leave sampling on
-		if err != nil {
-			return Errf("ServerError", "block profile: %v", err)
+			return Errf("ServerError", "%s profile: %v", kind, err)
 		}
 	default:
 		return Errf(ExcBadArgs, "unknown profile kind %q (want cpu|heap|goroutine|mutex|block)", kind)
@@ -179,40 +140,8 @@ func (e *Endpoint) collectProfile(kind string, seconds, rate uint64) error {
 	return nil
 }
 
-// profileResult serves the local short-circuit path of _profile.
-func (e *Endpoint) profileResult(put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if !e.diag.acquire() {
-		return Errf(ExcBusy, "diagnostic endpoint busy")
-	}
-	pe := wire.GetEncoder()
-	if put != nil {
-		put(pe)
-	}
-	pd := wire.NewDecoder(pe.Bytes())
-	total, chunk, err := e.serveProfile(pd)
-	wire.PutEncoder(pe)
-	e.diag.release()
-	if err != nil {
-		return err
-	}
-	if get == nil {
-		return nil
-	}
-	enc := wire.NewEncoder(16 + len(chunk))
-	enc.PutUint(total)
-	enc.PutBytes(chunk)
-	d := wire.NewDecoder(enc.Bytes())
-	if gerr := get(d); gerr != nil {
-		return gerr
-	}
-	if d.Err() != nil {
-		return Errf(ExcBadArgs, "result decode: %v", d.Err())
-	}
-	return nil
-}
-
 // ProfileOf pulls one runtime profile from the node at addr via the
-// built-in _profile method and returns the complete serialized profile
+// node operation _profile and returns the complete serialized profile
 // (pprof's gzipped protobuf form).  kind is cpu, heap, goroutine, mutex or
 // block; seconds bounds the timed kinds (clamped to 1..30 server-side) and
 // rate sets the mutex fraction / block rate for the collection window
@@ -222,7 +151,7 @@ func (e *Endpoint) profileResult(put func(*wire.Encoder), get func(*wire.Decoder
 // (SetCallTimeout): collection happens synchronously inside the first
 // call, and later calls page the remainder in bounded chunks.
 func (e *Endpoint) ProfileOf(addr, kind string, seconds, rate int) ([]byte, error) {
-	ref := oref.Ref{Addr: addr, Incarnation: oref.AnyIncarnation, TypeID: "itv.Node"}
+	ref := NodeRef(addr)
 	var out []byte
 	offset := uint64(0)
 	for {

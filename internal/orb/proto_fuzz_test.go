@@ -39,12 +39,13 @@ func FuzzRequestRoundTrip(f *testing.F) {
 			ParentSpanID: parentSpan,
 			Sampled:      sampled,
 		}
-		e := wire.NewEncoder(64)
+		e := new(wire.Encoder)
 		in.MarshalWire(e)
 		raw := e.Bytes()
 
 		var out request
-		d := wire.NewDecoder(raw)
+		d := new(wire.Decoder)
+		d.Reset(raw)
 		out.UnmarshalWire(d)
 		if err := d.Err(); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
@@ -55,7 +56,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if out.ObjectID != "" || out.Method != "" || out.Principal != "" {
 			t.Fatalf("decode built strings out of the frame: %+v", out)
 		}
-		signed, verified := wire.NewEncoder(64), wire.NewEncoder(64)
+		signed, verified := new(wire.Encoder), new(wire.Encoder)
 		in.appendSigPayload(signed)
 		out.appendDecodedSigPayload(verified)
 		if !bytes.Equal(signed.Bytes(), verified.Bytes()) {
@@ -73,7 +74,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mutated the record:\n in: %+v\nout: %+v", in, out)
 		}
 
-		e2 := wire.NewEncoder(64)
+		e2 := new(wire.Encoder)
 		out.MarshalWire(e2)
 		if !bytes.Equal(raw, e2.Bytes()) {
 			t.Fatalf("re-marshal differs:\n first: %x\nsecond: %x", raw, e2.Bytes())
@@ -87,7 +88,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 // remote crash vector.
 func FuzzRequestDecode(f *testing.F) {
 	// Seed with a valid frame, a version-1 envelope, and junk.
-	e := wire.NewEncoder(64)
+	e := new(wire.Encoder)
 	(&request{ReqID: 9, Version: wireVersion, ObjectID: "o", Method: "m"}).MarshalWire(e)
 	f.Add(e.Bytes())
 	f.Add([]byte{0x09, 0x01})
@@ -95,10 +96,12 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var r request
-		d := wire.NewDecoder(raw)
+		d := new(wire.Decoder)
+		d.Reset(raw)
 		r.UnmarshalWire(d) // must not panic; Err() may or may not be set
 		var resp response
-		d2 := wire.NewDecoder(raw)
+		d2 := new(wire.Decoder)
+		d2.Reset(raw)
 		resp.UnmarshalWire(d2)
 	})
 }
@@ -109,16 +112,17 @@ func FuzzResponseRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reqID, status uint64, errName, errMsg string, body []byte, traceID uint64) {
 		in := response{ReqID: reqID, Status: status, ErrName: errName,
 			ErrMsg: errMsg, Body: body, TraceID: traceID}
-		e := wire.NewEncoder(64)
+		e := new(wire.Encoder)
 		in.MarshalWire(e)
 		raw := e.Bytes()
 		var out response
-		d := wire.NewDecoder(raw)
+		d := new(wire.Decoder)
+		d.Reset(raw)
 		out.UnmarshalWire(d)
 		if err := d.Err(); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		e2 := wire.NewEncoder(64)
+		e2 := new(wire.Encoder)
 		out.MarshalWire(e2)
 		if !bytes.Equal(raw, e2.Bytes()) {
 			t.Fatalf("re-marshal differs:\n first: %x\nsecond: %x", raw, e2.Bytes())

@@ -4,15 +4,13 @@ import (
 	"time"
 
 	"itv/internal/obs"
-	"itv/internal/oref"
 	"itv/internal/wire"
 )
 
-// Wire form of the slow-call ledger scrape (the built-in _slow call): the
+// Wire form of the slow-call ledger scrape (the node operation _slow): the
 // node's live tail estimate, then a count of ledger entries, then per
 // entry the sequence, unix-nano time, HLC, node, trace id, method, peer,
-// and the total / queue / service / flush / threshold durations.  Like
-// _metrics this is a node property served before reference validation.
+// and the total / queue / service / flush / threshold durations.
 
 // SlowReport couples one node's ledger entries with the tail-latency
 // estimate its admission threshold derives from.
@@ -66,36 +64,12 @@ func decodeSlowCalls(d *wire.Decoder) *SlowReport {
 	return r
 }
 
-// slowResult serves the local short-circuit path of _slow.
-func (e *Endpoint) slowResult(get func(*wire.Decoder) error) error {
-	if !e.diag.acquire() {
-		return Errf(ExcBusy, "diagnostic endpoint busy")
-	}
-	defer e.diag.release()
-	if get == nil {
-		return nil
-	}
-	enc := wire.NewEncoder(256)
-	appendSlowCalls(enc, e.ledger)
-	d := wire.NewDecoder(enc.Bytes())
-	if err := get(d); err != nil {
-		return err
-	}
-	if d.Err() != nil {
-		return Errf(ExcBadArgs, "result decode: %v", d.Err())
-	}
-	return nil
-}
-
-// SlowOf scrapes the slow-call ledger of the endpoint at addr using the
-// built-in _slow method.  Like MetricsOf it works against any live
-// endpoint regardless of incarnation or object ids; itv-admin's slow
-// command fans it out across the cluster to locate where tail latency is
-// being manufactured.
+// SlowOf scrapes the slow-call ledger of the endpoint at addr; itv-admin's
+// slow command fans it out across the cluster to locate where tail latency
+// is being manufactured.
 func (e *Endpoint) SlowOf(addr string) (*SlowReport, error) {
-	ref := oref.Ref{Addr: addr, Incarnation: oref.AnyIncarnation, TypeID: "itv.Node"}
 	var out *SlowReport
-	err := e.Invoke(ref, "_slow", nil, func(d *wire.Decoder) error {
+	err := e.Invoke(NodeRef(addr), "_slow", nil, func(d *wire.Decoder) error {
 		out = decodeSlowCalls(d)
 		return nil
 	})

@@ -83,9 +83,10 @@ func TestRefSliceRoundTrip(t *testing.T) {
 		{Addr: "b:2", Incarnation: 9, TypeID: "itv.Movie", ObjectID: "m1"},
 		{},
 	}
-	e := wire.NewEncoder(64)
+	e := new(wire.Encoder)
 	PutRefs(e, in)
-	d := wire.NewDecoder(e.Bytes())
+	d := new(wire.Decoder)
+	d.Reset(e.Bytes())
 	out := Refs(d)
 	if d.Err() != nil {
 		t.Fatal(d.Err())
@@ -101,9 +102,10 @@ func TestRefSliceRoundTrip(t *testing.T) {
 }
 
 func TestRefSliceEmpty(t *testing.T) {
-	e := wire.NewEncoder(8)
+	e := new(wire.Encoder)
 	PutRefs(e, nil)
-	d := wire.NewDecoder(e.Bytes())
+	d := new(wire.Decoder)
+	d.Reset(e.Bytes())
 	out := Refs(d)
 	if d.Err() != nil || len(out) != 0 {
 		t.Fatalf("empty slice round-trip: %v err %v", out, d.Err())
@@ -148,7 +150,8 @@ func TestDecodedRefOutlivesItsBuffer(t *testing.T) {
 	in := Ref{Addr: "192.168.0.3:1027", Incarnation: 77, TypeID: "itv.Movie", ObjectID: "movie-12"}
 	buf := wire.Marshal(in)
 	var kept Ref
-	d := wire.NewDecoder(buf)
+	d := new(wire.Decoder)
+	d.Reset(buf)
 	kept.UnmarshalWire(d)
 	if d.Err() != nil {
 		t.Fatal(d.Err())
@@ -170,7 +173,8 @@ func TestDecodedRefOutlivesItsBuffer(t *testing.T) {
 // Before the bound, these three bytes reserved 56 MiB on the way to the
 // same error.
 func TestRefsHostileCount(t *testing.T) {
-	d := wire.NewDecoder([]byte{0xff, 0xff, 0x3f})
+	d := new(wire.Decoder)
+	d.Reset([]byte{0xff, 0xff, 0x3f})
 	if out := Refs(d); len(out) != 0 || cap(out) != 0 {
 		t.Fatalf("decoded %d refs (capacity %d) from a bare count", len(out), cap(out))
 	}
@@ -182,13 +186,15 @@ func TestRefsHostileCount(t *testing.T) {
 // FuzzRefs: arbitrary bytes never panic the decoder and never make it
 // reserve room for more references than the bytes could encode.
 func FuzzRefs(f *testing.F) {
-	e := wire.NewEncoder(64)
+	e := new(wire.Encoder)
 	PutRefs(e, []Ref{{Addr: "a:1", Incarnation: 5, TypeID: "itv.MDS"}, {}})
 	f.Add(e.Bytes())
 	f.Add([]byte{0xff, 0xff, 0x3f})
 	f.Add([]byte{0x02, 0x00})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		out := Refs(wire.NewDecoder(raw))
+		var d wire.Decoder
+		d.Reset(raw)
+		out := Refs(&d)
 		if cap(out)*MinWireBytes > len(raw) {
 			t.Fatalf("%d bytes reserved room for %d references", len(raw), cap(out))
 		}

@@ -153,13 +153,8 @@ func (s *skel) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the client proxy for a Settop Manager.
 type Stub struct {
-	Ep  Invoker
+	Ep  orb.Invoker
 	Ref oref.Ref
-}
-
-// Invoker is the slice of orb.Endpoint the stub needs.
-type Invoker interface {
-	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
 }
 
 // Heartbeat reports the calling settop alive.

@@ -44,29 +44,8 @@ func (s *skel) Dispatch(c *orb.ServerCall) error {
 // Stub is the client-side proxy for a remote SSC; the CSC drives SSCs
 // through it (§6.2).
 type Stub struct {
-	Ep  Invoker
+	Ep  orb.Invoker
 	Ref oref.Ref
-}
-
-// Invoker is the slice of orb.Endpoint the stub needs.
-type Invoker interface {
-	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-	Ping(ref oref.Ref) error
-}
-
-// CtxInvoker is the context-propagating invoker; orb.Endpoint implements
-// it.  Stub methods taking a context use it when available and fall back
-// to plain Invoke otherwise, so test fakes satisfying only Invoker keep
-// working.
-type CtxInvoker interface {
-	InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-func invokeCtx(ep Invoker, ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if ci, ok := ep.(CtxInvoker); ok {
-		return ci.InvokeCtx(ctx, ref, method, put, get)
-	}
-	return ep.Invoke(ref, method, put, get)
 }
 
 // NotifyReady reports a process's exported objects.
@@ -113,13 +92,13 @@ func (s Stub) Running() ([]string, error) {
 // the same exchange it uses for liveness.
 func (s Stub) RunningCtx(ctx context.Context) ([]string, error) {
 	var out []string
-	err := invokeCtx(s.Ep, ctx, s.Ref, "running", nil,
+	err := orb.InvokeVia(ctx, s.Ep, s.Ref, "running", nil,
 		func(d *wire.Decoder) error { out = d.Strings(); return nil })
 	return out, err
 }
 
 // Ping probes the SSC's liveness (the CSC's server-failure detector, §6.3).
-func (s Stub) Ping() error { return s.Ep.Ping(s.Ref) }
+func (s Stub) Ping() error { return orb.Ping(s.Ep, s.Ref) }
 
 // CallbackFunc adapts a Go function to the SSCCallback IDL.  The context is
 // the server call's: when the SSC reported a death under a sampled trace,

@@ -17,7 +17,7 @@ func (m rawMsg) MarshalWire(e *wire.Encoder) { e.PutRaw(m) }
 // sendFrame writes payload as one frame in one Write, the way the ORB's
 // write path does (wire.AppendFrame into one buffer).
 func sendFrame(c io.Writer, payload []byte) error {
-	e := wire.NewEncoder(4 + len(payload))
+	e := new(wire.Encoder)
 	if err := wire.AppendFrame(e, rawMsg(payload)); err != nil {
 		return err
 	}

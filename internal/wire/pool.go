@@ -17,7 +17,7 @@ import "sync"
 // 16 MB in the pool forever; oversized buffers are dropped to the GC.
 const maxPooledBuf = 1 << 20
 
-var encPool = sync.Pool{New: func() any { return NewEncoder(256) }}
+var encPool = sync.Pool{New: func() any { return &Encoder{buf: make([]byte, 0, 256)} }}
 
 // GetEncoder returns an empty encoder from the pool.
 func GetEncoder() *Encoder {

@@ -36,7 +36,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		if err := writeFrame(&legacy, append([]byte(nil), blobMsg(payload).framePayload()...)); err != nil {
 			return false
 		}
-		e := NewEncoder(16)
+		e := new(Encoder)
 		if err := AppendFrame(e, blobMsg(payload)); err != nil {
 			return false
 		}
@@ -54,7 +54,7 @@ func (m blobMsg) framePayload() []byte { return Marshal(m) }
 // TestAppendFrameConcatenates checks back-to-back frames in one buffer
 // decode as a stream of distinct frames.
 func TestAppendFrameConcatenates(t *testing.T) {
-	e := NewEncoder(16)
+	e := new(Encoder)
 	if err := AppendFrame(e, blobMsg("first")); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAppendFrameConcatenates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		d := NewDecoder(frame)
+		d := &Decoder{buf: frame}
 		if got := string(d.Bytes()); got != want || d.Err() != nil {
 			t.Fatalf("frame %d = %q, want %q (err %v)", i, got, want, d.Err())
 		}
@@ -276,7 +276,7 @@ func TestEncoderPoolCopySurvivesReuse(t *testing.T) {
 		<-done
 	}
 
-	d := NewDecoder(snapshot)
+	d := &Decoder{buf: snapshot}
 	if got := d.String(); got != "canary" || d.Err() != nil {
 		t.Fatalf("copied bytes corrupted by pool reuse: %q (err %v)", got, d.Err())
 	}
@@ -285,11 +285,11 @@ func TestEncoderPoolCopySurvivesReuse(t *testing.T) {
 // TestBytesViewAliases pins BytesView's contract: it aliases the decoder's
 // buffer (no copy), while Bytes copies.
 func TestBytesViewAliases(t *testing.T) {
-	e := NewEncoder(16)
+	e := new(Encoder)
 	e.PutBytes([]byte("shared"))
 	buf := e.Bytes()
 
-	d := NewDecoder(buf)
+	d := &Decoder{buf: buf}
 	view := d.BytesView()
 	if string(view) != "shared" {
 		t.Fatalf("view = %q", view)
@@ -301,7 +301,7 @@ func TestBytesViewAliases(t *testing.T) {
 	}
 	buf[1] ^= 0xFF
 
-	d = NewDecoder(buf)
+	d = &Decoder{buf: buf}
 	cp := d.Bytes()
 	buf[1] ^= 0xFF
 	if string(cp) != "shared" {
@@ -315,22 +315,22 @@ func TestBytesViewAliases(t *testing.T) {
 // decode returns nil without touching dst.
 func TestBytesInto(t *testing.T) {
 	val := []byte("application binary")
-	e := NewEncoder(32)
+	e := new(Encoder)
 	e.PutBytes(val)
 	buf := e.Bytes()
 
 	long := make([]byte, 0, 64)
-	got := NewDecoder(buf).BytesInto(long)
+	got := (&Decoder{buf: buf}).BytesInto(long)
 	if !bytes.Equal(got, val) || &got[0] != &long[:1][0] {
 		t.Fatalf("long dst: got %q, reused=%v; want the value in dst's storage", got, &got[0] == &long[:1][0])
 	}
 	exact := make([]byte, len(val))
-	got = NewDecoder(buf).BytesInto(exact)
+	got = (&Decoder{buf: buf}).BytesInto(exact)
 	if !bytes.Equal(got, val) || &got[0] != &exact[0] {
 		t.Fatalf("exact dst: got %q, want the value in dst's storage", got)
 	}
 	for name, dst := range map[string][]byte{"nil": nil, "short": make([]byte, 3, len(val)-1)} {
-		got = NewDecoder(buf).BytesInto(dst)
+		got = (&Decoder{buf: buf}).BytesInto(dst)
 		if !bytes.Equal(got, val) || cap(got) != len(val) {
 			t.Fatalf("%s dst: got %q cap %d, want a fresh slice of exactly %d", name, got, cap(got), len(val))
 		}
@@ -344,7 +344,7 @@ func TestBytesInto(t *testing.T) {
 	// Bytes is BytesInto(nil): an empty value still decodes non-nil.
 	e.Reset()
 	e.PutBytes(nil)
-	if b := NewDecoder(e.Bytes()).Bytes(); b == nil || len(b) != 0 {
+	if b := (&Decoder{buf: e.Bytes()}).Bytes(); b == nil || len(b) != 0 {
 		t.Fatalf("empty value = %v, want empty non-nil", b)
 	}
 
@@ -354,7 +354,7 @@ func TestBytesInto(t *testing.T) {
 		"length > remaining": {0x05, 'a', 'b'},
 		"empty":              {},
 	} {
-		d := NewDecoder(raw)
+		d := &Decoder{buf: raw}
 		if got := d.BytesInto(keep); got != nil || d.Err() == nil {
 			t.Fatalf("%s: got %q, err %v; want nil and an error", name, got, d.Err())
 		}
@@ -368,7 +368,7 @@ func TestBytesInto(t *testing.T) {
 // agrees with BytesView on the value and the error, never panics, and
 // never hands back the input's storage.
 func FuzzBytesInto(f *testing.F) {
-	e := NewEncoder(16)
+	e := new(Encoder)
 	e.PutBytes([]byte("seed"))
 	f.Add(e.Bytes(), 0)
 	f.Add(e.Bytes(), 2)
@@ -382,9 +382,9 @@ func FuzzBytesInto(f *testing.F) {
 		if dstCap > 0 {
 			dst = make([]byte, 0, dstCap%(1<<16))
 		}
-		dv := NewDecoder(raw)
+		dv := &Decoder{buf: raw}
 		want := dv.BytesView()
-		di := NewDecoder(raw)
+		di := &Decoder{buf: raw}
 		got := di.BytesInto(dst)
 		if (dv.Err() == nil) != (di.Err() == nil) || !bytes.Equal(got, want) {
 			t.Fatalf("BytesInto = %x (%v), BytesView = %x (%v)", got, di.Err(), want, dv.Err())

@@ -95,22 +95,22 @@ func TestTableAdmitMakesOnce(t *testing.T) {
 // allocates nothing.
 func TestSymbolOutlivesItsBuffer(t *testing.T) {
 	var tab Table[string]
-	e := NewEncoder(32)
+	e := new(Encoder)
 	e.PutString("10.0.0.7:2049")
 	buf := append([]byte(nil), e.Bytes()...)
 
-	first := NewDecoder(buf).Symbol(&tab)
+	first := (&Decoder{buf: buf}).Symbol(&tab)
 	for i := 1; i < len(buf); i++ {
 		buf[i] = 'X'
 	}
 	if first != "10.0.0.7:2049" {
 		t.Fatalf("decoded symbol changed with its buffer: %q", first)
 	}
-	overwritten := NewDecoder(buf).Symbol(&tab)
+	overwritten := (&Decoder{buf: buf}).Symbol(&tab)
 	if overwritten != "XXXXXXXXXXXXX" {
 		t.Fatalf("second decode = %q", overwritten)
 	}
-	if again := NewDecoder(e.Bytes()).Symbol(&tab); again != first {
+	if again := (&Decoder{buf: e.Bytes()}).Symbol(&tab); again != first {
 		t.Fatalf("table entry changed with the buffer: %q", again)
 	}
 
@@ -131,17 +131,17 @@ func TestSymbolOutlivesItsBuffer(t *testing.T) {
 // cannot hold is a truncated message at the count, before any caller sizes
 // a slice by it.
 func TestCountOfRefusesWhatCannotFit(t *testing.T) {
-	e := NewEncoder(16)
+	e := new(Encoder)
 	e.PutUint(3)
 	e.PutRaw(make([]byte, 11))
-	if n := NewDecoder(e.Bytes()).CountOf(4); n != 0 {
+	if n := (&Decoder{buf: e.Bytes()}).CountOf(4); n != 0 {
 		t.Fatalf("CountOf(4) over 11 bytes = %d, want 0 (three 4-byte elements need 12)", n)
 	}
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	if n := d.CountOf(3); n != 3 || d.Err() != nil {
 		t.Fatalf("CountOf(3) over 11 bytes = %d, %v", n, d.Err())
 	}
-	hostile := NewDecoder([]byte{0xff, 0xff, 0x3f}) // 1,048,575 elements, no bytes behind it
+	hostile := &Decoder{buf: []byte{0xff, 0xff, 0x3f}} // 1,048,575 elements, no bytes behind it
 	if n := hostile.Count(); n != 0 || !errors.Is(hostile.Err(), ErrTruncated) {
 		t.Fatalf("hostile Count = %d, %v; want 0, ErrTruncated", n, hostile.Err())
 	}

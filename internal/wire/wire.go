@@ -54,11 +54,6 @@ type Encoder struct {
 	buf []byte
 }
 
-// NewEncoder returns an encoder with capacity preallocated.
-func NewEncoder(sizeHint int) *Encoder {
-	return &Encoder{buf: make([]byte, 0, sizeHint)}
-}
-
 // Bytes returns the encoded message.  The slice is owned by the encoder.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
@@ -144,11 +139,9 @@ type Decoder struct {
 	err error
 }
 
-// NewDecoder returns a decoder over buf.  The decoder does not copy buf.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
-// Reset re-arms the decoder over a new buffer, clearing any latched error.
-// It lets a long-lived decoder (a connection read loop's, a pooled server
+// Reset arms the decoder over buf, which it does not copy, clearing any
+// latched error.  It is how a zero Decoder is pointed at its first message,
+// and lets a long-lived decoder (a connection read loop's, a pooled server
 // call's) decode many messages without allocating one Decoder each.
 func (d *Decoder) Reset(buf []byte) {
 	d.buf = buf
@@ -342,15 +335,15 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Marshal encodes a single Marshaler to a fresh byte slice.
 func Marshal(m Marshaler) []byte {
-	e := NewEncoder(64)
-	m.MarshalWire(e)
-	return e.Bytes()
+	e := Encoder{buf: make([]byte, 0, 64)}
+	m.MarshalWire(&e)
+	return e.buf
 }
 
 // Unmarshal decodes buf into u, requiring full consumption.
 func Unmarshal(buf []byte, u Unmarshaler) error {
-	d := NewDecoder(buf)
-	u.UnmarshalWire(d)
+	d := Decoder{buf: buf}
+	u.UnmarshalWire(&d)
 	if d.err != nil {
 		return d.err
 	}

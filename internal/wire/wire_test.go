@@ -10,9 +10,9 @@ import (
 
 func TestUintRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64} {
-		e := NewEncoder(16)
+		e := new(Encoder)
 		e.PutUint(v)
-		d := NewDecoder(e.Bytes())
+		d := &Decoder{buf: e.Bytes()}
 		if got := d.Uint(); got != v || d.Err() != nil {
 			t.Fatalf("Uint(%d) round-trip = %d, err %v", v, got, d.Err())
 		}
@@ -21,9 +21,9 @@ func TestUintRoundTrip(t *testing.T) {
 
 func TestIntRoundTripProperty(t *testing.T) {
 	f := func(v int64) bool {
-		e := NewEncoder(16)
+		e := new(Encoder)
 		e.PutInt(v)
-		d := NewDecoder(e.Bytes())
+		d := &Decoder{buf: e.Bytes()}
 		return d.Int() == v && d.Err() == nil && d.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -33,9 +33,9 @@ func TestIntRoundTripProperty(t *testing.T) {
 
 func TestFloatRoundTripProperty(t *testing.T) {
 	f := func(v float64) bool {
-		e := NewEncoder(16)
+		e := new(Encoder)
 		e.PutFloat(v)
-		d := NewDecoder(e.Bytes())
+		d := &Decoder{buf: e.Bytes()}
 		got := d.Float()
 		if d.Err() != nil {
 			return false
@@ -50,10 +50,10 @@ func TestFloatRoundTripProperty(t *testing.T) {
 
 func TestStringBytesRoundTripProperty(t *testing.T) {
 	f := func(s string, b []byte) bool {
-		e := NewEncoder(64)
+		e := new(Encoder)
 		e.PutString(s)
 		e.PutBytes(b)
-		d := NewDecoder(e.Bytes())
+		d := &Decoder{buf: e.Bytes()}
 		gs := d.String()
 		gb := d.Bytes()
 		return d.Err() == nil && gs == s && bytes.Equal(gb, b) && d.Remaining() == 0
@@ -65,9 +65,9 @@ func TestStringBytesRoundTripProperty(t *testing.T) {
 
 func TestStringsRoundTrip(t *testing.T) {
 	in := []string{"", "a", "svc/mds/forge", "日本語"}
-	e := NewEncoder(64)
+	e := new(Encoder)
 	e.PutStrings(in)
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	out := d.Strings()
 	if d.Err() != nil || len(out) != len(in) {
 		t.Fatalf("Strings round-trip: %v err %v", out, d.Err())
@@ -81,9 +81,9 @@ func TestStringsRoundTrip(t *testing.T) {
 
 func TestStringMapRoundTrip(t *testing.T) {
 	in := map[string]string{"cmgr": "1", "mds": "forge", "": "empty-key"}
-	e := NewEncoder(64)
+	e := new(Encoder)
 	e.PutStringMap(in)
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	out := d.StringMap()
 	if d.Err() != nil || len(out) != len(in) {
 		t.Fatalf("StringMap round-trip: %v err %v", out, d.Err())
@@ -96,14 +96,14 @@ func TestStringMapRoundTrip(t *testing.T) {
 }
 
 func TestBoolRoundTripAndInvalid(t *testing.T) {
-	e := NewEncoder(4)
+	e := new(Encoder)
 	e.PutBool(true)
 	e.PutBool(false)
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	if !d.Bool() || d.Bool() || d.Err() != nil {
 		t.Fatal("bool round-trip failed")
 	}
-	bad := NewDecoder([]byte{7})
+	bad := &Decoder{buf: []byte{7}}
 	bad.Bool()
 	if bad.Err() == nil {
 		t.Fatal("invalid bool byte not rejected")
@@ -111,7 +111,7 @@ func TestBoolRoundTripAndInvalid(t *testing.T) {
 }
 
 func TestDecoderLatchesError(t *testing.T) {
-	d := NewDecoder(nil)
+	d := &Decoder{buf: nil}
 	_ = d.Uint() // truncated
 	first := d.Err()
 	if first == nil {
@@ -125,10 +125,10 @@ func TestDecoderLatchesError(t *testing.T) {
 }
 
 func TestTruncatedString(t *testing.T) {
-	e := NewEncoder(16)
+	e := new(Encoder)
 	e.PutString("hello")
 	buf := e.Bytes()[:3]
-	d := NewDecoder(buf)
+	d := &Decoder{buf: buf}
 	_ = d.String()
 	if d.Err() == nil {
 		t.Fatal("truncated string not detected")
@@ -137,9 +137,9 @@ func TestTruncatedString(t *testing.T) {
 
 func TestHostileCollectionLength(t *testing.T) {
 	// A varint claiming 2^40 elements must be rejected, not allocated.
-	e := NewEncoder(16)
+	e := new(Encoder)
 	e.PutUint(1 << 40)
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	if got := d.Strings(); got != nil || d.Err() == nil {
 		t.Fatalf("hostile length accepted: %v, err %v", got, d.Err())
 	}
@@ -173,7 +173,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := AppendFrame(NewEncoder(0), blobMsg(make([]byte, MaxFrameSize+1))); !errors.Is(err, ErrTooLarge) {
+	if err := AppendFrame(new(Encoder), blobMsg(make([]byte, MaxFrameSize+1))); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize write err = %v, want ErrTooLarge", err)
 	}
 	// Hostile header.
@@ -198,7 +198,7 @@ func TestFrameShortRead(t *testing.T) {
 func TestMarshalUnmarshalTrailing(t *testing.T) {
 	type pair struct{ a, b string }
 	_ = pair{}
-	e := NewEncoder(16)
+	e := new(Encoder)
 	e.PutString("x")
 	e.PutUint(9) // trailing garbage from the Unmarshaler's point of view
 	err := Unmarshal(e.Bytes(), unmarshalerFunc(func(d *Decoder) { _ = d.String() }))
@@ -212,28 +212,28 @@ type unmarshalerFunc func(*Decoder)
 func (f unmarshalerFunc) UnmarshalWire(d *Decoder) { f(d) }
 
 func TestEncoderReset(t *testing.T) {
-	e := NewEncoder(8)
+	e := new(Encoder)
 	e.PutString("abc")
 	e.Reset()
 	if e.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", e.Len())
 	}
 	e.PutUint(5)
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	if d.Uint() != 5 || d.Err() != nil {
 		t.Fatal("encoder unusable after Reset")
 	}
 }
 
 func TestMixedSequenceRoundTrip(t *testing.T) {
-	e := NewEncoder(64)
+	e := new(Encoder)
 	e.PutBool(true)
 	e.PutInt(-42)
 	e.PutUint(42)
 	e.PutFloat(3.5)
 	e.PutString("movie/T2")
 	e.PutBytes([]byte{0, 1, 2})
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.Bytes()}
 	if !d.Bool() || d.Int() != -42 || d.Uint() != 42 || d.Float() != 3.5 ||
 		d.String() != "movie/T2" || !bytes.Equal(d.Bytes(), []byte{0, 1, 2}) {
 		t.Fatal("mixed sequence mismatch")
