@@ -7,7 +7,6 @@ import (
 	"itv/internal/atm"
 	"itv/internal/core"
 	"itv/internal/names"
-	"itv/internal/orb"
 	"itv/internal/oref"
 )
 
@@ -17,7 +16,8 @@ import (
 // of the first settop seen from there and then held as clients hold theirs
 // (§3.4.2) — the name service is asked again only by the call that finds
 // the reference dead.  Nothing expires: a stale reference is caught by its
-// incarnation check, a vanished primary by the name service's audit.
+// incarnation check, a vanished primary by the name service's audit, a
+// demoted one by its own refusal (core.Rebinder.Do).
 type Directory struct {
 	sess *core.Session
 
@@ -50,31 +50,20 @@ func (d *Directory) forSettop(settop string) *core.Rebinder {
 	return rb
 }
 
-// checked passes err through, dropping rb's reference when it names a live
-// replica that demoted itself (§5.2): stale too, so the next call asks again.
-func checked(rb *core.Rebinder, err error) error {
-	if orb.IsApp(err, orb.ExcUnavailable) {
-		rb.Invalidate()
-	}
-	return err
-}
-
 // Allocate admits a connection between settop and server.
 func (d *Directory) Allocate(settop, server string, rate int64, kind atm.Kind) (Alloc, error) {
 	var a Alloc
-	rb := d.forSettop(settop)
-	err := rb.Do(context.Background(), func(ref oref.Ref) (err error) {
+	err := d.forSettop(settop).Do(context.Background(), func(ref oref.Ref) (err error) {
 		a, err = Stub{Ep: d.sess.Ep, Ref: ref}.Allocate(settop, server, rate, kind)
 		return err
 	})
-	return a, checked(rb, err)
+	return a, err
 }
 
 // Release frees connection id on settop's Connection Manager as bound now:
 // after a fail-over, the backup holding the mirrored table (§10.1.1).
 func (d *Directory) Release(settop, id string) error {
-	rb := d.forSettop(settop)
-	return checked(rb, rb.Do(context.Background(), func(ref oref.Ref) error {
+	return d.forSettop(settop).Do(context.Background(), func(ref oref.Ref) error {
 		return Stub{Ep: d.sess.Ep, Ref: ref}.Release(id)
-	}))
+	})
 }

@@ -164,7 +164,9 @@ func (rb *Rebinder) InvokeInto(ctx context.Context, method string, put func(*wir
 }
 
 // Do runs call against the name's current reference, re-resolving and
-// retrying while the failure says the reference is dead.  An ordinary
+// retrying while the failure says the reference is dead.  A replica that
+// answers Unavailable is alive but not the one to call: Do returns the
+// refusal and drops the reference, so the next call re-resolves.  An ordinary
 // {Ep, Ref} stub built on the reference call is handed runs under rebinding.
 func (rb *Rebinder) Do(ctx context.Context, call func(oref.Ref) error) error {
 	attempts := rb.MaxAttempts
@@ -198,6 +200,13 @@ func (rb *Rebinder) Do(ctx context.Context, call func(oref.Ref) error) error {
 			}
 		}
 		err = call(ref)
+		if orb.IsApp(err, orb.ExcUnavailable) {
+			// A live replica that is not primary, or no longer is (§5.2): its
+			// reference is stale too.  The caller hears the refusal, and the
+			// next call asks the name service again.
+			rb.Invalidate()
+			return err
+		}
 		if err == nil || !orb.Dead(err) {
 			return err
 		}

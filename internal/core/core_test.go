@@ -325,6 +325,48 @@ func TestRebinderNonRetryableErrorPassesThrough(t *testing.T) {
 	}
 }
 
+// demotedSkel is a live replica that is no longer primary (§5.2): it
+// answers every call, and refuses each one as Unavailable.
+type demotedSkel struct{}
+
+func (demotedSkel) TypeID() string { return "test.Echo" }
+func (demotedSkel) Dispatch(*orb.ServerCall) error {
+	return orb.Errf(orb.ExcUnavailable, "not primary")
+}
+
+// TestRebinderTreatsNotPrimaryAsStale: a rebinder holding a replica that
+// demoted itself passes its refusal on once, and the next call re-resolves
+// and reaches whoever holds the name now, rather than calling the live but
+// demoted replica for as long as it runs.
+func TestRebinderTreatsNotPrimaryAsStale(t *testing.T) {
+	f := newFixture(t)
+	ep, err := orb.NewEndpoint(f.nw.Host("192.168.0.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if err := f.session.Root.Bind("svc-echo", ep.Register("", demotedSkel{})); err != nil {
+		t.Fatal(err)
+	}
+	rb := f.session.Service("svc-echo")
+	if _, err := echoVia(rb, "hi"); !orb.IsApp(err, orb.ExcUnavailable) {
+		t.Fatalf("call on the demoted replica: err = %v, want Unavailable", err)
+	}
+
+	// The name moves to a new primary while the demoted replica lives on.
+	svc := startEcho(t, f.nw, "192.168.0.3")
+	defer svc.ep.Close()
+	if err := f.session.Root.Unbind("svc-echo"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.session.Root.Bind("svc-echo", svc.ref); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := echoVia(rb, "again"); err != nil || got != "again" {
+		t.Fatalf("second call = %q, %v; want the name's new holder to answer", got, err)
+	}
+}
+
 func TestRebinderGivesUpAfterMaxAttempts(t *testing.T) {
 	f := newFixture(t)
 	rb := f.session.Service("never-bound")

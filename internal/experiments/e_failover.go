@@ -145,7 +145,12 @@ func E10MDSCrash() *Table {
 			break
 		}
 		if c.FakeClk != nil {
-			c.FakeClk.Advance(30 * time.Second)
+			// 30 s of playback, passed in WaitFor's steps so the settop's
+			// heartbeats keep pace with the RAS polls that judge them: in one
+			// 30 s jump a poll could run before the first heartbeat after it,
+			// find the settop silent for 30 s, and reclaim its movie.
+			played := c.Clk.Now().Add(30 * time.Second)
+			c.WaitFor(func() bool { return !c.Clk.Now().Before(played) })
 		}
 		posBefore, _, err := st.PollPlayback()
 		if err != nil {

@@ -114,6 +114,7 @@ func TestGolden(t *testing.T) {
 		{"checks/poolown", "poolown"},
 		{"checks/poolown_sign", "poolown"},
 		{"checks/poolown_claim", "poolown"},
+		{"checks/poolown_seat", "poolown"},
 		{"internal/ctxflow", "ctxflow"},
 		{"checks/lockorder", "lockorder"},
 		{"checks/generics", "poolown,ctxflow,lockorder"},

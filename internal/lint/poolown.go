@@ -221,7 +221,7 @@ func (f *poolFunc) transfer(s flowState, n ast.Node, report bool) {
 
 	case *ast.SendStmt:
 		// Sending a pooled value is the sanctioned ownership handoff
-		// (readLoop → waiter, serveConn → worker).
+		// (seat holder → waiter, reader → worker).
 		if id, ok := n.Value.(*ast.Ident); ok {
 			if v, _ := f.p.Pkg.Info.Uses[id].(*types.Var); v != nil && f.acquired[v] != nil {
 				f.useCheck(s, id, report)

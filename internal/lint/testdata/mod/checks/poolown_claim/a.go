@@ -6,7 +6,7 @@ import (
 	"golden/internal/wire"
 )
 
-// The client read loop's split read in miniature (orb.clientConn.readLoop):
+// The client read loop's split read in miniature (orb.clientConn.readReply):
 // a caller registers a waiter that lends storage for a big reply, the read
 // loop — the connection's only reader — claims the waiter before the first
 // byte lands in that storage, and from then on owes it exactly one

@@ -34,6 +34,13 @@ type epMetrics struct {
 	batchedWrites *obs.Counter
 	batchedFrames *obs.Counter
 
+	// Run-to-completion (DESIGN.md §12, the reader seat): requests the
+	// server's reader served itself, replies a caller read itself, and
+	// inline dispatches that outlasted the grace and handed the seat on.
+	inlineDispatches *obs.Counter
+	selfReads        *obs.Counter
+	readerPromotions *obs.Counter
+
 	dispatches  *obs.Counter
 	appErrors   *obs.Counter
 	invalidRefs *obs.Counter
@@ -110,6 +117,10 @@ func newEpMetrics(host string) *epMetrics {
 		invalidRefs:    r.Counter("orb_server_invalid_refs"),
 		inflight:       r.Gauge("orb_server_inflight"),
 		slowAdmitted:   r.Counter("slow_call_admitted"),
+
+		inlineDispatches: r.Counter("orb_server_inline_dispatches"),
+		selfReads:        r.Counter("orb_client_self_reads"),
+		readerPromotions: r.Counter("orb_server_reader_promotions"),
 	}
 }
 

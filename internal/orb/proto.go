@@ -141,7 +141,7 @@ func (r *request) appendDecodedSigPayload(e *wire.Encoder) {
 
 // response is the on-wire reply record.  Like request, UnmarshalWire leaves
 // Body aliasing the frame buffer; respFrame couples the two so ownership
-// moves as one unit from the read loop to the waiting caller.
+// moves as one unit from the connection's reader to the waiting caller.
 //
 // TraceID, when nonzero, is the causal trace the server *adopted* while
 // serving this call (e.g. a bind that consumed an audit tombstone); the

@@ -288,7 +288,20 @@ func (c *memConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// Close severs the connection on both ends.  Closing ours already fails the
+// peer's reads and writes; the peer is closed too, before Close returns, so
+// that its host bookkeeping is cleaned up and nothing of the connection
+// outlives the call.
 func (c *memConn) Close() error {
+	err := c.closeEnd()
+	if c.peer != nil {
+		c.peer.closeEnd()
+	}
+	return err
+}
+
+// closeEnd closes this end alone.
+func (c *memConn) closeEnd() error {
 	var err error
 	c.closed.Do(func() {
 		c.net.mu.Lock()
@@ -297,12 +310,6 @@ func (c *memConn) Close() error {
 		}
 		c.net.mu.Unlock()
 		err = c.Conn.Close()
-		// A severed pipe must fail on both ends; closing ours unblocks the
-		// peer's reads with an error, and we also proactively close it so
-		// its host bookkeeping is cleaned up.
-		if c.peer != nil {
-			go c.peer.Close()
-		}
 	})
 	return err
 }

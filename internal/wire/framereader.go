@@ -43,7 +43,11 @@ func (fr *FrameReader) Next(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fr.Body(have, n)
+	payload, err := readBody(fr.r, have, n)
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 // Begin starts the next frame: it returns the payload's length n, checked
@@ -55,7 +59,8 @@ func (fr *FrameReader) Next(buf []byte) ([]byte, error) {
 // prefix and direct what follows wherever it likes.
 //
 // io.EOF means the stream ended on a frame boundary; an end inside a frame
-// is io.ErrUnexpectedEOF.
+// is io.ErrUnexpectedEOF.  On any error, what arrived of the header stays
+// carried, so a Begin cut short by a deadline can simply be called again.
 func (fr *FrameReader) Begin(buf []byte) (have []byte, n int, err error) {
 	if cap(buf) < readAhead {
 		buf = make([]byte, readAhead)
@@ -68,7 +73,13 @@ func (fr *FrameReader) Begin(buf []byte) (have []byte, n int, err error) {
 		got := copy(buf, src)
 		more, err := io.ReadAtLeast(fr.r, buf[got:], frameHeaderLen-got)
 		if err != nil {
-			if got > 0 && errors.Is(err, io.EOF) {
+			if more > 0 {
+				if fr.spill == nil {
+					fr.spill = make([]byte, 0, readAhead)
+				}
+				fr.carry = append(fr.spill[:0], buf[:got+more]...)
+			}
+			if got+more > 0 && errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, 0, err
@@ -101,8 +112,19 @@ func (fr *FrameReader) Begin(buf []byte) (have []byte, n int, err error) {
 // behind them, in place when n fits have's capacity, otherwise in a fresh
 // slice of exactly n bytes that have is copied to.  n must be at least
 // len(have) and at most the frame's length.
+//
+// On an error Body returns, beside it, the payload as far as it got — have's
+// bytes and whatever arrived behind them — so a read cut short by a
+// deadline resumes with another Body call on that result.
 func (fr *FrameReader) Body(have []byte, n int) ([]byte, error) {
 	return readBody(fr.r, have, n)
+}
+
+// Ready reports whether a whole frame waits in the carry: the next Next
+// returns it without touching the transport.
+func (fr *FrameReader) Ready() bool {
+	return len(fr.carry) >= frameHeaderLen &&
+		uint64(binary.BigEndian.Uint32(fr.carry)) <= uint64(len(fr.carry)-frameHeaderLen)
 }
 
 func readBody(r io.Reader, have []byte, n int) ([]byte, error) {
@@ -113,11 +135,12 @@ func readBody(r io.Reader, have []byte, n int) ([]byte, error) {
 		payload = make([]byte, n)
 		copy(payload, have)
 	}
-	if _, err := io.ReadFull(r, payload[len(have):]); err != nil {
+	got, err := io.ReadFull(r, payload[len(have):])
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF // the header promised more
 		}
-		return nil, err
+		return payload[:len(have)+got], err
 	}
 	return payload, nil
 }
@@ -141,5 +164,9 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	if n > MaxFrameSize {
 		return nil, ErrTooLarge
 	}
-	return readBody(r, buf[:0], int(n))
+	payload, err := readBody(r, buf[:0], int(n))
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
 }

@@ -98,6 +98,79 @@ func TestFrameReaderCarryAcrossHeader(t *testing.T) {
 	}
 }
 
+// errKicked stands in for a read deadline that cut a read short.
+var errKicked = errors.New("kicked")
+
+// kickReader delivers the stream in the given chunks and fails once, with
+// errKicked, between every two of them.
+type kickReader struct {
+	chunks [][]byte
+	kick   bool
+}
+
+func (k *kickReader) Read(p []byte) (int, error) {
+	if k.kick = !k.kick; !k.kick {
+		return 0, errKicked
+	}
+	if len(k.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, k.chunks[0])
+	if k.chunks[0] = k.chunks[0][n:]; len(k.chunks[0]) == 0 {
+		k.chunks = k.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestFrameReaderResumesAfterAKick: a Begin or a Body cut short by a failed
+// read loses nothing.  Begin keeps what arrived of a header, Body hands
+// back the payload as far as it got, and calling each again on what it
+// returned reads on where the failure stopped it, cut wherever the failure
+// lands.  Ready tells a whole carried frame from a part of one.
+func TestFrameReaderResumesAfterAKick(t *testing.T) {
+	a, b := bytes.Repeat([]byte("first frame "), 500), []byte("second")
+	stream := append(frameBytes(t, a), frameBytes(t, b)...)
+	for cut := 1; cut < len(stream); cut += 97 {
+		fr := NewFrameReader(&kickReader{chunks: [][]byte{stream[:1], stream[1:cut], stream[cut:]}})
+		for i, want := range [][]byte{a, b} {
+			var have []byte
+			var n int
+			var err error
+			for {
+				if have, n, err = fr.Begin(nil); !errors.Is(err, errKicked) {
+					break
+				}
+			}
+			if err != nil || n != len(want) {
+				t.Fatalf("cut %d: frame %d begins with length %d, %v", cut, i, n, err)
+			}
+			for {
+				if have, err = fr.Body(have, n); !errors.Is(err, errKicked) {
+					break
+				}
+			}
+			if err != nil || !bytes.Equal(have, want) {
+				t.Fatalf("cut %d: frame %d = %d bytes, %v", cut, i, len(have), err)
+			}
+		}
+	}
+
+	whole := frameBytes(t, b)
+	for _, c := range []struct {
+		carry []byte
+		ready bool
+	}{
+		{whole[:2], false},
+		{whole[:len(whole)-1], false},
+		{whole, true},
+		{append(bytes.Clone(whole), whole[:2]...), true},
+	} {
+		if got := (&FrameReader{carry: c.carry}).Ready(); got != c.ready {
+			t.Errorf("Ready with %d of a %d-byte frame carried = %v", len(c.carry), len(whole), got)
+		}
+	}
+}
+
 // readAll runs next until it fails and returns the frames (copied) and the
 // error that ended the stream.
 func readAll(next func([]byte) ([]byte, error), after func()) (frames [][]byte, err error) {
