@@ -5,7 +5,7 @@
 //
 // The implementation lives under internal/ (one package per subsystem; see
 // DESIGN.md for the inventory), runnable programs under cmd/ and examples/,
-// and the evaluation suite in internal/experiments with benchmark entry
-// points in bench_test.go.  EXPERIMENTS.md records paper-versus-measured
-// results for every reproduced figure and claim.
+// the evaluation suite in internal/experiments (printed by cmd/itv-bench),
+// and the performance benchmark in bench/.  EXPERIMENTS.md records
+// paper-versus-measured results for every reproduced figure and claim.
 package itv

@@ -1,7 +1,7 @@
 // Package experiments reproduces the paper's evaluation (§9, plus the
 // quantitative claims of §3.1 and §7): one function per experiment, each
-// returning printable rows.  The benchmark harness (bench_test.go) and the
-// itv-bench command both drive these.
+// returning printable rows.  The itv-bench command prints them, and this
+// package's tests check each one's claim.
 //
 // The paper is an experience report: its "results" are architecture
 // figures, interval arithmetic, and scaling arguments rather than result

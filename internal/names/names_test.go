@@ -575,6 +575,34 @@ func TestBindingsHostileCount(t *testing.T) {
 	}
 }
 
+// TestBindingListRoundTripAllocations pins what a `list` reply of eight
+// bindings costs to encode and decode: 17 allocations, one string per
+// binding name, one per object id and the slice.  The references' addresses
+// and type ids come out of the process's tables (oref), so they cost
+// nothing.  (Framing and reading the frame cost nothing either; the wire
+// package pins that.)
+func TestBindingListRoundTripAllocations(t *testing.T) {
+	list := make([]Binding, 8)
+	for i := range list {
+		list[i] = Binding{Name: "replica", Ref: oref.Ref{Addr: "192.168.0.1:555", Incarnation: 42, TypeID: TypeContext, ObjectID: "c7"}}
+	}
+	var (
+		enc wire.Encoder
+		dec wire.Decoder
+	)
+	n := testing.AllocsPerRun(200, func() {
+		enc.Reset()
+		PutBindings(&enc, list)
+		dec.Reset(enc.Bytes())
+		if got := Bindings(&dec); len(got) != len(list) || dec.Err() != nil || got[7] != list[7] {
+			t.Fatalf("round trip: %d bindings, %v", len(got), dec.Err())
+		}
+	})
+	if n != 17 {
+		t.Errorf("an 8-binding list costs %.0f allocations to encode and decode, want 17", n)
+	}
+}
+
 // FuzzBindings: arbitrary bytes never panic the decoder and never make it
 // reserve room for more bindings than the bytes could encode; what decodes
 // cleanly round-trips.
