@@ -1,8 +1,8 @@
-// Command itv-vet runs the project's static-analysis suite: eleven checks
+// Command itv-vet runs the project's static-analysis suite: nine checks
 // that enforce the OCS concurrency and failure-handling invariants
 // (mortal references, no mutex across RPC, injected clocks, stoppable
-// goroutines, errors.Is, metric naming, pooled-buffer ownership, context
-// propagation, lock ordering).  See internal/lint and the "Static
+// goroutines, errors.Is, metric and event naming, pooled-buffer
+// ownership, context propagation).  See internal/lint and the "Static
 // invariants" section of DESIGN.md.
 //
 // Usage:
@@ -11,21 +11,21 @@
 //
 //	itv-vet ./...                 # whole module (the CI gate)
 //	itv-vet -json ./... > vet.json
-//	itv-vet -checks rawerrcmp -fix ./...
-//	itv-vet -since origin/main ./...   # findings only in changed files
-//	itv-vet -annotate ./...            # GitHub ::error annotations
+//	itv-vet -checks rawerrcmp ./internal/orb
+//	itv-vet -annotate ./...       # GitHub ::error annotations
 //	itv-vet -list
 //
-// Exit status: 0 clean, 1 findings, 2 operational failure (bad
-// patterns, unparsable source).
+// Patterns name directories of the module holding the working directory.
+// Exit status: 0 clean, 1 findings, 2 operational failure (bad flags or
+// patterns, source that does not parse or type-check).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -33,126 +33,89 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command: it lints what args name and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("itv-vet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		jsonOut  = flag.Bool("json", false, "emit diagnostics as a JSON array (for CI diffing)")
-		fix      = flag.Bool("fix", false, "mechanically rewrite rawerrcmp findings to errors.Is")
-		list     = flag.Bool("list", false, "list registered checks and exit")
-		checks   = flag.String("checks", "", "comma-separated checks to run (default: all)")
-		typeErrs = flag.Bool("typeerrors", false, "print tolerated type-check errors to stderr")
-		since    = flag.String("since", "", "restrict findings to files changed since this git ref (plus untracked files)")
-		annotate = flag.Bool("annotate", false, "also emit findings as GitHub workflow annotations (::error file=...)")
+		jsonOut  = flags.Bool("json", false, "emit diagnostics as a JSON array (for CI diffing)")
+		list     = flags.Bool("list", false, "list registered checks and exit")
+		checks   = flags.String("checks", "", "comma-separated checks to run (default: all)")
+		annotate = flags.Bool("annotate", false, "also emit findings as GitHub workflow annotations (::error file=...)")
 	)
-	flag.Parse()
-
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 	if *list {
 		for _, c := range lint.All() {
-			fmt.Printf("%-16s %s\n", c.Name(), c.Doc())
+			fmt.Fprintf(stdout, "%-16s %s\n", c.Name(), c.Doc())
 		}
 		return 0
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "itv-vet:", err)
+		return 2
 	}
 
 	selected, err := lint.ByName(*checks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "itv-vet:", err)
-		return 2
+		return fail(err)
 	}
-
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "itv-vet:", err)
-		return 2
+		return fail(err)
 	}
 	loader, err := lint.NewLoader(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "itv-vet:", err)
-		return 2
+		return fail(err)
 	}
 	dirs, err := loader.ExpandPatterns(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "itv-vet:", err)
-		return 2
+		return fail(err)
 	}
-
-	var changed map[string]bool
-	if *since != "" {
-		changed, err = changedSince(loader.ModRoot, *since)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itv-vet: -since:", err)
-			return 2
-		}
-	}
-
 	var pkgs []*lint.Package
 	for _, dir := range dirs {
 		pkg, err := loader.Load(dir)
 		if err != nil {
 			// A failed load is the hardest state to debug blind; show every
 			// line the loader produced (errors.Join renders one per line).
-			fmt.Fprintf(os.Stderr, "itv-vet: %s: load failed:\n", dir)
+			fmt.Fprintf(stderr, "itv-vet: %s: load failed:\n", dir)
 			for _, line := range strings.Split(err.Error(), "\n") {
-				fmt.Fprintf(os.Stderr, "itv-vet:   %s\n", line)
+				fmt.Fprintf(stderr, "itv-vet:   %s\n", line)
 			}
 			return 2
-		}
-		if *typeErrs {
-			for _, te := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "itv-vet: typecheck: %v\n", te)
-			}
 		}
 		pkgs = append(pkgs, pkg)
 	}
 
-	if *fix {
-		files, err := lint.FixRawErrCmp(pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itv-vet: fix:", err)
-			return 2
-		}
-		for _, f := range files {
-			fmt.Println("fixed", f)
-		}
-		return 0
-	}
-
 	diags := lint.Run(pkgs, selected)
-	if changed != nil {
-		kept := diags[:0]
-		for _, d := range diags {
-			if changed[d.File] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
 	if *jsonOut {
 		if diags == nil {
 			diags = []lint.Diagnostic{}
 		}
 		out, err := json.MarshalIndent(diags, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "itv-vet:", err)
-			return 2
+			return fail(err)
 		}
-		fmt.Printf("%s\n", out)
+		fmt.Fprintf(stdout, "%s\n", out)
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if *annotate {
 		// Annotations ride stdout for the workflow-command parser unless
 		// JSON already owns it.
-		w := os.Stdout
+		w := stdout
 		if *jsonOut {
-			w = os.Stderr
+			w = stderr
 		}
 		for _, d := range diags {
 			file := d.File
@@ -165,42 +128,11 @@ func run() int {
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "itv-vet: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "itv-vet: %d finding(s)\n", len(diags))
 		}
 		return 1
 	}
 	return 0
-}
-
-// changedSince returns the absolute paths of .go files changed since ref,
-// plus untracked ones — the working set a fast local run cares about.
-func changedSince(modRoot, ref string) (map[string]bool, error) {
-	set := make(map[string]bool)
-	collect := func(args ...string) error {
-		cmd := exec.Command("git", append([]string{"-C", modRoot}, args...)...)
-		out, err := cmd.Output()
-		if err != nil {
-			if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-				return fmt.Errorf("git %s: %s", strings.Join(args, " "), strings.TrimSpace(string(ee.Stderr)))
-			}
-			return fmt.Errorf("git %s: %v", strings.Join(args, " "), err)
-		}
-		for _, line := range strings.Split(string(out), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || !strings.HasSuffix(line, ".go") {
-				continue
-			}
-			set[filepath.Join(modRoot, filepath.FromSlash(line))] = true
-		}
-		return nil
-	}
-	if err := collect("diff", "--name-only", ref); err != nil {
-		return nil, err
-	}
-	if err := collect("ls-files", "--others", "--exclude-standard"); err != nil {
-		return nil, err
-	}
-	return set, nil
 }
 
 // annotationEscape encodes a message for the workflow-command grammar.

@@ -102,7 +102,6 @@ func (s *Service) Mkdir(path string) error {
 			// invoke it.  Register pins Endpoint.mu only for a map insert
 			// and never re-enters the file service, so the nesting cannot
 			// form a cycle.
-			//lint:ignore lockorder Register is a leaf map insert under Endpoint.mu and never calls back into fileservice
 			s.sess.Ep.Register(dirObjectID(next), &dirSkel{s: s, path: next})
 		}
 		cur = next

@@ -3,7 +3,7 @@ package lint
 import "go/ast"
 
 // Statement-level control-flow graph construction, the substrate of the
-// dataflow analyzers (poolown, ctxflow, lockorder).  The existing
+// dataflow analyzers (poolown, ctxflow).  The existing
 // single-expression checks get away with source-order linearization; an
 // ownership or provenance property ("released on *every* path", "derived
 // from the incoming ctx on *this* path") needs real branch and loop

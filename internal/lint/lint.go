@@ -7,11 +7,13 @@
 //
 // The framework is built directly on go/parser and go/types (see load.go);
 // it deliberately has no dependency outside the standard library so the
-// gate runs anywhere the toolchain does.  Checks report file:line:col
-// diagnostics; a `//lint:ignore <check> <reason>` comment on the offending
-// line (or the line above it) suppresses a finding, and the reason is
-// mandatory so every suppression documents why the invariant does not
-// apply.
+// gate runs anywhere the toolchain does.  Every check sees complete type
+// information: a package that does not type-check fails the load.  Checks
+// report file:line:col diagnostics; a `//lint:ignore <check> <reason>`
+// comment on the offending line (or the line above it) suppresses a
+// finding, and the reason is mandatory so every suppression documents why
+// the invariant does not apply.  A directive that names no check, or
+// suppresses nothing, is itself reported.
 package lint
 
 import (
@@ -46,15 +48,6 @@ type Check interface {
 	Run(p *Pass)
 }
 
-// ModuleCheck is a Check whose property only exists module-wide (a lock
-// graph has no per-package meaning).  RunModule is called once with one
-// pass per loaded package; Run is still called per package and is
-// usually empty.
-type ModuleCheck interface {
-	Check
-	RunModule(passes []*Pass)
-}
-
 // Pass carries one (check, package) execution.
 type Pass struct {
 	Pkg   *Package
@@ -64,43 +57,20 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	position := p.Pkg.Fset.Position(pos)
-	p.diags = append(p.diags, Diagnostic{
-		Check:   p.check,
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Message: fmt.Sprintf(format, args...),
-	})
+	p.diags = append(p.diags, diagnosticAt(p.Pkg.Fset.Position(pos), p.check, fmt.Sprintf(format, args...)))
 }
 
-// TypeOf returns the type of e, or nil when type information is missing
-// (checks then fall back to syntax).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Pkg.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
+func diagnosticAt(pos token.Position, check, msg string) Diagnostic {
+	return Diagnostic{Check: check, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
 }
 
-// IsNil reports whether e is the untyped nil (or the literal ident "nil"
-// when type information is missing).
-func (p *Pass) IsNil(e ast.Expr) bool {
-	if tv, ok := p.Pkg.Info.Types[e]; ok && tv.IsNil() {
-		return true
-	}
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
+// TypeOf returns the type of e.
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
-// PkgFunc matches a call to pkgPath.name (e.g. "time".Sleep) through the
-// type-checker's package-name resolution, falling back to the file's
-// imports when types are incomplete.
+// IsNil reports whether e is the untyped nil.
+func (p *Pass) IsNil(e ast.Expr) bool { return p.Pkg.Info.Types[e].IsNil() }
+
+// PkgFunc matches a call to pkgPath.name (e.g. "time".Sleep).
 func (p *Pass) PkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
@@ -110,16 +80,8 @@ func (p *Pass) PkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
 	if !ok {
 		return false
 	}
-	if obj := p.Pkg.Info.Uses[id]; obj != nil {
-		pn, ok := obj.(*types.PkgName)
-		return ok && pn.Imported().Path() == pkgPath
-	}
-	// Degraded mode: accept the conventional package identifier.
-	base := pkgPath
-	if i := strings.LastIndex(pkgPath, "/"); i >= 0 {
-		base = pkgPath[i+1:]
-	}
-	return id.Name == base
+	pn, ok := p.Pkg.Info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == pkgPath
 }
 
 // Imports reports whether any file of the unit imports path.
@@ -181,7 +143,8 @@ const IgnorePrefix = "lint:ignore"
 
 type suppression struct {
 	check string
-	line  int
+	pos   token.Position // of the directive
+	used  bool           // it covered at least one finding
 	// Node anchor: the span of the statement/declaration the directive is
 	// attached to.  A directive on its own line anchors to the leftmost
 	// node starting on the next line; a trailing directive anchors to the
@@ -197,8 +160,8 @@ type suppression struct {
 // suppressions scans a unit's comments.  Malformed directives (missing
 // check name or reason) are themselves reported, so a suppression can
 // never silently rot into a no-op.
-func collectSuppressions(pkg *Package) (map[string][]suppression, []Diagnostic) {
-	bySite := make(map[string][]suppression)
+func collectSuppressions(pkg *Package) (map[string][]*suppression, []Diagnostic) {
+	bySite := make(map[string][]*suppression)
 	var bad []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -211,13 +174,10 @@ func collectSuppressions(pkg *Package) (map[string][]suppression, []Diagnostic) 
 				fields := strings.Fields(strings.TrimPrefix(text, IgnorePrefix))
 				pos := pkg.Fset.Position(c.Pos())
 				if len(fields) < 2 {
-					bad = append(bad, Diagnostic{
-						Check: "directive", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-						Message: "malformed //lint:ignore: need a check name and a reason",
-					})
+					bad = append(bad, diagnosticAt(pos, "directive", "malformed //lint:ignore: need a check name and a reason"))
 					continue
 				}
-				s := suppression{line: pos.Line}
+				s := suppression{pos: pos}
 				if anchor := anchorNode(pkg, f, pos.Line, pos.Column); anchor != nil {
 					start := pkg.Fset.Position(anchor.Pos())
 					end := pkg.Fset.Position(anchor.End())
@@ -225,8 +185,9 @@ func collectSuppressions(pkg *Package) (map[string][]suppression, []Diagnostic) 
 					s.endLine, s.endCol = end.Line, end.Column
 				}
 				for _, name := range strings.Split(fields[0], ",") {
-					s.check = name
-					bySite[pos.Filename] = append(bySite[pos.Filename], s)
+					one := s
+					one.check = name
+					bySite[pos.Filename] = append(bySite[pos.Filename], &one)
 				}
 			}
 		}
@@ -268,71 +229,88 @@ func anchorNode(pkg *Package, f *ast.File, line, col int) ast.Node {
 	return below
 }
 
-func suppressed(sups map[string][]suppression, d Diagnostic) bool {
+// suppressed reports whether a directive covers d, marking every directive
+// that does as used.
+func suppressed(sups map[string][]*suppression, d Diagnostic) bool {
+	hit := false
 	for _, s := range sups[d.File] {
 		if s.check != d.Check && s.check != "all" {
 			continue
 		}
+		covers := s.pos.Line == d.Line || s.pos.Line == d.Line-1 // no anchor: exact line
 		if s.startLine != 0 {
 			after := d.Line > s.startLine || (d.Line == s.startLine && d.Col >= s.startCol)
 			before := d.Line < s.endLine || (d.Line == s.endLine && d.Col <= s.endCol)
-			if after && before {
-				return true
-			}
-			continue
+			covers = after && before
 		}
-		// No anchor: historical exact-line behavior.
-		if s.line == d.Line || s.line == d.Line-1 {
-			return true
+		if covers {
+			s.used, hit = true, true
 		}
 	}
-	return false
+	return hit
 }
 
-// Run executes checks over packages, applies suppressions, and returns the
-// surviving diagnostics sorted by position.  ModuleChecks additionally run
-// once over the whole package set.
-func Run(pkgs []*Package, checks []Check) []Diagnostic {
+// staleDirectives reports the directives that name no registered check,
+// or name a check that ran over the unit and suppressed nothing: left in
+// place, either would silently cover the next real finding on its
+// statement.
+func staleDirectives(sups map[string][]*suppression, ran map[string]bool) []Diagnostic {
+	registered := map[string]bool{"all": true}
+	for _, c := range All() {
+		registered[c.Name()] = true
+	}
 	var out []Diagnostic
-	supsByPkg := make(map[*Package]map[string][]suppression, len(pkgs))
+	for _, list := range sups {
+		for _, s := range list {
+			switch {
+			case !registered[s.check]:
+				out = append(out, diagnosticAt(s.pos, "directive", fmt.Sprintf("//lint:ignore names unknown check %q", s.check)))
+			case ran[s.check] && !s.used:
+				out = append(out, diagnosticAt(s.pos, "directive", fmt.Sprintf("//lint:ignore %s suppresses nothing here; delete it", s.check)))
+			}
+		}
+	}
+	return out
+}
+
+// Run executes checks over packages, applies suppressions, reports stale
+// directives, and returns the surviving diagnostics sorted by position.
+func Run(pkgs []*Package, checks []Check) []Diagnostic {
+	ran := make(map[string]bool)
+	for _, c := range checks {
+		ran[c.Name()] = true
+	}
+	ran["all"] = len(ran) == len(All())
+	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sups, bad := collectSuppressions(pkg)
-		supsByPkg[pkg] = sups
 		out = append(out, bad...)
-	}
-	keep := func(pkg *Package, diags []Diagnostic) {
-		for _, d := range diags {
-			if !suppressed(supsByPkg[pkg], d) {
-				out = append(out, d)
-			}
-		}
-	}
-	for _, c := range checks {
-		var modulePasses []*Pass
-		for _, pkg := range pkgs {
+		for _, c := range checks {
 			pass := &Pass{Pkg: pkg, check: c.Name()}
 			c.Run(pass)
-			keep(pkg, pass.diags)
-			modulePasses = append(modulePasses, &Pass{Pkg: pkg, check: c.Name()})
-		}
-		if mc, ok := c.(ModuleCheck); ok {
-			mc.RunModule(modulePasses)
-			for _, pass := range modulePasses {
-				keep(pass.Pkg, pass.diags)
+			for _, d := range pass.diags {
+				if !suppressed(sups, d) {
+					out = append(out, d)
+				}
 			}
 		}
+		out = append(out, staleDirectives(sups, ran)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
+		a, b := out[i], out[j]
+		if a.File != b.File {
+			return a.File < b.File
 		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		if out[i].Col != out[j].Col {
-			return out[i].Col < out[j].Col
+		if a.Col != b.Col {
+			return a.Col < b.Col
 		}
-		return out[i].Check < out[j].Check
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
 	})
 	return out
 }
@@ -345,12 +323,10 @@ func All() []Check {
 		sleepyClock{},
 		mortalRef{},
 		leakyGo{},
-		metricName{},
-		eventName{},
+		obsName{},
 		wallTime{},
 		poolOwn{},
 		ctxFlow{},
-		lockOrder{},
 	}
 }
 

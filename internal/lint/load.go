@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -20,8 +21,6 @@ import (
 type Package struct {
 	// Path is the import path ("itv/internal/orb").
 	Path string
-	// Dir is the absolute directory.
-	Dir string
 	// ModPath is the module path ("itv"); checks use it to name sibling
 	// packages such as ModPath+"/internal/clock".
 	ModPath string
@@ -29,14 +28,10 @@ type Package struct {
 	Fset *token.FileSet
 	// Files is the parsed syntax, test files included.
 	Files []*ast.File
-	// Types is the type-checked package.  It may be incomplete when
-	// TypeErrors is non-empty; checks degrade to syntax where info is
-	// missing rather than failing the run.
+	// Types is the type-checked package.
 	Types *types.Package
 	// Info maps syntax to type information.
 	Info *types.Info
-	// TypeErrors collects type-checker complaints (tolerated).
-	TypeErrors []error
 }
 
 // Loader parses and type-checks the module's packages directly with
@@ -53,7 +48,6 @@ type Loader struct {
 	std       types.ImporterFrom
 	exports   map[string]*types.Package // import path -> export view (no tests)
 	exporting map[string]bool           // cycle guard
-	overrides map[string]*types.Package // self-import overrides during a unit check
 }
 
 // NewLoader builds a loader rooted at the directory containing go.mod.
@@ -75,12 +69,8 @@ func NewLoader(dir string) (*Loader, error) {
 		std:       std,
 		exports:   make(map[string]*types.Package),
 		exporting: make(map[string]bool),
-		overrides: make(map[string]*types.Package),
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 func findModule(dir string) (root, modPath string, err error) {
 	abs, err := filepath.Abs(dir)
@@ -201,6 +191,10 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.ModPath + "/" + filepath.ToSlash(rel), nil
 }
 
+// parseDir parses the Go files of dir that the go tool builds with no tags
+// set, test files only when withTests is set.  Honouring build
+// constraints keeps a pair like race_on_test.go and race_off_test.go from
+// meeting in one unit.
 func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -209,10 +203,14 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || !withTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if !withTests && strings.HasSuffix(name, "_test.go") {
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -224,9 +222,11 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	return files, nil
 }
 
-// Load type-checks one directory as an analysis unit (test files
-// included).  Parse errors are fatal; type errors are collected on the
-// Package and the checks run on whatever information was recovered.
+// Load type-checks one directory as an analysis unit, test files
+// included.  A parse or type error fails the load, so every check runs on
+// complete type information.  An in-package test file may import a
+// sibling that imports this package back; that inner edge resolves to the
+// export view (no tests), which l.export provides.
 func (l *Loader) Load(dir string) (*Package, error) {
 	dir = filepath.Clean(dir)
 	path, err := l.importPathFor(dir)
@@ -240,31 +240,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	// An in-package test file may import a sibling that imports this
-	// package back; the export view (sans tests) must be used for that
-	// inner edge, which l.export already provides.  But the unit itself
-	// must not be re-entered through a direct self-import.
-	pkg := &Package{
-		Path:    path,
-		Dir:     dir,
-		ModPath: l.ModPath,
-		Fset:    l.fset,
-		Info:    newInfo(),
-	}
-	conf := types.Config{
-		Importer:         l,
-		Error:            func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-		FakeImportC:      true,
-		IgnoreFuncBodies: false,
-	}
-	tpkg, _ := conf.Check(path, l.fset, files, pkg.Info)
-	pkg.Files = files
-	pkg.Types = tpkg
-	return pkg, nil
-}
-
-func newInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -272,6 +248,25 @@ func newInfo() *types.Info {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
+	tpkg, err := l.check(path, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Path: path, ModPath: l.ModPath, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+}
+
+// check type-checks files as package path and reports every complaint,
+// not just the first: a failed load is the hardest state to debug from
+// the command line.
+func (l *Loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
+	var errs []error
+	conf := types.Config{
+		Importer:    l,
+		Error:       func(err error) { errs = append(errs, err) },
+		FakeImportC: true,
+	}
+	p, _ := conf.Check(path, l.fset, files, info)
+	return p, errors.Join(errs...)
 }
 
 // Import implements types.Importer.
@@ -285,9 +280,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
-	}
-	if p, ok := l.overrides[path]; ok {
-		return p, nil
 	}
 	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
 		return l.export(path)
@@ -316,19 +308,9 @@ func (l *Loader) export(path string) (*types.Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	var checkErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error: func(err error) {
-			checkErrs = append(checkErrs, err)
-		},
-		FakeImportC: true,
-	}
-	p, _ := conf.Check(path, l.fset, files, nil)
-	if p == nil {
-		// Surface every complaint, not just the first: a failed export
-		// view is the hardest loader state to debug from the CLI.
-		return nil, errors.Join(checkErrs...)
+	p, err := l.check(path, files, nil)
+	if err != nil {
+		return nil, err
 	}
 	l.exports[path] = p
 	return p, nil

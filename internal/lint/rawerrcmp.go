@@ -22,73 +22,31 @@ func (rawErrCmp) Doc() string {
 }
 
 func (rawErrCmp) Run(p *Pass) {
-	for _, cmp := range rawErrCmps(p) {
-		verb := "=="
-		if cmp.Op == token.NEQ {
-			verb = "!="
-		}
-		p.Reportf(cmp.OpPos,
-			"error compared with %s; use errors.Is (sentinels may arrive wrapped, e.g. in *orb.ConnError)", verb)
-	}
-	// switch err { case ErrX: } is the same comparison in clause clothing.
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil || !implementsError(p.TypeOf(sw.Tag)) {
-				return true
-			}
-			for _, stmt := range sw.Body.List {
-				cc := stmt.(*ast.CaseClause)
-				for _, e := range cc.List {
-					if !p.IsNil(e) {
-						p.Reportf(e.Pos(),
-							"switch on an error value compares identities; use a switch { case errors.Is(...) } ladder")
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				// err == nil is the one sanctioned identity test.
+				if (n.Op == token.EQL || n.Op == token.NEQ) && !p.IsNil(n.X) && !p.IsNil(n.Y) &&
+					(implementsError(p.TypeOf(n.X)) || implementsError(p.TypeOf(n.Y))) {
+					p.Reportf(n.OpPos,
+						"error compared with %s; use errors.Is (sentinels may arrive wrapped, e.g. in *orb.ConnError)", n.Op)
+				}
+			case *ast.SwitchStmt:
+				// switch err { case ErrX: } is the same comparison in clause clothing.
+				if n.Tag == nil || !implementsError(p.TypeOf(n.Tag)) {
+					return true
+				}
+				for _, stmt := range n.Body.List {
+					for _, e := range stmt.(*ast.CaseClause).List {
+						if !p.IsNil(e) {
+							p.Reportf(e.Pos(),
+								"switch on an error value compares identities; use a switch { case errors.Is(...) } ladder")
+						}
 					}
 				}
 			}
 			return true
 		})
 	}
-}
-
-// rawErrCmps returns every offending comparison; the -fix rewriter reuses
-// this list so the check and the fix can never disagree.
-func rawErrCmps(p *Pass) []*ast.BinaryExpr {
-	var out []*ast.BinaryExpr
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			cmp, ok := n.(*ast.BinaryExpr)
-			if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
-				return true
-			}
-			if p.IsNil(cmp.X) || p.IsNil(cmp.Y) {
-				return true // err == nil is the one sanctioned identity test
-			}
-			lt, rt := p.TypeOf(cmp.X), p.TypeOf(cmp.Y)
-			if lt != nil || rt != nil {
-				if implementsError(lt) || implementsError(rt) {
-					out = append(out, cmp)
-				}
-				return true
-			}
-			// Degraded mode (no type info): match the sentinel naming
-			// convention on either side.
-			if looksLikeSentinel(cmp.X) || looksLikeSentinel(cmp.Y) {
-				out = append(out, cmp)
-			}
-			return true
-		})
-	}
-	return out
-}
-
-func looksLikeSentinel(e ast.Expr) bool {
-	name := ""
-	switch e := e.(type) {
-	case *ast.Ident:
-		name = e.Name
-	case *ast.SelectorExpr:
-		name = e.Sel.Name
-	}
-	return len(name) > 3 && name[:3] == "Err" && name[3] >= 'A' && name[3] <= 'Z'
 }

@@ -3,14 +3,14 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Remote-invocation classification, shared by mutexacrossrpc and
 // mortalref.  A call is a *remote seed* when it demonstrably leaves the
 // process through the ORB:
 //
-//  1. a method on orb.Endpoint that performs an invocation
-//     (Invoke, Ping, MetricsOf), or
+//  1. a call to a function or method listed in remoteCalls, or
 //  2. an exported method on a stub-shaped struct — one carrying an
 //     exported field `Ep` that is either *orb.Endpoint or an interface
 //     with an Invoke method (the per-package `Invoker` convention used
@@ -21,36 +21,54 @@ import (
 // remote-performing, so `mu.Lock(); defer mu.Unlock(); rb.refLocked()`
 // is caught even though the RPC is one call deeper.
 
-// orbPath returns the module's orb package path.
-func orbPath(pkg *Package) string { return pkg.ModPath + "/internal/orb" }
-
-// endpointRPCMethods are the orb.Endpoint methods that put bytes on the
-// wire (or short-circuit locally, which still runs foreign dispatch code).
-var endpointRPCMethods = map[string]bool{
-	"Invoke":    true,
-	"Ping":      true,
-	"MetricsOf": true,
+// remoteCalls names the functions and methods that send a request, by
+// package path below the module root: every orb.Endpoint method that does
+// (one addressed to the endpoint itself short-circuits locally, which
+// still runs foreign dispatch code), the orb helpers that invoke through
+// an orb.Invoker, and core.Rebinder's resolve-and-invoke methods.
+var remoteCalls = map[string]bool{
+	"/internal/orb.Endpoint.Invoke":     true,
+	"/internal/orb.Endpoint.InvokeCtx":  true,
+	"/internal/orb.Endpoint.InvokeInto": true,
+	"/internal/orb.Endpoint.Ping":       true,
+	// The node object's helpers (DESIGN.md §7).
+	"/internal/orb.Endpoint.MetricsOf":    true,
+	"/internal/orb.Endpoint.EventsOf":     true,
+	"/internal/orb.Endpoint.EventsPageOf": true,
+	"/internal/orb.Endpoint.HealthOf":     true,
+	"/internal/orb.Endpoint.SlowOf":       true,
+	"/internal/orb.Endpoint.ProfileOf":    true,
+	"/internal/orb.InvokeVia":             true,
+	"/internal/orb.Ping":                  true,
+	"/internal/core.Rebinder.Invoke":      true,
+	"/internal/core.Rebinder.InvokeCtx":   true,
+	"/internal/core.Rebinder.InvokeInto":  true,
+	"/internal/core.Rebinder.Do":          true,
 }
 
 // isRemoteSeed classifies one call.  desc names what was matched, for
 // diagnostics.
 func isRemoteSeed(p *Pass, call *ast.CallExpr) (desc string, ok bool) {
+	fn, isFunc := calleeObject(p, call).(*types.Func)
+	if !isFunc || fn.Pkg() == nil || !fn.Exported() {
+		return "", false
+	}
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		n := namedFrom(recv.Type())
+		if n == nil {
+			return "", false
+		}
+		name = n.Obj().Name() + "." + name
+	}
+	if remoteCalls[strings.TrimPrefix(fn.Pkg().Path(), p.Pkg.ModPath)+"."+name] {
+		return fn.Pkg().Name() + "." + name, true
+	}
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", false
 	}
-	recv := p.TypeOf(sel.X)
-	if recv == nil {
-		return "", false
-	}
-	orb := orbPath(p.Pkg)
-	if isNamed(recv, orb, "Endpoint") && endpointRPCMethods[sel.Sel.Name] {
-		return "orb.Endpoint." + sel.Sel.Name, true
-	}
-	if !sel.Sel.IsExported() {
-		return "", false
-	}
-	n := namedFrom(recv)
+	n := namedFrom(p.TypeOf(sel.X))
 	if n == nil {
 		return "", false
 	}
@@ -58,10 +76,11 @@ func isRemoteSeed(p *Pass, call *ast.CallExpr) (desc string, ok bool) {
 	if !isStruct {
 		return "", false
 	}
+	orb := p.Pkg.ModPath + "/internal/orb"
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
 		if f.Name() == "Ep" && (isNamed(f.Type(), orb, "Endpoint") || isInvokerIface(f.Type())) {
-			return n.Obj().Name() + "." + sel.Sel.Name + " (stub via Ep)", true
+			return n.Obj().Name() + "." + fn.Name() + " (stub via Ep)", true
 		}
 	}
 	return "", false

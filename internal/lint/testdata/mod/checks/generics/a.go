@@ -50,8 +50,8 @@ func first[T any](xs []T, pred func(T) bool) (T, bool) {
 	return zero, false
 }
 
-// A generic guarded container: lockorder must key the slot off the
-// generic named type without panicking on the instantiated receiver.
+// A generic guarded container: mutexacrossrpc must recognize the mutex
+// through the instantiated receiver without panicking.
 type guarded[T any] struct {
 	mu  sync.Mutex
 	val T

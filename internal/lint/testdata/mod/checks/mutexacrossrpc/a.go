@@ -1,8 +1,10 @@
 package mutexacrossrpc
 
 import (
+	"context"
 	"sync"
 
+	"golden/internal/core"
 	"golden/internal/orb"
 )
 
@@ -24,6 +26,30 @@ func (s *svc) bad() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ep.Invoke(orb.Ref{}, "m") // want "while holding s.mu"
+}
+
+// positive: the context and caller-buffer forms are remote calls too.
+func (s *svc) badCtx(ctx context.Context, buf []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.ep.InvokeCtx(ctx, orb.Ref{}, "m"); err != nil { // want "orb.Endpoint.InvokeCtx"
+		return err
+	}
+	return s.ep.InvokeInto(ctx, orb.Ref{}, "m", buf) // want "orb.Endpoint.InvokeInto"
+}
+
+// positive: a rebinding call resolves a name and invokes, and orb's
+// helpers invoke through whatever Invoker they are handed.
+func (s *svc) badRebinder(ctx context.Context, rb *core.Rebinder) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := rb.InvokeCtx(ctx, "m"); err != nil { // want "core.Rebinder.InvokeCtx"
+		return err
+	}
+	if err := rb.Do(ctx, func(orb.Ref) error { return nil }); err != nil { // want "core.Rebinder.Do"
+		return err
+	}
+	return orb.InvokeVia(ctx, s.ep, orb.Ref{}, "m") // want "orb.InvokeVia"
 }
 
 // positive: the RPC is one same-package call deeper.

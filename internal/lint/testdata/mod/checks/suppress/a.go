@@ -20,3 +20,13 @@ func ok() {
 	//lint:ignore rawerrcmp wrong check name does not suppress
 	time.Sleep(time.Millisecond) // want "time.Sleep"
 }
+
+// A directive that suppresses nothing, or names no registered check, is
+// itself a finding: left in place it would hide the next real one.
+func stale() {
+	//lint:ignore sleepyclock nothing below reads the clock // want "suppresses nothing"
+	_ = 0
+
+	//lint:ignore nosuchcheck a misspelt check never suppresses anything // want "unknown check"
+	_ = 0
+}

@@ -1,13 +1,12 @@
 // Package orb is a miniature stand-in for itv/internal/orb, just enough
-// shape for the analyzers: an Endpoint with the three RPC methods (plus
-// the ctx-threading variant), a lock-guarded registry for the lockorder
-// fixtures, and a couple of sentinel errors.
+// shape for the analyzers: an Endpoint with its request-sending methods,
+// the package helpers that invoke through an Invoker, and a couple of
+// sentinel errors.
 package orb
 
 import (
 	"context"
 	"errors"
-	"sync"
 )
 
 type Ref struct{ ID string }
@@ -18,25 +17,19 @@ func (e *Endpoint) Invoke(ref Ref, method string) error { return nil }
 func (e *Endpoint) InvokeCtx(ctx context.Context, ref Ref, method string) error {
 	return nil
 }
+func (e *Endpoint) InvokeInto(ctx context.Context, ref Ref, method string, dst []byte) error {
+	return nil
+}
 func (e *Endpoint) Ping(host string) error                { return nil }
 func (e *Endpoint) MetricsOf(host string) (string, error) { return "", nil }
 
-// regMu is a gateway lock: Register locks further while holding it, so a
-// foreign lock held across Register nests across the package boundary.
-var (
-	regMu   sync.Mutex
-	tableMu sync.Mutex
-	table   = map[string]Ref{}
-)
-
-// Register publishes an object, nesting tableMu under regMu.
-func (e *Endpoint) Register(id string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	tableMu.Lock()
-	table[id] = Ref{ID: id}
-	tableMu.Unlock()
+// Invoker is what a stub invokes through.
+type Invoker interface {
+	Invoke(ref Ref, method string) error
 }
+
+func InvokeVia(ctx context.Context, inv Invoker, ref Ref, method string) error { return nil }
+func Ping(inv Invoker, ref Ref) error                                          { return nil }
 
 var (
 	ErrUnreachable  = errors.New("unreachable")

@@ -597,7 +597,6 @@ func (r *Replica) submit(ctx context.Context, u *update) (newID string, adopted 
 	// syncContextObjects touches Endpoint.mu while replMu is held; replMu
 	// exists solely to order the multicast (see below) and nothing in orb
 	// calls back into names under its own locks, so the nesting is safe.
-	//lint:ignore lockorder replMu is a pure ordering lock; orb never re-enters names under its locks
 	r.syncContextObjects(nil, created)
 	for _, id := range removed {
 		r.ep.Unregister(id)
@@ -621,7 +620,7 @@ func (r *Replica) submit(ctx context.Context, u *update) (newID string, adopted 
 		// handle "update" without calling back into the master, and
 		// forwarded client updates arrive on their own handler
 		// goroutines, so no lock cycle can form.
-		//lint:ignore mutexacrossrpc,lockorder replMu orders the multicast; slaves never call back under it
+		//lint:ignore mutexacrossrpc replMu orders the multicast; slaves never call back under it
 		_ = r.ep.InvokeCtx(ctx, r.peerRef(p), "update",
 			func(e *wire.Encoder) {
 				e.PutInt(term)

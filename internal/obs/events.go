@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -19,25 +18,13 @@ import (
 // itv-admin merges the rings into one cluster timeline.
 //
 // Event names follow the subsystem_event convention (lowercase, underscore-
-// separated, at least two words) — enforced by itv-vet's eventname check.
+// separated, at least two words) — enforced by itv-vet's obsname check.
 
 // DefaultEventRing is the per-node ring capacity.  Big enough to hold the
 // full story of a failover plus the steady-state chatter around it; small
-// enough that a ring is never a memory concern.  Overridable per run via
-// the ITV_FLIGHT_RING environment variable (read once at startup) or per
-// recorder via NewRecorder's size argument.
-var DefaultEventRing = ringSizeFromEnv(256)
-
-// ringSizeFromEnv reads ITV_FLIGHT_RING, falling back to def when unset or
-// unparsable.
-func ringSizeFromEnv(def int) int {
-	if v := os.Getenv("ITV_FLIGHT_RING"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return def
-}
+// enough that a ring is never a memory concern.  Tests size a recorder
+// of their own through NewRecorder's size argument.
+const DefaultEventRing = 256
 
 // Event is one recorded decision.
 type Event struct {

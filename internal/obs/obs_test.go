@@ -170,22 +170,6 @@ func TestConcurrency(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	var starts, ends int
-	var lastOutcome string
-	ft := FuncTracer{
-		Start: func(c Call) { starts++ },
-		End:   func(c Call, outcome string, d time.Duration) { ends++; lastOutcome = outcome },
-	}
-	mt := MultiTracer{ft, ft}
-	c := Call{TypeID: "itv.Echo", Method: "echo", Peer: "192.168.0.1:1"}
-	mt.CallStart(c)
-	mt.CallEnd(c, "ok", time.Millisecond)
-	if starts != 2 || ends != 2 || lastOutcome != "ok" {
-		t.Fatalf("starts=%d ends=%d outcome=%q", starts, ends, lastOutcome)
-	}
-}
-
 // TestDebugServer serves the debug surface twice over the same host records
 // — for one named host (itv-server's form) and for every host
 // (itv-cluster's) — and checks each page renders from them.

@@ -6,56 +6,6 @@ import (
 	"time"
 )
 
-// Call identifies one RPC for tracing: the interface TypeID and method
-// being invoked and the peer address it is sent to (or received from).
-type Call struct {
-	TypeID string
-	Method string
-	Peer   string
-}
-
-// Tracer observes individual calls as they happen.  Implementations must
-// be safe for concurrent use and fast: hooks run inline on the invoke
-// path.  CallEnd's outcome is the ORB's classification ("ok",
-// "unreachable", "app:<name>", ...) and d the wall time of the call.
-type Tracer interface {
-	CallStart(c Call)
-	CallEnd(c Call, outcome string, d time.Duration)
-}
-
-// MultiTracer fans out to several tracers in order.
-type MultiTracer []Tracer
-
-func (m MultiTracer) CallStart(c Call) {
-	for _, t := range m {
-		t.CallStart(c)
-	}
-}
-
-func (m MultiTracer) CallEnd(c Call, outcome string, d time.Duration) {
-	for _, t := range m {
-		t.CallEnd(c, outcome, d)
-	}
-}
-
-// FuncTracer adapts two funcs to the Tracer interface; either may be nil.
-type FuncTracer struct {
-	Start func(c Call)
-	End   func(c Call, outcome string, d time.Duration)
-}
-
-func (f FuncTracer) CallStart(c Call) {
-	if f.Start != nil {
-		f.Start(c)
-	}
-}
-
-func (f FuncTracer) CallEnd(c Call, outcome string, d time.Duration) {
-	if f.End != nil {
-		f.End(c, outcome, d)
-	}
-}
-
 // ---- causal trace spans ----
 //
 // A Span names one hop of a cross-machine causal trace.  Traces are

@@ -550,11 +550,6 @@ func (e *Endpoint) call(ctx context.Context, ref oref.Ref, method string, put fu
 	}
 	m := e.metrics
 	m.clientCalls.Inc()
-	t := e.tracer()
-	c := obs.Call{TypeID: ref.TypeID, Method: method, Peer: ref.Addr}
-	if t != nil {
-		t.CallStart(c)
-	}
 	start := time.Now()
 	err := e.invoke(ctx, ref, method, put, &res, dst)
 	d := time.Since(start)
@@ -573,9 +568,6 @@ func (e *Endpoint) call(ctx context.Context, ref oref.Ref, method string, put fu
 		if Dead(err) {
 			m.clientFailures.Inc()
 		}
-	}
-	if t != nil {
-		t.CallEnd(c, outcomeOf(err), d)
 	}
 	return err
 }

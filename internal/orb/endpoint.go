@@ -174,7 +174,6 @@ type Endpoint struct {
 	addr        string
 	incarnation int64
 	auth        atomic.Value // Authenticator; set via SetAuthenticator
-	trace       atomic.Value // obs.Tracer; set via SetTracer
 	callTimeout atomic.Int64 // nanoseconds; SetCallTimeout races Invoke
 	wireVer     atomic.Uint64
 	metrics     *epMetrics
@@ -293,19 +292,6 @@ func (e *Endpoint) SetAuthenticator(a Authenticator) { e.auth.Store(&a) }
 func (e *Endpoint) authenticator() Authenticator {
 	if v := e.auth.Load(); v != nil {
 		return *v.(*Authenticator)
-	}
-	return nil
-}
-
-// SetTracer installs a per-call trace hook observing every invocation this
-// endpoint issues.  Like SetAuthenticator it may be installed while
-// serving; in-flight calls see either the old or the new tracer.
-func (e *Endpoint) SetTracer(t obs.Tracer) { e.trace.Store(&t) }
-
-// tracer returns the installed trace hook, or nil.
-func (e *Endpoint) tracer() obs.Tracer {
-	if v := e.trace.Load(); v != nil {
-		return *v.(*obs.Tracer)
 	}
 	return nil
 }

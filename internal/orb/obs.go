@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"errors"
 	"sync"
 
 	"itv/internal/obs"
@@ -197,26 +196,5 @@ func (m *epMetrics) newServerStats(method string) *serverMethodStats {
 		queue:   m.reg.HistogramBuckets(obs.L("orb_queue_wait", "method", method), obs.MicroLatencyBuckets),
 		service: m.reg.HistogramBuckets(obs.L("orb_service_time", "method", method), obs.MicroLatencyBuckets),
 		flush:   m.reg.HistogramBuckets(obs.L("orb_flush_wait", "method", method), obs.MicroLatencyBuckets),
-	}
-}
-
-// outcomeOf classifies an invocation result for traces and counters.
-func outcomeOf(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, ErrInvalidReference):
-		return "invalid_ref"
-	case errors.Is(err, ErrNoSuchMethod):
-		return "no_such_method"
-	case errors.Is(err, ErrShutdown):
-		return "shutdown"
-	case errors.Is(err, ErrUnreachable):
-		return "unreachable"
-	default:
-		if name, ok := AppName(err); ok {
-			return "app:" + name
-		}
-		return "error"
 	}
 }

@@ -174,50 +174,4 @@ func TestConnErrorUnwrap(t *testing.T) {
 	if !Dead(err) {
 		t.Error("ConnError not Dead")
 	}
-	if got := outcomeOf(err); got != "unreachable" {
-		t.Errorf("outcomeOf = %q, want unreachable", got)
-	}
-}
-
-func TestTracerHook(t *testing.T) {
-	_, client, _, ref := newPair(t)
-	var mu sync.Mutex
-	type ev struct {
-		c       obs.Call
-		outcome string
-	}
-	var starts, ends []ev
-	client.SetTracer(obs.FuncTracer{
-		Start: func(c obs.Call) {
-			mu.Lock()
-			starts = append(starts, ev{c: c})
-			mu.Unlock()
-		},
-		End: func(c obs.Call, outcome string, d time.Duration) {
-			mu.Lock()
-			ends = append(ends, ev{c: c, outcome: outcome})
-			mu.Unlock()
-		},
-	})
-	if _, err := echo(t, client, ref, "traced"); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Invoke(ref, "fail",
-		func(enc *wire.Encoder) { enc.PutString("x") }, nil); err == nil {
-		t.Fatal("fail succeeded")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(starts) != 2 || len(ends) != 2 {
-		t.Fatalf("starts=%d ends=%d, want 2/2", len(starts), len(ends))
-	}
-	if ends[0].c.TypeID != "test.Echo" || ends[0].c.Method != "echo" || ends[0].c.Peer != ref.Addr {
-		t.Errorf("trace call = %+v", ends[0].c)
-	}
-	if ends[0].outcome != "ok" {
-		t.Errorf("echo outcome = %q, want ok", ends[0].outcome)
-	}
-	if want := "app:" + ExcNotFound; ends[1].outcome != want {
-		t.Errorf("fail outcome = %q, want %q", ends[1].outcome, want)
-	}
 }
