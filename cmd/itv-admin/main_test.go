@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"itv/internal/admin"
 	"itv/internal/cluster"
 	"itv/internal/core"
 	"itv/internal/csc"
@@ -61,12 +62,12 @@ func normalise(line string) string {
 	return strings.Join(cols, " ")
 }
 
-// TestRun drives the operator's read-only commands through run against an
-// in-process Orlando cluster over memnet.  Each command's output is the
-// cluster's own chatter, which differs from boot to boot, plus what the test
-// planted in two servers' records under a probe name of its own; the planted
-// part is compared line for line, normalised, with what an operator should
-// see.
+// TestRun drives the operator's read-only commands through admin.Run
+// against an in-process Orlando cluster over memnet.  Each command's output
+// is the cluster's own chatter, which differs from boot to boot, plus what
+// the test planted in two servers' records under a probe name of its own;
+// the planted part is compared line for line, normalised, with what an
+// operator should see.
 func TestRun(t *testing.T) {
 	c := cluster.New(cluster.Orlando())
 	c.Start()
@@ -132,7 +133,7 @@ func TestRun(t *testing.T) {
 		var err error
 		if !c.WaitFor(func() bool {
 			out.Reset()
-			err = run(&out, ep, c.NSAddrs()[0], args)
+			err = admin.Run(&out, ep, c.NSAddrs()[0], args)
 			return err == nil
 		}) {
 			t.Fatalf("itv-admin %s: %v\n%s", strings.Join(args, " "), err, out.String())
@@ -213,10 +214,10 @@ func TestRun(t *testing.T) {
 		"METHOD RATE/S ERR/S P50 P99 TRACE",
 		"itv.Probe.call <n> <n> <n> <n> -")
 
-	if err := run(&bytes.Buffer{}, ep, c.NSAddrs()[0], []string{"trace", "0000000000000bad", forge}); err == nil {
+	if err := admin.Run(&bytes.Buffer{}, ep, c.NSAddrs()[0], []string{"trace", "0000000000000bad", forge}); err == nil {
 		t.Error("trace for an id nobody recorded: want an error")
 	}
-	if err := run(&bytes.Buffer{}, ep, c.NSAddrs()[0], []string{"metrics"}); err == nil || !strings.Contains(err.Error(), "usage: metrics") {
+	if err := admin.Run(&bytes.Buffer{}, ep, c.NSAddrs()[0], []string{"metrics"}); err == nil || !strings.Contains(err.Error(), "usage: metrics") {
 		t.Errorf("metrics without a host = %v, want its usage", err)
 	}
 }

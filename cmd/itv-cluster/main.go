@@ -8,10 +8,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"itv/internal/cluster"
@@ -21,12 +24,25 @@ import (
 )
 
 func main() {
-	nSettops := flag.Int("settops", 12, "settops to boot (spread over 6 neighborhoods)")
-	minutes := flag.Int("minutes", 10, "simulated minutes to run")
-	chaos := flag.Bool("chaos", false, "inject service kills and settop crashes")
-	seed := flag.Int64("seed", 1995, "random seed")
-	debugAddr := flag.String("debug", "", "serve cluster-wide /metrics, /healthz and /debug/pprof on this address")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run boots the cluster and drives the load the flags in args describe,
+// writing the run's story to w.  It fails on a flag error, on connections
+// still open after every settop closed its movie, and on broken bandwidth
+// accounting.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("itv-cluster", flag.ContinueOnError)
+	nSettops := fs.Int("settops", 12, "settops to boot (spread over 6 neighborhoods)")
+	minutes := fs.Int("minutes", 10, "simulated minutes to run")
+	chaos := fs.Bool("chaos", false, "inject service kills and settop crashes")
+	seed := fs.Int64("seed", 1995, "random seed")
+	debugAddr := fs.String("debug", "", "serve cluster-wide /metrics, /healthz and /debug/pprof on this address")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewSource(*seed))
 
 	if *debugAddr != "" {
@@ -34,13 +50,13 @@ func main() {
 		// exposes every node's registry, grouped by host.
 		addr, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("debug server on http://%s/metrics\n", addr)
+		fmt.Fprintf(w, "debug server on http://%s/metrics\n", addr)
 	}
 
 	c := cluster.New(cluster.Orlando())
-	fmt.Println("booting the Orlando cluster (3 servers, 6 neighborhoods)...")
+	fmt.Fprintln(w, "booting the Orlando cluster (3 servers, 6 neighborhoods)...")
 	c.Start()
 	defer c.Stop()
 
@@ -54,7 +70,7 @@ func main() {
 		})
 		settops = append(settops, st)
 	}
-	fmt.Printf("%d settops booted\n", len(settops))
+	fmt.Fprintf(w, "%d settops booted\n", len(settops))
 
 	apps := []string{"navigator", "vod", "shopping", "games"}
 	titles := []string{"T2", "Casablanca", "Duck Amuck"}
@@ -64,29 +80,29 @@ func main() {
 		for _, st := range settops {
 			if !st.Up() {
 				if _, err := st.Boot(); err == nil {
-					fmt.Printf("  settop %s rebooted\n", st.Host())
+					fmt.Fprintf(w, "  settop %s rebooted\n", st.Host())
 				}
 				continue
 			}
 			switch rng.Intn(5) {
 			case 0:
 				if _, _, err := st.ChangeChannel(apps[rng.Intn(len(apps))]); err != nil {
-					fmt.Printf("  channel change failed on %s: %v\n", st.Host(), err)
+					fmt.Fprintf(w, "  channel change failed on %s: %v\n", st.Host(), err)
 				}
 			case 1:
 				if _, ok := st.Playback(); !ok {
 					title := titles[rng.Intn(len(titles))]
 					if err := st.OpenMovie(title); err != nil {
-						fmt.Printf("  open %q failed on %s: %v\n", title, st.Host(), err)
+						fmt.Fprintf(w, "  open %q failed on %s: %v\n", title, st.Host(), err)
 					}
 				}
 			case 2:
 				if _, ok := st.Playback(); ok {
 					if _, _, err := st.PollPlayback(); orb.Dead(err) {
 						if err := st.RecoverPlayback(); err != nil {
-							fmt.Printf("  recovery failed on %s: %v\n", st.Host(), err)
+							fmt.Fprintf(w, "  recovery failed on %s: %v\n", st.Host(), err)
 						} else {
-							fmt.Printf("  settop %s recovered its movie on another replica\n", st.Host())
+							fmt.Fprintf(w, "  settop %s recovered its movie on another replica\n", st.Host())
 						}
 					}
 				}
@@ -101,17 +117,17 @@ func main() {
 			switch rng.Intn(3) {
 			case 0:
 				if err := srv.SSC.KillService("mds"); err == nil {
-					fmt.Printf("  CHAOS: killed MDS on %s (SSC restarts it)\n", srv.Spec.Name)
+					fmt.Fprintf(w, "  CHAOS: killed MDS on %s (SSC restarts it)\n", srv.Spec.Name)
 				}
 			case 1:
 				if err := srv.SSC.KillService("mms"); err == nil {
-					fmt.Printf("  CHAOS: killed MMS on %s\n", srv.Spec.Name)
+					fmt.Fprintf(w, "  CHAOS: killed MMS on %s\n", srv.Spec.Name)
 				}
 			case 2:
 				st := settops[rng.Intn(len(settops))]
 				if st.Up() {
 					st.Crash()
-					fmt.Printf("  CHAOS: settop %s lost power\n", st.Host())
+					fmt.Fprintf(w, "  CHAOS: settop %s lost power\n", st.Host())
 				}
 			}
 		}
@@ -136,7 +152,7 @@ func main() {
 		if mmsSrv != nil {
 			mmsName = mmsSrv.Spec.Name
 		}
-		fmt.Printf("[minute %2d] streams=%d playing=%d mms-primary=%s ns-master=%s\n",
+		fmt.Fprintf(w, "[minute %2d] streams=%d playing=%d mms-primary=%s ns-master=%s\n",
 			minute, c.Fabric.Conns(), playing, mmsName, nsMaster(c))
 	}
 
@@ -145,29 +161,30 @@ func main() {
 		// verify reclamation.
 		for _, st := range settops {
 			if err := st.CloseMovie(); err != nil {
-				fmt.Printf("  close on %s: %v\n", st.Host(), err)
+				fmt.Fprintf(w, "  close on %s: %v\n", st.Host(), err)
 			}
 		}
 		if !c.WaitFor(func() bool { return c.Fabric.Conns() == 0 }) {
-			fmt.Println("LEAK DIAGNOSTICS:")
+			fmt.Fprintln(w, "LEAK DIAGNOSTICS:")
 			for _, conn := range c.Fabric.List() {
-				fmt.Printf("  %s %s %s->%s %d b/s\n", conn.ID, conn.Kind, conn.From, conn.To, conn.Rate)
+				fmt.Fprintf(w, "  %s %s %s->%s %d b/s\n", conn.ID, conn.Kind, conn.From, conn.To, conn.Rate)
 			}
 			for _, s := range c.Servers {
 				if m := s.MMS(); m != nil {
-					fmt.Printf("  mms on %s: primary=%v open=%d\n", s.Spec.Name, m.IsPrimary(), m.OpenCount())
+					fmt.Fprintf(w, "  mms on %s: primary=%v open=%d\n", s.Spec.Name, m.IsPrimary(), m.OpenCount())
 				}
 				if m := s.MDS(); m != nil {
-					fmt.Printf("  mds on %s: load=%d\n", s.Spec.Name, len(m.OpenMovies()))
+					fmt.Fprintf(w, "  mds on %s: load=%d\n", s.Spec.Name, len(m.OpenMovies()))
 				}
 			}
-			log.Fatal("connections leaked")
+			return errors.New("connections leaked")
 		}
 	}
 	if err := c.Fabric.CheckInvariants(); err != nil {
-		log.Fatalf("bandwidth invariant violated: %v", err)
+		return fmt.Errorf("bandwidth invariant violated: %w", err)
 	}
-	fmt.Println("run complete: all connections drained, bandwidth accounting consistent")
+	fmt.Fprintln(w, "run complete: all connections drained, bandwidth accounting consistent")
+	return nil
 }
 
 func nsMaster(c *cluster.Cluster) string {

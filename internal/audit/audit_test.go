@@ -111,9 +111,9 @@ func (pingOnly) Dispatch(*orb.ServerCall) error { return orb.ErrNoSuchMethod }
 
 func check1(t *testing.T, s *Service, ref oref.Ref) bool {
 	t.Helper()
-	out := s.CheckStatus([]oref.Ref{ref})
-	if len(out) != 1 {
-		t.Fatalf("CheckStatus returned %d results", len(out))
+	out, traces := s.CheckStatus([]oref.Ref{ref})
+	if len(out) != 1 || len(traces) != 1 {
+		t.Fatalf("CheckStatus returned %d results, %d traces", len(out), len(traces))
 	}
 	return out[0]
 }
@@ -145,7 +145,7 @@ func TestUnknownLocalObjectBeforeSync(t *testing.T) {
 	}
 	defer ras.Close()
 	ref := oref.Ref{Addr: "192.168.0.9:800", Incarnation: 1, TypeID: "x"}
-	if got := ras.CheckStatus([]oref.Ref{ref}); !got[0] {
+	if got, _ := ras.CheckStatus([]oref.Ref{ref}); !got[0] {
 		t.Fatal("unsynced RAS reported dead")
 	}
 }
@@ -252,25 +252,9 @@ func TestCheckStatusRemoteStub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	alive, err := (Stub{Ep: client, Ref: RefAt(s.host)}).CheckStatus([]oref.Ref{ref})
-	if err != nil || len(alive) != 1 || !alive[0] {
-		t.Fatalf("remote checkStatus = %v, %v", alive, err)
-	}
-}
-
-func TestCheckerAdapter(t *testing.T) {
-	f := newFixture(t, 1)
-	s := f.servers[0]
-	ref := f.startEcho(s, "echo")
-	client, err := orb.NewEndpoint(f.nw.Host("192.168.0.8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	chk := Checker{Ep: client, Ref: RefAt(s.host)}
-	m, err := chk.CheckStatus([]oref.Ref{ref})
-	if err != nil || !m[ref.Key()] {
-		t.Fatalf("checker = %v, %v", m, err)
+	alive, traces, err := (Stub{Ep: client, Ref: RefAt(s.host)}).CheckStatus([]oref.Ref{ref})
+	if err != nil || len(alive) != 1 || !alive[0] || len(traces) != 1 || traces[0] != 0 {
+		t.Fatalf("remote checkStatus = %v, %v, %v", alive, traces, err)
 	}
 }
 
@@ -456,7 +440,7 @@ func measurePeerRPCs(t *testing.T, n, settops int) float64 {
 		return out
 	}
 	latency := obs.Node(serverIP(0)).Histogram(
-		obs.L("orb_call_latency", "method", TypeID+".localStatusT"))
+		obs.L("orb_call_latency", "method", TypeID+".localStatus"))
 	latencyBefore := latency.Count()
 	before := sample()
 	const rounds = 8
@@ -477,7 +461,7 @@ func measurePeerRPCs(t *testing.T, n, settops int) float64 {
 	// The client-side ORB records a per-method latency histogram for the
 	// peer-status calls server 0 made.
 	if d := latency.Count() - latencyBefore; d < rounds {
-		t.Fatalf("localStatusT latency histogram grew by %d, want >= %d", d, rounds)
+		t.Fatalf("localStatus latency histogram grew by %d, want >= %d", d, rounds)
 	}
 
 	var total float64

@@ -215,16 +215,10 @@ func (s *Service) classify(ref oref.Ref) string {
 
 // CheckStatus answers liveness for each reference, immediately and from
 // local state only (§7.2: "any call to the RAS returns immediately and
-// does not block").  Unknown entities are recorded for monitoring and
-// reported alive until learned otherwise.
-func (s *Service) CheckStatus(refs []oref.Ref) []bool {
-	alive, _ := s.CheckStatusT(refs)
-	return alive
-}
-
-// CheckStatusT is CheckStatus plus, per dead reference, the causal trace of
-// the observed death (0 when untraced).
-func (s *Service) CheckStatusT(refs []oref.Ref) ([]bool, []uint64) {
+// does not block"), and per dead reference the causal trace of the
+// observed death (0 when untraced).  Unknown entities are recorded for
+// monitoring and reported alive until learned otherwise.
+func (s *Service) CheckStatus(refs []oref.Ref) ([]bool, []uint64) {
 	now := s.clk.Now()
 	out := make([]bool, len(refs))
 	traces := make([]uint64, len(refs))
@@ -263,9 +257,9 @@ func (s *Service) CheckStatusT(refs []oref.Ref) ([]bool, []uint64) {
 	return out, traces
 }
 
-// localStatusT evaluates refs against this server's SSC live set only (the
+// localStatus evaluates refs against this server's SSC live set only (the
 // peer-polling operation), with death traces.
-func (s *Service) localStatusT(refs []oref.Ref) ([]bool, []uint64) {
+func (s *Service) localStatus(refs []oref.Ref) ([]bool, []uint64) {
 	out := make([]bool, len(refs))
 	traces := make([]uint64, len(refs))
 	s.mu.Lock()
@@ -407,7 +401,7 @@ func (s *Service) peerLocalStatus(host string, refs []oref.Ref) ([]bool, []uint6
 	var sink obs.ClockSink
 	t1 := s.clk.Now()
 	alive, traces, err := (Stub{Ep: s.ep, Ref: RefAt(host)}).
-		LocalStatusTCtx(obs.WithClockSink(context.Background(), &sink), refs)
+		LocalStatus(obs.WithClockSink(context.Background(), &sink), refs)
 	t4 := s.clk.Now()
 	if err != nil {
 		s.peerRPCErrs.Inc()

@@ -119,7 +119,6 @@ type LeaseTable struct {
 	mu       sync.Mutex
 	leases   map[string]time.Time
 	renewals int64
-	expiries int64
 	onExpire func(id string)
 
 	stop chan struct{}
@@ -182,13 +181,6 @@ func (t *LeaseTable) Renewals() int64 {
 	return t.renewals
 }
 
-// Expiries reports leases reclaimed by missed renewal.
-func (t *LeaseTable) Expiries() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.expiries
-}
-
 // Close stops the table.
 func (t *LeaseTable) Close() { close(t.stop); <-t.done }
 
@@ -208,7 +200,6 @@ func (t *LeaseTable) run() {
 				if now.After(dl) {
 					expired = append(expired, id)
 					delete(t.leases, id)
-					t.expiries++
 				}
 			}
 			t.mu.Unlock()

@@ -110,7 +110,7 @@ func (w *Watcher) pollOnce() {
 	if len(refs) == 0 {
 		return
 	}
-	alive, err := w.ras.CheckStatus(refs)
+	alive, _, err := w.ras.CheckStatus(refs)
 	if err != nil || len(alive) != len(refs) {
 		return // RAS momentarily unavailable; state rebuilds on its own
 	}

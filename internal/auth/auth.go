@@ -124,7 +124,6 @@ func sign(sessionKey, payload []byte) []byte {
 // and the realm key.  It is exported over the ORB by ServiceSkeleton.
 type Service struct {
 	clk      clock.Clock
-	ttl      time.Duration
 	realmKey []byte
 
 	mu         sync.Mutex
@@ -135,14 +134,10 @@ type Service struct {
 func NewService(clk clock.Clock) *Service {
 	return &Service{
 		clk:        clk,
-		ttl:        DefaultTicketTTL,
 		realmKey:   NewKey(),
 		principals: make(map[string][]byte),
 	}
 }
-
-// SetTicketTTL overrides the ticket lifetime.
-func (s *Service) SetTicketTTL(d time.Duration) { s.ttl = d }
 
 // RealmKey returns the key shared by all servers; the cluster distributes
 // it to services out of band (at process start, like a keytab).
@@ -178,7 +173,7 @@ func (s *Service) IssueTicket(principal string) (sealedTicket, sealedSessionKey 
 	}
 	t := Ticket{
 		Principal:  principal,
-		Expires:    s.clk.Now().Add(s.ttl).Unix(),
+		Expires:    s.clk.Now().Add(DefaultTicketTTL).Unix(),
 		SessionKey: NewKey(),
 	}
 	sealedTicket, err = Seal(s.realmKey, wire.Marshal(&t))

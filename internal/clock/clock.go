@@ -95,9 +95,6 @@ func NewFake() *Fake {
 	return &Fake{now: time.Date(1995, time.December, 3, 0, 0, 0, 0, time.UTC)}
 }
 
-// NewFakeAt returns a fake clock starting at t.
-func NewFakeAt(t time.Time) *Fake { return &Fake{now: t} }
-
 type waiter struct {
 	at     time.Time
 	seq    int64

@@ -18,6 +18,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"itv/internal/atm"
@@ -136,12 +138,19 @@ func Orlando() Config {
 	}
 }
 
+// Net gives a host its transport.  memnet's *transport.Network is one; a
+// process serving real TCP hands every host transport.TCP().  New installs
+// a fresh memnet; a caller may swap it (and Store) before Start.
+type Net interface {
+	Host(ip string) transport.Transport
+}
+
 // Cluster is a running test-bed.
 type Cluster struct {
 	Cfg     Config
 	Clk     clock.Clock
 	FakeClk *clock.Fake // non-nil when the cluster owns a fake clock
-	NW      *transport.Network
+	NW      Net
 	Fabric  *atm.Network
 	Store   *db.Store
 	// Auth is the cluster's authentication service state (nil unless
@@ -337,13 +346,21 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// writePlacement stores the CSC's configuration (§6.2).
+// writePlacement stores the CSC's configuration (§6.2).  Each service
+// lists a host once: on a one-server plan the "next server" that carries a
+// backup is the server itself.
 func (c *Cluster) writePlacement() {
 	for _, s := range c.Servers {
-		c.Store.Put("servers", s.Spec.Host, "")
+		c.Store.Put(csc.ServersTable, s.Spec.Host, "")
 	}
 	rows := map[string][]string{}
-	add := func(svc string, hosts ...string) { rows[svc] = append(rows[svc], hosts...) }
+	add := func(svc string, hosts ...string) {
+		for _, h := range hosts {
+			if !slices.Contains(rows[svc], h) {
+				rows[svc] = append(rows[svc], h)
+			}
+		}
+	}
 
 	n := len(c.Servers)
 	host := func(i int) string { return c.Servers[i%n].Spec.Host }
@@ -374,24 +391,13 @@ func (c *Cluster) writePlacement() {
 	add("vod", host(0), host(1))
 	add("kernel", host(0), host(1))
 	for svc, hosts := range rows {
-		c.Store.Put("services", svc, joinCSV(hosts))
+		c.Store.Put(csc.ServicesTable, svc, strings.Join(hosts, ","))
 	}
 	// Per-server infrastructure never migrates (§8.1: "there is no reason
 	// to restart its MDS replica on another server").
 	for _, svc := range []string{"ns", "mgr", "ras", "db", "auth", "mds", "boot"} {
 		c.Store.Put(csc.PinnedTable, svc, "")
 	}
-}
-
-func joinCSV(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
 }
 
 // NewSettop provisions a settop in the given neighborhood and returns it

@@ -40,7 +40,6 @@ type Server struct {
 	mu     sync.Mutex
 	ns     *names.Replica
 	ras    *audit.Service
-	mgr    *settopmgr.Manager
 	dbsvc  *db.Service
 	cscCtl *csc.Controller
 	mds    *media.Service
@@ -74,9 +73,6 @@ func (s *Server) RAS() *audit.Service { s.mu.Lock(); defer s.mu.Unlock(); return
 // Metrics returns this server's node registry — the same snapshot the
 // _metrics RPC serves, available in-process for tests and experiments.
 func (s *Server) Metrics() *obs.Registry { return obs.Node(s.Spec.Host) }
-
-// Mgr returns the server's Settop Manager.
-func (s *Server) Mgr() *settopmgr.Manager { s.mu.Lock(); defer s.mu.Unlock(); return s.mgr }
 
 // CSC returns the server's CSC replica, if placed here.
 func (s *Server) CSC() *csc.Controller { s.mu.Lock(); defer s.mu.Unlock(); return s.cscCtl }
@@ -220,7 +216,7 @@ func (s *Server) installSpecs() {
 		if v := s.verifier(); v != nil {
 			r.SetAuthenticator(v)
 		}
-		r.SetChecker(audit.Checker{Ep: r.Endpoint(), Ref: audit.RefAt(s.Spec.Host)})
+		r.SetChecker(audit.Stub{Ep: r.Endpoint(), Ref: audit.RefAt(s.Spec.Host)})
 		s.mu.Lock()
 		s.ns = r
 		s.mu.Unlock()
@@ -234,9 +230,6 @@ func (s *Server) installSpecs() {
 		}
 		p.OnKill(m.Close)
 		s.secure(m.Endpoint())
-		s.mu.Lock()
-		s.mgr = m
-		s.mu.Unlock()
 		return nil
 	}})
 

@@ -84,7 +84,7 @@ func TestFailoverCausalTrace(t *testing.T) {
 
 	// Causal order: death happened before the eviction, which happened
 	// before the promotion.
-	if death.Time.After(evicted.Time) || evicted.Time.After(promoted.Time) {
+	if death.HLC > evicted.HLC || evicted.HLC > promoted.HLC {
 		t.Fatalf("timeline out of causal order:\n%s", timeline(chain))
 	}
 
@@ -103,12 +103,12 @@ func TestFailoverCausalTrace(t *testing.T) {
 }
 
 // newScraper dials an operator endpoint and returns a function that scrapes
-// every node's flight recorder over the wire (the built-in _events call,
-// exactly what itv-admin does).  The per-node rings are shared by every test
-// in this package (recorders are keyed by host), so the scraper baselines
-// each node's sequence number at creation and reports only events recorded
-// afterwards — otherwise a trace latched from a scrape can be a previous
-// test's, half rotated out of the ring.
+// every node's flight recorder over the wire (the built-in _events call)
+// and merges them in HLC order, exactly what itv-admin does.  The per-node
+// rings are shared by every test in this package (recorders are keyed by
+// host), so the scraper baselines each node's sequence number at creation
+// and reports only events recorded afterwards — otherwise a trace latched
+// from a scrape can be a previous test's, half rotated out of the ring.
 func newScraper(t *testing.T, c *Cluster) func() []obs.Event {
 	t.Helper()
 	obs.NodeHLC("192.168.0.250").SetNow(c.Clk.Now) // keep the scraper on simulated time
@@ -200,8 +200,7 @@ func TestFailoverCausalTraceSkewed(t *testing.T) {
 		return false
 	})
 
-	chain := obs.FilterTrace(scrape(), trace)
-	merged := obs.MergeEventsHLC(chain)
+	merged := obs.FilterTrace(scrape(), trace)
 	idx := func(name string) int {
 		for i := range merged {
 			if merged[i].Name == name {
@@ -299,6 +298,6 @@ func TestClusterHealthSurface(t *testing.T) {
 
 func timeline(evs []obs.Event) string {
 	var b strings.Builder
-	obs.WriteEvents(&b, evs)
+	obs.WriteEvents(&b, evs, obs.MinUncertainty)
 	return b.String()
 }

@@ -218,12 +218,12 @@ func TestRemoteStub(t *testing.T) {
 // pingChecker stands in for the RAS.
 type pingChecker struct{ ep *orb.Endpoint }
 
-func (p pingChecker) CheckStatus(refs []oref.Ref) (map[string]bool, error) {
-	out := make(map[string]bool, len(refs))
-	for _, r := range refs {
-		out[r.Key()] = !orb.Dead(p.ep.Ping(r))
+func (p pingChecker) CheckStatus(refs []oref.Ref) ([]bool, []uint64, error) {
+	alive := make([]bool, len(refs))
+	for i, r := range refs {
+		alive[i] = !orb.Dead(p.ep.Ping(r))
 	}
-	return out, nil
+	return alive, make([]uint64, len(refs)), nil
 }
 
 func TestResourceAccounting(t *testing.T) {

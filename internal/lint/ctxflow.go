@@ -20,7 +20,7 @@ import (
 // context.With*), or fresh.  A fresh ctx passed to any ctx-taking call
 // is reported.  The companion syntactic rule flags calls to a method M
 // with no ctx parameter when the receiver also offers MCtx — Invoke vs
-// InvokeCtx, Running vs RunningCtx, LocalStatusT vs LocalStatusTCtx.
+// InvokeCtx, Running vs RunningCtx.
 type ctxFlow struct{}
 
 func (ctxFlow) Name() string { return "ctxflow" }

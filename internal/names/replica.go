@@ -18,25 +18,18 @@ import (
 )
 
 // StatusChecker reports liveness of object references; the Resource Audit
-// Service implements it.  The name service polls its local checker on the
-// audit interval and removes dead objects from the name space (§4.7).
+// Service's stub (audit.Stub) is one.  The name service polls its local
+// checker on the audit interval and removes dead objects from the name
+// space (§4.7).
 type StatusChecker interface {
-	// CheckStatus returns alive[ref.Key()] for each ref.  Unknown objects
-	// are reported alive until the checker learns otherwise (§7.2: status
-	// builds up over time, starting "unknown").
-	CheckStatus(refs []oref.Ref) (map[string]bool, error)
-}
-
-// TracedChecker extends StatusChecker with the causal trace of each
-// observed death.  When the installed checker implements it (audit.Checker
-// does), the name-space audit joins the trace the SSC minted when the
-// object died, so eviction and the eventual rebind are causally linked to
-// the failure across machines.
-type TracedChecker interface {
-	StatusChecker
-	// CheckStatusTraced returns alive[ref.Key()] like CheckStatus, plus
-	// trace[ref.Key()] for dead references whose death has a known trace.
-	CheckStatusTraced(refs []oref.Ref) (map[string]bool, map[string]uint64, error)
+	// CheckStatus returns, aligned with refs, whether each is alive and,
+	// for a dead one, the causal trace of its observed death (0 if
+	// untraced).  Unknown objects are reported alive until the checker
+	// learns otherwise (§7.2: status builds up over time, starting
+	// "unknown").  The trace lets the audit's eviction, and the rebind
+	// that repairs it, join the trace the SSC minted when the object died,
+	// even on another machine.
+	CheckStatus(refs []oref.Ref) (alive []bool, traces []uint64, err error)
 }
 
 // Config parameterizes a name-service replica.  The interval defaults are
@@ -500,20 +493,13 @@ func (r *Replica) maybeAudit() {
 		refs[i] = en.ref
 	}
 	r.auditRounds.Inc()
-	var alive map[string]bool
-	var traces map[string]uint64
-	var err error
-	if tc, ok := checker.(TracedChecker); ok {
-		alive, traces, err = tc.CheckStatusTraced(refs)
-	} else {
-		alive, err = checker.CheckStatus(refs)
-	}
-	if err != nil {
+	alive, traces, err := checker.CheckStatus(refs)
+	if err != nil || len(alive) != len(refs) || len(traces) != len(refs) {
 		return
 	}
-	for _, en := range entries {
-		if live, known := alive[en.ref.Key()]; known && !live {
-			trace := traces[en.ref.Key()]
+	for i, en := range entries {
+		if !alive[i] {
+			trace := traces[i]
 			ctx := context.Background()
 			if trace != 0 {
 				ctx = obs.ContextWithSpan(ctx, obs.Span{

@@ -215,14 +215,14 @@ func (f *fakeChecker) kill(ref oref.Ref) {
 	f.mu.Unlock()
 }
 
-func (f *fakeChecker) CheckStatus(refs []oref.Ref) (map[string]bool, error) {
+func (f *fakeChecker) CheckStatus(refs []oref.Ref) ([]bool, []uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string]bool, len(refs))
-	for _, r := range refs {
-		out[r.Key()] = !f.dead[r.Key()]
+	alive := make([]bool, len(refs))
+	for i, r := range refs {
+		alive[i] = !f.dead[r.Key()]
 	}
-	return out, nil
+	return alive, make([]uint64, len(refs)), nil
 }
 
 func TestAuditRemovesDeadObjects(t *testing.T) {
@@ -249,18 +249,18 @@ type slowChecker struct {
 	asked, proceed chan struct{}
 }
 
-func (s *slowChecker) CheckStatus(refs []oref.Ref) (map[string]bool, error) {
-	out := make(map[string]bool, len(refs))
+func (s *slowChecker) CheckStatus(refs []oref.Ref) ([]bool, []uint64, error) {
+	alive := make([]bool, len(refs))
 	hit := false
-	for _, r := range refs {
-		out[r.Key()] = !r.Equal(s.dead)
+	for i, r := range refs {
+		alive[i] = !r.Equal(s.dead)
 		hit = hit || r.Equal(s.dead)
 	}
 	if hit {
 		s.asked <- struct{}{}
 		<-s.proceed
 	}
-	return out, nil
+	return alive, make([]uint64, len(refs)), nil
 }
 
 // TestAuditDoesNotEvictAReboundName: the audit learns that the object bound

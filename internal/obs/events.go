@@ -107,45 +107,29 @@ func (r *Recorder) EventsAfter(afterSeq uint64, max int) []Event {
 	return out
 }
 
-// MergeEvents merges per-node event lists into one timeline: by time, then
-// node, then per-node sequence.  With the cluster's injected clock all
-// nodes share a time base, so time order *is* the causal order wherever
-// causality crosses nodes through an RPC.
+// MergeEvents merges per-node event lists into one timeline ordered by
+// hybrid logical clock, then wall time, node and per-node sequence.  The
+// order is causal under clock skew: whenever causality crossed nodes
+// through an RPC, the receiver's HLC is strictly above the sender's,
+// whatever their wall clocks said.  Events recorded without an HLC (zero)
+// sort by wall time among themselves, first.
 func MergeEvents(lists ...[]Event) []Event {
-	return mergeEvents(lists, wallBefore)
-}
-
-// MergeEventsHLC merges per-node event lists into one timeline ordered by
-// hybrid logical clock, with MergeEvents' order as the tie-break.  Unlike
-// MergeEvents this order is correct under clock skew: whenever causality
-// crossed nodes through an RPC, the receiver's HLC is strictly above the
-// sender's, whatever their wall clocks said.  Events recorded before the
-// HLC layer existed (HLC zero) sort by wall time among themselves, first.
-func MergeEventsHLC(lists ...[]Event) []Event {
-	return mergeEvents(lists, func(a, b *Event) bool {
-		if a.HLC != b.HLC {
-			return a.HLC < b.HLC
-		}
-		return wallBefore(a, b)
-	})
-}
-
-func wallBefore(a, b *Event) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.Seq < b.Seq
-}
-
-func mergeEvents(lists [][]Event, before func(a, b *Event) bool) []Event {
 	var out []Event
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return before(&out[i], &out[j]) })
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		switch {
+		case a.HLC != b.HLC:
+			return a.HLC < b.HLC
+		case !a.Time.Equal(b.Time):
+			return a.Time.Before(b.Time)
+		case a.Node != b.Node:
+			return a.Node < b.Node
+		}
+		return a.Seq < b.Seq
+	})
 	return out
 }
 
@@ -182,21 +166,20 @@ func FilterTrace(events []Event, trace uint64) []Event {
 	return out
 }
 
-// WriteEvents writes events one line each — the shared timeline format used
-// by itv-admin, /debug/events and the CI failure dump.
-func WriteEvents(w io.Writer, events []Event) {
-	for _, e := range events {
-		fmt.Fprintln(w, e.String())
-	}
-}
+// MinUncertainty is the clock uncertainty WriteEvents is given when no
+// larger one was measured: what the HLC's millisecond quantization alone
+// cannot order.
+const MinUncertainty = 2 * time.Millisecond
 
-// WriteEventsHLC writes an HLC-merged timeline, one event per line with the
-// HLC reading prepended, and marks events whose order relative to the
-// previous line is ambiguous ("?~"): different nodes, no shared trace, and
-// physical clocks within unc of each other.  Ambiguity is flagged rather
-// than silently linearized — the printed order is the HLC's best effort,
-// the marker says these clocks cannot prove it.
-func WriteEventsHLC(w io.Writer, events []Event, unc time.Duration) {
+// WriteEvents writes a merged timeline — the one format of itv-admin,
+// /debug/events and the CI failure dump — one event per line: the HLC
+// reading, then the event's wall time, node, trace, name and detail.  It
+// marks events whose order relative to the previous line is ambiguous
+// ("?~"): different nodes, no shared trace, and physical clocks within unc
+// of each other.  Ambiguity is flagged rather than silently linearized —
+// the printed order is the HLC's best effort, the marker says these clocks
+// cannot prove it.
+func WriteEvents(w io.Writer, events []Event, unc time.Duration) {
 	for i, e := range events {
 		mark := "  "
 		if i > 0 && Ambiguous(events[i-1], e, unc) {
@@ -211,20 +194,15 @@ func WriteEventsHLC(w io.Writer, events []Event, unc time.Duration) {
 // failing run so CI logs carry the failover timeline for flaky-test triage.
 // A value of "1" dumps to w only; any other value is additionally treated
 // as a file path that receives a copy, which CI uploads as a workflow
-// artifact.  Both forms carry the wall-merged timeline and the HLC-merged
-// one: under skewed clocks they disagree, and the disagreement is evidence.
-// It reports whether a dump was written.
+// artifact.  It reports whether a dump was written.
 func DumpEventsOnFailure(w io.Writer) bool {
 	dst := os.Getenv("ITV_FLIGHT_DUMP")
 	if dst == "" {
 		return false
 	}
 	dump := func(w io.Writer) {
-		lists := eventLists(records(nil))
-		fmt.Fprintln(w, "=== flight recorder (ITV_FLIGHT_DUMP) ===")
-		WriteEvents(w, MergeEvents(lists...))
-		fmt.Fprintln(w, "=== flight recorder, HLC order ===")
-		WriteEventsHLC(w, MergeEventsHLC(lists...), 2*time.Millisecond)
+		fmt.Fprintln(w, "=== flight recorder (ITV_FLIGHT_DUMP), HLC order ===")
+		writeEvents(w, records(nil))
 	}
 	dump(w)
 	if dst != "1" {

@@ -229,14 +229,16 @@ func TestMergeEventsHLCAndAmbiguity(t *testing.T) {
 		{Seq: 1, Node: "a", Time: hlcEpoch.Add(time.Hour), HLC: base + 1, Name: "a_first", Trace: 7},
 		{Seq: 1, Node: "b", Time: hlcEpoch.Add(time.Second), HLC: base + 9, Name: "b_second", Trace: 7},
 	}
-	merged := MergeEventsHLC([]Event{evs[1]}, []Event{evs[0]})
+	merged := MergeEvents([]Event{evs[1]}, []Event{evs[0]})
 	if merged[0].Name != "a_first" || merged[1].Name != "b_second" {
 		t.Fatalf("HLC merge order wrong: %v, %v", merged[0].Name, merged[1].Name)
 	}
-	// Wall merge would reverse it.
-	wall := MergeEvents([]Event{evs[1]}, []Event{evs[0]})
-	if wall[0].Name != "b_second" {
+	// Wall order would reverse it.
+	if !evs[1].Time.Before(evs[0].Time) {
 		t.Fatal("expected wall order to disagree — fixture no longer proves anything")
+	}
+	if tr := FilterTrace(merged, 7); len(tr) != 2 || tr[0].Name != "a_first" || tr[1].Name != "b_second" {
+		t.Fatalf("FilterTrace = %v", tr)
 	}
 
 	// Same trace: causally coupled, never ambiguous even at equal physical.
@@ -272,7 +274,7 @@ func TestWriteEventsHLCMarksAmbiguity(t *testing.T) {
 		{Node: "b", HLC: packHLC(hlcEpoch.Add(time.Minute)), Name: "b_three", Trace: 2},
 	}
 	var buf strings.Builder
-	WriteEventsHLC(&buf, evs, 2*time.Millisecond)
+	WriteEvents(&buf, evs, MinUncertainty)
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {

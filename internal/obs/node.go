@@ -158,7 +158,7 @@ func writeMetrics(w io.Writer, recs []hostRecord) {
 }
 
 func writeEvents(w io.Writer, recs []hostRecord) {
-	WriteEvents(w, MergeEvents(eventLists(recs)...))
+	WriteEvents(w, MergeEvents(eventLists(recs)...), MinUncertainty)
 }
 
 func eventLists(recs []hostRecord) [][]Event {

@@ -169,15 +169,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Mean returns the average observation, or 0 with no observations.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // within the bucket containing it; observations beyond the last bound
 // report the last bound.  Good enough for operator eyeballs, not for SLO

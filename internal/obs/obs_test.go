@@ -2,13 +2,16 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -170,6 +173,8 @@ func TestConcurrency(t *testing.T) {
 	}
 }
 
+var skewRuns atomic.Int64
+
 // TestDebugServer serves the debug surface twice over the same host records
 // — for one named host (itv-server's form) and for every host
 // (itv-cluster's) — and checks each page renders from them.
@@ -239,6 +244,26 @@ func TestDebugServer(t *testing.T) {
 	}
 	get(one, "/debug/pprof/")
 
+	// Skewed clocks: a cause recorded on a node whose wall clock runs an
+	// hour fast, then its effect on a node that heard of it over an RPC.
+	// The page prints them in causal (HLC) order, each with its own wall
+	// time; a wall-time merge would print the effect an hour early.
+	run := skewRuns.Add(1)
+	cause, effect := fmt.Sprintf("cause %d", run), fmt.Sprintf("effect %d", run)
+	NodeRecorder("debug-fast").Record(at.Add(time.Hour), 0xdef, "skew_event", cause)
+	NodeHLC("debug-slow").Observe(NodeHLC("debug-fast").Current())
+	NodeRecorder("debug-slow").Record(at.Add(time.Second), 0xdef, "skew_event", effect)
+	body, _ := get(all, "/debug/events")
+	lines := strings.Split(body, "\n")
+	line := func(detail string) int {
+		return slices.IndexFunc(lines, func(l string) bool { return strings.HasSuffix(l, " "+detail) })
+	}
+	ci, ei := line(cause), line(effect)
+	if ci < 0 || ei < ci || !strings.Contains(lines[ci], " 01:00:05.000000 debug-fast ") ||
+		!strings.Contains(lines[ei], " 00:00:06.000000 debug-slow ") {
+		t.Errorf("skewed cause and effect out of causal order, or without their wall times:\n%s", body)
+	}
+
 	// A host that only ever kept a clock renders as nothing and gains
 	// nothing by being rendered.
 	NodeHLC("debug-bare")
@@ -284,26 +309,6 @@ func TestRecorderRing(t *testing.T) {
 		if want := uint64(i + 3); e.Seq != want {
 			t.Fatalf("evs[%d].Seq = %d, want %d", i, e.Seq, want)
 		}
-	}
-}
-
-func TestMergeEventsOrdering(t *testing.T) {
-	a := NewRecorder("aa", 8)
-	b := NewRecorder("bb", 8)
-	b.Record(time.Unix(2, 0), 7, "later_event", "")
-	a.Record(time.Unix(1, 0), 7, "earlier_event", "")
-	a.Record(time.Unix(2, 0), 0, "tie_event", "")
-	merged := MergeEvents(a.Events(), b.Events())
-	got := []string{merged[0].Name, merged[1].Name, merged[2].Name}
-	want := []string{"earlier_event", "tie_event", "later_event"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged order = %v, want %v", got, want)
-		}
-	}
-	tr := FilterTrace(merged, 7)
-	if len(tr) != 2 || tr[0].Name != "earlier_event" || tr[1].Name != "later_event" {
-		t.Fatalf("FilterTrace = %v", tr)
 	}
 }
 

@@ -48,9 +48,8 @@ type SlowCall struct {
 // threshold.  Note is safe for concurrent use and allocation-free; Record
 // takes the ring mutex but only runs for admitted (already slow) calls.
 type SlowLedger struct {
-	node  string
-	floor atomic.Int64 // minimum threshold, ns
-	est   atomic.Int64 // asymmetric-EWMA tail estimate, ns
+	node string
+	est  atomic.Int64 // asymmetric-EWMA tail estimate, ns
 
 	mu   sync.Mutex
 	ring ring[SlowCall] // grows as calls are admitted: a healthy node keeps none
@@ -62,13 +61,8 @@ func NewSlowLedger(node string, size int) *SlowLedger {
 	if size < 1 {
 		size = 1
 	}
-	l := &SlowLedger{node: node, ring: ring[SlowCall]{max: size}}
-	l.floor.Store(int64(DefaultSlowFloor))
-	return l
+	return &SlowLedger{node: node, ring: ring[SlowCall]{max: size}}
 }
-
-// SetFloor replaces the minimum admission threshold.
-func (l *SlowLedger) SetFloor(d time.Duration) { l.floor.Store(int64(d)) }
 
 // Estimate returns the current tail estimate.
 func (l *SlowLedger) Estimate() time.Duration { return time.Duration(l.est.Load()) }
@@ -92,9 +86,7 @@ func (l *SlowLedger) Note(total time.Duration) (threshold time.Duration, slow bo
 	}
 	l.est.CompareAndSwap(e, n)
 	thr := e << slowMultShift
-	if f := l.floor.Load(); thr < f {
-		thr = f
-	}
+	thr = max(thr, int64(DefaultSlowFloor))
 	return time.Duration(thr), t > thr
 }
 

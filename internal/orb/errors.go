@@ -108,18 +108,6 @@ func IsApp(err error, name string) bool {
 	return errors.As(err, &ae) && ae.Name == name
 }
 
-// AppName returns the exception name if err is an application exception.
-func AppName(err error) (string, bool) {
-	if err == nil {
-		return "", false
-	}
-	var ae *AppError
-	if errors.As(err, &ae) {
-		return ae.Name, true
-	}
-	return "", false
-}
-
 // Dead reports whether err means the reference's object is gone for good —
 // the condition under which the client library must re-resolve the name
 // rather than retry the same reference (§8.2).

@@ -322,17 +322,6 @@ func (c *Controller) invokeCallbacks(ctx context.Context, cbs []oref.Ref, refs [
 	}
 }
 
-// LiveObjects returns the keys of all objects currently registered live.
-func (c *Controller) LiveObjects() []oref.Ref {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []oref.Ref
-	for _, refs := range c.objects {
-		out = append(out, refs...)
-	}
-	return out
-}
-
 // Crash simulates the SSC process dying: every service it started exits
 // with it (§6.1's footnote), and its endpoint closes.  A fresh SSC must be
 // created by init (the cluster harness) to recover the server.

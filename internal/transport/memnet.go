@@ -86,13 +86,6 @@ func (n *Network) Restore(ip string) {
 	n.mu.Unlock()
 }
 
-// IsCut reports whether the host is currently failed.
-func (n *Network) IsCut(ip string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.host(ip).cut
-}
-
 type memHost struct {
 	net *Network
 	ip  string

@@ -143,10 +143,10 @@ func (f *fixture) clientEp(t *testing.T) *orb.Endpoint {
 
 type pingChecker struct{ ep *orb.Endpoint }
 
-func (p pingChecker) CheckStatus(refs []oref.Ref) (map[string]bool, error) {
-	out := make(map[string]bool, len(refs))
-	for _, r := range refs {
-		out[r.Key()] = !orb.Dead(p.ep.Ping(r))
+func (p pingChecker) CheckStatus(refs []oref.Ref) ([]bool, []uint64, error) {
+	alive := make([]bool, len(refs))
+	for i, r := range refs {
+		alive[i] = !orb.Dead(p.ep.Ping(r))
 	}
-	return out, nil
+	return alive, make([]uint64, len(refs)), nil
 }

@@ -128,9 +128,6 @@ func (e *Encoder) PutStringMap(m map[string]string) {
 	}
 }
 
-// PutMarshaler encodes a nested IDL struct.
-func (e *Encoder) PutMarshaler(m Marshaler) { m.MarshalWire(e) }
-
 // Decoder consumes an encoded message.  The first failure latches into Err
 // and all subsequent reads return zero values.
 type Decoder struct {
