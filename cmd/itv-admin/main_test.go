@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -124,8 +128,8 @@ func TestRun(t *testing.T) {
 
 	// planted runs one command and returns the lines of its output that
 	// contain keep, normalised.  The commands here only read, so one that
-	// fails is retried while simulated time moves on: the csc binding the
-	// host-less forms resolve comes and goes with the elector's self-checks.
+	// fails is retried while simulated time moves on: the host-less forms
+	// resolve the csc binding, which a CSC fail-over leaves unbound a while.
 	names := strings.NewReplacer(probe, "PROBE", method, "itv.Probe.call", traceHex, "<trace>")
 	planted := func(keep *regexp.Regexp, args ...string) []string {
 		t.Helper()
@@ -217,7 +221,105 @@ func TestRun(t *testing.T) {
 	if err := admin.Run(&bytes.Buffer{}, ep, c.NSAddrs()[0], []string{"trace", "0000000000000bad", forge}); err == nil {
 		t.Error("trace for an id nobody recorded: want an error")
 	}
-	if err := admin.Run(&bytes.Buffer{}, ep, c.NSAddrs()[0], []string{"metrics"}); err == nil || !strings.Contains(err.Error(), "usage: metrics") {
-		t.Errorf("metrics without a host = %v, want its usage", err)
+	for _, bad := range []struct{ args, want string }{
+		{"metrics", "usage: metrics"},
+		{"kill " + forge, "usage: kill <host> <svc>"},
+		{"move mms", "usage: move <svc> <host,...>"},
+		{"profile heap", "usage: profile"},
+		{"frobnicate", `unknown command "frobnicate"`},
+	} {
+		if err := admin.Run(&bytes.Buffer{}, ep, c.NSAddrs()[0], strings.Fields(bad.args)); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("itv-admin %s = %v, want %q", bad.args, err, bad.want)
+		}
+	}
+
+	// The commands that change the cluster.  Each prints one line of its
+	// own; what it did is read back through running, as an operator would.
+	do := func(want string, args ...string) {
+		t.Helper()
+		var out bytes.Buffer
+		if err := admin.Run(&out, ep, c.NSAddrs()[0], args); err != nil || strings.TrimSpace(out.String()) != want {
+			t.Fatalf("itv-admin %s = %v, %q; want %q", strings.Join(args, " "), err, out.String(), want)
+		}
+	}
+	runs := func(host, svc string) bool {
+		var out bytes.Buffer
+		if err := admin.Run(&out, ep, c.NSAddrs()[0], []string{"running", host}); err != nil {
+			t.Fatalf("itv-admin running %s: %v", host, err)
+		}
+		return slices.Contains(strings.Fields(out.String()), svc)
+	}
+
+	// move re-places a service; the acting CSC applies it on its next round.
+	anvil := c.Servers[2].Spec.Host
+	do("move rds-6 -> "+kiln+": recorded; the CSC applies it on its next round", "move", "rds-6", kiln)
+	if !c.WaitFor(func() bool { return runs(kiln, "rds-6") && !runs(anvil, "rds-6") }) {
+		t.Fatalf("rds-6 not moved from %s to %s", anvil, kiln)
+	}
+
+	// stop takes a service out of running; start puts it back.  Both act
+	// at once, so they go while no CSC round is under way (the one that
+	// applied the move has done its last server): a round would start
+	// the stopped service again.
+	do("stop vod on "+kiln+": ok", "stop", kiln, "vod")
+	if runs(kiln, "vod") {
+		t.Fatal("running still lists vod after stop")
+	}
+	do("start vod on "+kiln+": ok", "start", kiln, "vod")
+	if !c.WaitFor(func() bool { return runs(kiln, "vod") }) {
+		t.Fatal("running never lists vod again after start")
+	}
+
+	// §9.5: kill a service and its server's SSC runs it again — a new
+	// incarnation, bound under the same name — well inside one audit
+	// interval.  The SSC's own restart waits out its restart delay, so a
+	// CSC round in between can ask the SSC for the launch first.
+	resolve := func(name string) string {
+		var out bytes.Buffer
+		if err := admin.Run(&out, ep, c.NSAddrs()[0], []string{"resolve", name}); err != nil {
+			return ""
+		}
+		return out.String()
+	}
+	var before string
+	if !c.WaitFor(func() bool { before = resolve("svc/mds/forge"); return strings.HasSuffix(before, "liveness: up\n") }) {
+		t.Fatalf("svc/mds/forge before the kill:\n%s", before)
+	}
+	killed := c.Clk.Now()
+	do("kill mds on "+forge+": ok", "kill", forge, "mds")
+	if runs(forge, "mds") {
+		t.Fatal("running still lists mds right after kill")
+	}
+	var after string
+	if !c.WaitFor(func() bool {
+		after = resolve("svc/mds/forge")
+		return runs(forge, "mds") && after != before && strings.HasSuffix(after, "liveness: up\n")
+	}) {
+		t.Fatalf("mds on %s never ran again: svc/mds/forge was\n%sand is\n%s", forge, before, after)
+	}
+	if took, audit := c.Clk.Since(killed), c.Cfg.Tunables.NSAudit; took > audit {
+		t.Errorf("mds ran again %s after the kill, want within the %s audit interval", took, audit)
+	}
+
+	// profile pulls a heap profile from a node: pprof's gzipped protobuf.
+	file := filepath.Join(t.TempDir(), "heap.pb.gz")
+	var out bytes.Buffer
+	if err := admin.Run(&out, ep, c.NSAddrs()[0], []string{"profile", "-seconds", "1", "-o", file, "heap", forge}); err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	if want := regexp.MustCompile(`^heap profile of ` + regexp.QuoteMeta(forge) + `: \d+ bytes -> ` + regexp.QuoteMeta(file) + `\n$`); !want.MatchString(out.String()) {
+		t.Errorf("profile printed %q", out.String())
+	}
+	f, err := os.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip: %v", err)
+	}
+	if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+		t.Fatalf("profile decompresses to %d bytes, %v", len(body), err)
 	}
 }

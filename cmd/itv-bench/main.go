@@ -9,8 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"strings"
 	"time"
@@ -39,15 +42,27 @@ var suite = []struct {
 }
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (e.g. E4)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run lists the suite or runs the experiments the flags in args select,
+// writing each table and its wall time to w.  It fails on a flag error and
+// on an -only that names no experiment.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("itv-bench", flag.ContinueOnError)
+	only := fs.String("only", "", "run a single experiment (e.g. E4)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range suite {
-			fmt.Printf("  %-4s %s\n", e.id, e.what)
+			fmt.Fprintf(w, "  %-4s %s\n", e.id, e.what)
 		}
-		return
+		return nil
 	}
 
 	ran := 0
@@ -57,12 +72,12 @@ func main() {
 		}
 		start := time.Now()
 		tab := e.run()
-		fmt.Println(tab.Format())
-		fmt.Printf("  [%s completed in %v wall time]\n\n", e.id, time.Since(start).Truncate(time.Millisecond))
+		fmt.Fprintln(w, tab.Format())
+		fmt.Fprintf(w, "  [%s completed in %v wall time]\n\n", e.id, time.Since(start).Truncate(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment %q; use -list\n", *only)
-		os.Exit(1)
+		return fmt.Errorf("no experiment %q; use -list", *only)
 	}
+	return nil
 }

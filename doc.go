@@ -4,8 +4,10 @@
 // trial in Orlando, together with the ITV services that ran on it.
 //
 // The implementation lives under internal/ (one package per subsystem; see
-// DESIGN.md for the inventory), runnable programs under cmd/ and examples/,
-// the evaluation suite in internal/experiments (printed by cmd/itv-bench),
-// and the performance benchmark in bench/.  EXPERIMENTS.md records
-// paper-versus-measured results for every reproduced figure and claim.
+// DESIGN.md for the inventory), runnable programs under cmd/ and one
+// third-party application under examples/shopping (each with a test that
+// runs it), the evaluation suite in internal/experiments (printed by
+// cmd/itv-bench), and the performance benchmark in bench/.  EXPERIMENTS.md
+// records paper-versus-measured results for every reproduced figure and
+// claim.
 package itv

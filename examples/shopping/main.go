@@ -11,7 +11,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sort"
 	"time"
 
 	"itv/internal/cluster"
@@ -61,8 +64,18 @@ func (s *shopSkel) Dispatch(c *orb.ServerCall) error {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run deploys the shopping service on the Orlando cluster, places one order
+// from a settop, crashes the service's primary and places a second order
+// through the backup, writing the session's story to w.  It fails on any
+// order the customer would see fail.
+func run(w io.Writer) error {
 	c := cluster.New(cluster.Orlando())
-	fmt.Println("booting the Orlando cluster...")
+	fmt.Fprintln(w, "booting the Orlando cluster...")
 	c.Start()
 	defer c.Stop()
 
@@ -74,70 +87,81 @@ func main() {
 	// Deploy the shopping service primary/backup on two servers, exactly
 	// as the system services do.
 	dbRef := db.RefAt(c.Servers[0].Spec.Host)
-	startShop := func(host string) *core.Elector {
-		ep, err := orb.NewEndpoint(c.NW.Host(host))
+	var eps [2]*orb.Endpoint
+	var shops [2]*core.Elector
+	for i := range shops {
+		ep, err := orb.NewEndpoint(c.NW.Host(c.Servers[i].Spec.Host))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer ep.Close()
 		sess := core.NewSession(ep, c.Servers[0].NS().RootRef(), c.Clk)
-		stub := &db.Stub{Ep: sess.Ep, Ref: dbRef}
-		ref := ep.Register("", &shopSkel{store: stub})
-		el := sess.NewElector("svc/shop", ref)
+		el := sess.NewElector("svc/shop", ep.Register("", &shopSkel{store: &db.Stub{Ep: ep, Ref: dbRef}}))
 		el.RetryInterval = 2 * time.Second
 		el.Start()
-		return el
+		defer el.Close()
+		eps[i], shops[i] = ep, el
 	}
-	e1 := startShop(c.Servers[0].Spec.Host)
-	defer e1.Close()
-	e2 := startShop(c.Servers[1].Spec.Host)
-	defer e2.Close()
-	c.MustWaitFor("shop primary", func() bool { return e1.IsPrimary() || e2.IsPrimary() })
-	fmt.Println("shopping service deployed (primary/backup, state in the database)")
+	c.MustWaitFor("shop primary", func() bool { return shops[0].IsPrimary() || shops[1].IsPrimary() })
+	fmt.Fprintln(w, "shopping service deployed (primary/backup, state in the database)")
 
 	// A subscriber tunes to the shopping channel (Fig. 3 download path).
 	st := c.NewSettop("5", 0)
 	c.MustWaitFor("settop boot", func() bool { _, err := st.Boot(); return err == nil })
 	cover, full, err := st.ChangeChannel("shopping")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("tuned to shopping: cover %v, app in %v (simulated)\n", cover, full)
+	fmt.Fprintf(w, "tuned to shopping: cover %v, app in %v (simulated)\n", cover, full)
 
 	shop := st.Session().Service("svc/shop")
 	var items []string
 	if err := shop.Invoke("catalog", nil,
 		func(d *wire.Decoder) error { items = d.Strings(); return nil }); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("catalog:", items)
+	fmt.Fprintln(w, "catalog:", items)
 
-	order := func(item string) {
+	order := func(item string) error {
 		var id string
 		err := shop.Invoke("order",
 			func(e *wire.Encoder) { e.PutString(item) },
 			func(d *wire.Decoder) error { id = d.String(); return nil })
 		if err != nil {
-			fmt.Printf("  order %s failed: %v\n", item, err)
-			return
+			return fmt.Errorf("order %s: %w", item, err)
 		}
-		fmt.Printf("  ordered %s -> %s\n", item, id)
+		fmt.Fprintf(w, "  ordered %s -> %s\n", item, id)
+		return nil
 	}
-	order("itv-tshirt")
+	if err := order("itv-tshirt"); err != nil {
+		return err
+	}
 
-	// Crash the primary between orders: the backup takes over (its state
-	// is in the database) and the settop's stub rebinds.
-	var primary, backup *core.Elector = e1, e2
-	if e2.IsPrimary() {
-		primary, backup = e2, e1
+	// Crash the primary between orders: its process dies without unbinding,
+	// the audit removes the dead binding (§4.7), the backup's bind retry
+	// wins (its state is in the database), and the settop's stub rebinds.
+	primary := 0
+	if shops[1].IsPrimary() {
+		primary = 1
 	}
-	fmt.Println("crashing the shopping primary mid-session...")
-	primary.Close() // clean handover for the demo; see examples/failover for the audited path
-	c.MustWaitFor("backup primary", backup.IsPrimary)
-	order("cable-modem")
+	fmt.Fprintln(w, "crashing the shopping primary mid-session...")
+	shops[primary].Abandon()
+	eps[primary].Close()
+	c.MustWaitFor("backup primary", shops[1-primary].IsPrimary)
+	if err := order("cable-modem"); err != nil {
+		return err
+	}
 
-	fmt.Println("orders on record (from the database):")
-	for k, v := range c.Store.All("orders") {
-		fmt.Printf("  %s  %s\n", k, v)
+	fmt.Fprintln(w, "orders on record (from the database):")
+	orders := c.Store.All("orders")
+	ids := make([]string, 0, len(orders))
+	for id := range orders {
+		ids = append(ids, id)
 	}
-	fmt.Println("done: two orders, one service crash, zero customer impact")
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Fprintf(w, "  %s  %s\n", id, orders[id])
+	}
+	fmt.Fprintln(w, "done: two orders, one service crash, zero customer impact")
+	return nil
 }

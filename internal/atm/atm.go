@@ -86,7 +86,6 @@ type Network struct {
 	ups     map[string]*link // settop host -> upstream link
 	conns   map[string]*Conn
 
-	settopUp   int64
 	settopDown int64
 }
 
@@ -97,16 +96,16 @@ func New() *Network {
 		downs:      make(map[string]*link),
 		ups:        make(map[string]*link),
 		conns:      make(map[string]*Conn),
-		settopUp:   DefaultSettopUp,
 		settopDown: DefaultSettopDown,
 	}
 }
 
-// SetSettopAllowances overrides the per-settop link capacities for settops
-// added afterwards (the trial varied these per configuration, §3.1).
-func (n *Network) SetSettopAllowances(up, down int64) {
+// SetSettopDown overrides the downstream allowance of settops added
+// afterwards (the trial varied it per configuration, §3.1); every settop's
+// upstream is DefaultSettopUp.
+func (n *Network) SetSettopDown(down int64) {
 	n.mu.Lock()
-	n.settopUp, n.settopDown = up, down
+	n.settopDown = down
 	n.mu.Unlock()
 }
 
@@ -125,7 +124,7 @@ func (n *Network) AddServer(host string, egress int64) {
 func (n *Network) AddSettop(host string) {
 	n.mu.Lock()
 	n.downs[host] = &link{name: "down:" + host, capacity: n.settopDown}
-	n.ups[host] = &link{name: "up:" + host, capacity: n.settopUp}
+	n.ups[host] = &link{name: "up:" + host, capacity: DefaultSettopUp}
 	n.mu.Unlock()
 }
 

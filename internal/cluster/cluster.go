@@ -101,8 +101,8 @@ type Config struct {
 	Tunables Tunables
 	// Clk is the cluster clock; nil creates a fake clock (tests/benches).
 	Clk clock.Clock
-	// SettopUp/SettopDown override the per-settop allowances (§3.1).
-	SettopUp, SettopDown int64
+	// SettopDown overrides the per-settop downstream allowance (§3.1).
+	SettopDown int64
 	// EnableAuth runs the cluster with the §3.3 security model: an
 	// authentication service, realm-signed server-to-server calls, and
 	// settops that sign every call with ticket session keys.  Unenrolled
@@ -174,15 +174,8 @@ func New(cfg Config) *Cluster {
 			c.FakeClk = f
 		}
 	}
-	if cfg.SettopUp != 0 || cfg.SettopDown != 0 {
-		up, down := cfg.SettopUp, cfg.SettopDown
-		if up == 0 {
-			up = atm.DefaultSettopUp
-		}
-		if down == 0 {
-			down = atm.DefaultSettopDown
-		}
-		c.Fabric.SetSettopAllowances(up, down)
+	if cfg.SettopDown != 0 {
+		c.Fabric.SetSettopDown(cfg.SettopDown)
 	}
 	c.Store, _ = db.NewStore("")
 	if cfg.EnableAuth {

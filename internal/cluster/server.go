@@ -280,20 +280,27 @@ func (s *Server) installSpecs() {
 	}
 
 	// ---- placed services ----
+	//
+	// Each one reports its objects ready to the SSC before it binds a name.
+	// The RAS answers for this server's objects from the SSC's live set, so
+	// an audit between a bind and the notice would evict the new binding:
+	// for good for an active replica (MDS, RDS), until the elector's next
+	// self-check for a primary/backup one.
 
-	ctl.AddSpec(ssc.ServiceSpec{Name: "csc", Start: func(p *proc.Process, _ *ssc.Controller) error {
+	ctl.AddSpec(ssc.ServiceSpec{Name: "csc", Start: func(p *proc.Process, c *ssc.Controller) error {
 		sess, err := s.session(p)
 		if err != nil {
 			return err
 		}
-		c := csc.New(sess, db.RefAt(s.c.Servers[0].Spec.Host))
-		c.PingInterval = tun.CSCPing
-		c.AutoMigrate = s.c.Cfg.AutoMigrate
-		c.Elector().RetryInterval = tun.BindRetry
-		c.Start()
-		p.OnKill(c.Abort)
+		cs := csc.New(sess, db.RefAt(s.c.Servers[0].Spec.Host))
+		cs.PingInterval = tun.CSCPing
+		cs.AutoMigrate = s.c.Cfg.AutoMigrate
+		cs.Elector().RetryInterval = tun.BindRetry
+		c.NotifyReady(p.PID(), []oref.Ref{cs.Ref()})
+		cs.Start()
+		p.OnKill(cs.Abort)
 		s.mu.Lock()
-		s.cscCtl = c
+		s.cscCtl = cs
 		s.mu.Unlock()
 		return nil
 	}})
@@ -304,10 +311,10 @@ func (s *Server) installSpecs() {
 			return err
 		}
 		m := media.New(sess, s.Spec.Name, s.Spec.Movies)
+		c.NotifyReady(p.PID(), []oref.Ref{m.Ref()})
 		if err := m.Register(); err != nil {
 			return err
 		}
-		c.NotifyReady(p.PID(), []oref.Ref{m.Ref()})
 		s.mu.Lock()
 		s.mds = m
 		s.mu.Unlock()
@@ -321,9 +328,9 @@ func (s *Server) installSpecs() {
 		}
 		m := mms.New(sess, audit.RefAt(s.Spec.Host))
 		m.Elector().RetryInterval = tun.BindRetry
+		c.NotifyReady(p.PID(), []oref.Ref{m.Ref()})
 		m.Start()
 		p.OnKill(m.Abort)
-		c.NotifyReady(p.PID(), []oref.Ref{m.Ref()})
 		s.mu.Lock()
 		s.mmsSvc = m
 		s.mu.Unlock()
@@ -337,9 +344,9 @@ func (s *Server) installSpecs() {
 		}
 		v := vod.New(sess)
 		v.Elector().RetryInterval = tun.BindRetry
+		c.NotifyReady(p.PID(), []oref.Ref{v.Ref()})
 		v.Start()
 		p.OnKill(v.Abort)
-		c.NotifyReady(p.PID(), []oref.Ref{v.Ref()})
 		s.mu.Lock()
 		s.vodSvc = v
 		s.mu.Unlock()
@@ -387,9 +394,9 @@ func (s *Server) installSpecs() {
 		k := bootsvc.NewKernel(sess, s.c.Cfg.Kernel)
 		el := sess.NewElector(bootsvc.KernelName, k.Ref())
 		el.RetryInterval = tun.BindRetry
+		c.NotifyReady(p.PID(), []oref.Ref{k.Ref()})
 		el.Start()
 		p.OnKill(el.Abandon)
-		c.NotifyReady(p.PID(), []oref.Ref{k.Ref()})
 		s.mu.Lock()
 		s.kernel = k
 		s.mu.Unlock()
@@ -417,9 +424,9 @@ func (s *Server) addCmgrSpec(nb string, tun Tunables) {
 		}
 		cm := cmgr.New(sess, s.c.Fabric, nb)
 		cm.Elector().RetryInterval = tun.BindRetry
+		c.NotifyReady(p.PID(), []oref.Ref{cm.Ref()})
 		cm.Start()
 		p.OnKill(cm.Abort)
-		c.NotifyReady(p.PID(), []oref.Ref{cm.Ref()})
 		s.mu.Lock()
 		s.cmgrs[nb] = cm
 		s.mu.Unlock()
@@ -437,10 +444,10 @@ func (s *Server) addRDSSpec(nb string, tun Tunables) {
 		for name, data := range s.c.Cfg.Apps {
 			r.Put(name, data)
 		}
+		c.NotifyReady(p.PID(), []oref.Ref{r.Ref()})
 		if err := r.Register(); err != nil {
 			return err
 		}
-		c.NotifyReady(p.PID(), []oref.Ref{r.Ref()})
 		s.mu.Lock()
 		s.rdss[nb] = r
 		s.mu.Unlock()

@@ -102,6 +102,53 @@ func TestFailoverCausalTrace(t *testing.T) {
 	}
 }
 
+// TestSettopRebindJoinsFailureTrace: a settop's rebind after an MMS
+// fail-over joins the trace that began with the old primary's death.  The
+// settop resolves through its name-service fail-over wrapper (it was given
+// both servers at boot), so the wrapper must carry the rebinding call's
+// context — its trace sink — to the name service and back.
+func TestSettopRebindJoinsFailureTrace(t *testing.T) {
+	c := startCluster(t, twoServers())
+	st := bootSettop(t, c, "1", 0)
+	if err := st.OpenMovie("T2"); err != nil {
+		t.Fatal(err)
+	}
+	primary := c.MMSPrimary()
+	if primary == nil {
+		t.Fatal("no MMS primary")
+	}
+	scrape := newScraper(t, c)
+	if err := primary.SSC.StopService("mms"); err != nil {
+		t.Fatal(err)
+	}
+	var trace uint64
+	waitFor(t, c, "traced mms promotion recorded", func() bool {
+		for _, ev := range scrape() {
+			if ev.Name == "core_elector_promoted" && ev.Trace != 0 && strings.Contains(ev.Detail, "svc/mms") {
+				trace = ev.Trace
+				return true
+			}
+		}
+		return false
+	})
+
+	// The close goes through the new primary whether or not it has rebuilt
+	// the movie's state yet (NotFound), so either answer follows the rebind.
+	if err := st.CloseMovie(); err != nil && !orb.IsApp(err, orb.ExcNotFound) {
+		t.Fatalf("close after failover: %v", err)
+	}
+	var rebinds []obs.Event
+	for _, ev := range obs.NodeRecorder(st.Host()).Events() {
+		if ev.Name == "core_rebind_success" && ev.Trace == trace {
+			rebinds = append(rebinds, ev)
+		}
+	}
+	if len(rebinds) != 1 || !strings.HasPrefix(rebinds[0].Detail, "svc/mms ") {
+		t.Fatalf("settop %s recorded %d rebinds on trace %016x, want the one svc/mms rebind:\n%s",
+			st.Host(), len(rebinds), trace, timeline(obs.NodeRecorder(st.Host()).Events()))
+	}
+}
+
 // newScraper dials an operator endpoint and returns a function that scrapes
 // every node's flight recorder over the wire (the built-in _events call)
 // and merges them in HLC order, exactly what itv-admin does.  The per-node

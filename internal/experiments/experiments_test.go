@@ -248,6 +248,11 @@ func TestE13BriefInterruption(t *testing.T) {
 	if maxGap > 5*time.Second {
 		t.Errorf("restart gap %v not brief", maxGap)
 	}
+	// Every kill landed, so the gaps above are ten recoveries, not a
+	// vacuous zero.
+	if kills, _ := strconv.Atoi(cell(t, tab, "kills", 1)); kills != 10 {
+		t.Errorf("%d kills landed, want 10", kills)
+	}
 }
 
 func TestE14RecipeCompletes(t *testing.T) {

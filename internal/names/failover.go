@@ -1,6 +1,8 @@
 package names
 
 import (
+	"context"
+	"slices"
 	"sync"
 
 	"itv/internal/orb"
@@ -20,11 +22,11 @@ import (
 // retargeted; contexts implemented by other services (a remote
 // FileSystemContext) are left alone.
 type FailoverInvoker struct {
-	ep Invoker
+	ep    Invoker
+	addrs []string // name-service replica addresses, preference order; fixed
 
-	mu    sync.Mutex
-	addrs []string // name-service replica addresses, preference order
-	cur   int
+	mu  sync.Mutex
+	cur int // index into addrs of the replica that answered last
 }
 
 // NewFailoverInvoker wraps ep with fail-over across the given replica
@@ -43,51 +45,36 @@ func (f *FailoverInvoker) Current() string {
 	return f.addrs[f.cur]
 }
 
-func (f *FailoverInvoker) isReplica(addr string) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, a := range f.addrs {
-		if a == addr {
-			return i, true
-		}
-	}
-	return 0, false
+// Invoke implements Invoker: InvokeCtx with no context.
+func (f *FailoverInvoker) Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+	return f.InvokeCtx(context.Background(), ref, method, put, get)
 }
 
-// Invoke implements Invoker.  Name-service references are first retargeted
-// to the preferred replica, then failed over to the others on dead-replica
-// errors.
-func (f *FailoverInvoker) Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if _, ok := f.isReplica(ref.Addr); !ok {
-		return f.ep.Invoke(ref, method, put, get)
+// InvokeCtx implements orb.CtxInvoker, so a stub's context — its trace
+// span, its deadline, the TraceSink a rebinding call joins the failure's
+// trace through — travels with every attempt.  Name-service references are
+// first retargeted to the preferred replica, then failed over to the others
+// on dead-replica errors.
+func (f *FailoverInvoker) InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+	if !slices.Contains(f.addrs, ref.Addr) {
+		return orb.InvokeVia(ctx, f.ep, ref, method, put, get)
 	}
-
 	f.mu.Lock()
-	order := make([]string, 0, len(f.addrs))
-	for i := 0; i < len(f.addrs); i++ {
-		order = append(order, f.addrs[(f.cur+i)%len(f.addrs)])
-	}
+	cur := f.cur
 	f.mu.Unlock()
-
-	var lastErr error
-	for _, addr := range order {
+	var err error
+	for i := range f.addrs {
+		at := (cur + i) % len(f.addrs)
 		r := ref
-		r.Addr = addr
-		err := f.ep.Invoke(r, method, put, get)
-		if orb.Dead(err) {
-			lastErr = err
-			continue
+		r.Addr = f.addrs[at]
+		if err = orb.InvokeVia(ctx, f.ep, r, method, put, get); !orb.Dead(err) {
+			// Success or an application-level error: remember the replica
+			// that answered.
+			f.mu.Lock()
+			f.cur = at
+			f.mu.Unlock()
+			return err
 		}
-		// Success or an application-level error: remember the replica that
-		// answered.
-		f.mu.Lock()
-		for i, a := range f.addrs {
-			if a == addr {
-				f.cur = i
-			}
-		}
-		f.mu.Unlock()
-		return err
 	}
-	return lastErr
+	return err
 }

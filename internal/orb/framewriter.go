@@ -128,6 +128,17 @@ type frameWriter struct {
 	owner   *waiter
 	expired bool
 
+	// stall bounds a server's batch writes, which no call's timer cuts
+	// short (nil on a client): a batch still being written after the
+	// endpoint's call timeout (limit) gets a past write deadline, and the
+	// failed write severs the connection.  due is when the batch being
+	// written runs out (zero between batches); stallArmed says the timer
+	// is pending.
+	stall      *time.Timer
+	limit      func() time.Duration
+	due        time.Time
+	stallArmed bool
+
 	// queued numbers the frames in the order they join the queue, from 1;
 	// lost is the number of the first frame of which no byte reached the
 	// connection (0 while every write has succeeded).  Writes go in queue
@@ -175,6 +186,9 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 		first := w.queued - uint64(len(batch)) + 1
 		w.q = w.spare[:0]
 		w.spare = nil
+		if w.stall != nil {
+			w.armStall()
+		}
 		w.mu.Unlock()
 
 		err := w.writeBatch(batch, first)
@@ -203,6 +217,7 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 
 		w.mu.Lock()
 		w.spare = batch[:0]
+		w.due = time.Time{}
 	}
 	w.flushing, w.owner = false, nil
 	if w.expired {
@@ -233,6 +248,47 @@ func (w *frameWriter) expire(by *waiter) {
 		w.conn.SetWriteDeadline(aLongTimeAgo)
 	}
 	w.mu.Unlock()
+}
+
+// boundWrites makes every batch this writer flushes fail once it has been
+// writing for limit(): the server's bound on a peer that stops reading its
+// replies.  It allocates the writer's one timer.
+func (w *frameWriter) boundWrites(limit func() time.Duration) {
+	w.limit = limit
+	w.stall = time.AfterFunc(time.Hour, w.stalled)
+	w.stall.Stop()
+}
+
+// armStall gives the batch about to be written its due time, under w.mu.
+// Arming is a clock reading while the timer is pending: it starts the
+// timer only when none is, so a busy connection resets it at most once a
+// limit, and stalled moves it on to the batch then being written.
+func (w *frameWriter) armStall() {
+	d := w.limit()
+	w.due = time.Now().Add(d)
+	if !w.stallArmed {
+		w.stallArmed = true
+		w.stall.Reset(d)
+	}
+}
+
+// stalled is the stall timer: a batch past its due time gets a past write
+// deadline, as expire gives a call's flush; a batch still within it has the
+// timer set again for what it has left.
+func (w *frameWriter) stalled() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.stallArmed = false
+	if w.due.IsZero() {
+		return // between batches: the next one arms again
+	}
+	if left := time.Until(w.due); left > 0 {
+		w.stallArmed = true
+		w.stall.Reset(left)
+		return
+	}
+	w.expired = true
+	w.conn.SetWriteDeadline(aLongTimeAgo)
 }
 
 // attribute records one served call's decomposition after its response

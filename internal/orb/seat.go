@@ -370,6 +370,7 @@ func (srv *connServer) promote() {
 func (srv *connServer) finish() {
 	srv.seat.Store(seatClosed)
 	srv.grace.stop(srv.e)
+	srv.fw.stall.Stop()
 	srv.conn.Close()
 	srv.e.mu.Lock()
 	delete(srv.e.serving, srv.conn)

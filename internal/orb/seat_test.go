@@ -485,6 +485,84 @@ func TestCallDeadlineBoundsItsOwnWrite(t *testing.T) {
 	}
 }
 
+// bigReplySkel answers "big" with a lent blob, noting when each such reply
+// went to the write path, and echoes anything else.
+type bigReplySkel struct {
+	blob    []byte
+	replied chan time.Time
+}
+
+func (s *bigReplySkel) TypeID() string { return "test.BigReply" }
+
+func (s *bigReplySkel) Dispatch(c *ServerCall) error {
+	if c.Method() != "big" {
+		c.Results().PutString(c.Args().String())
+		return nil
+	}
+	c.PutBytesRef(s.blob)
+	s.replied <- time.Now()
+	return nil
+}
+
+// TestServerReplyWriteIsBounded: a client that asks for a reply and never
+// reads it wedges the server's flush of that reply — at the first byte
+// over memnet, once the socket buffers fill over TCP.  The server severs
+// that connection within one call timeout of the flush's start, and its
+// other connections keep serving meanwhile and afterwards.
+func TestServerReplyWriteIsBounded(t *testing.T) {
+	const (
+		timeout = 200 * time.Millisecond
+		slack   = 100 * time.Millisecond
+	)
+	for network, trs := range seatTransports() {
+		sk := &bigReplySkel{blob: make([]byte, 64<<10), replied: make(chan time.Time, 1)}
+		if network == "tcp" {
+			sk.blob = make([]byte, 14<<20)
+		}
+		server, client, ref := seatPair(t, trs, sk)
+		server.SetCallTimeout(timeout)
+		if got, err := echo(t, client, ref, "before"); err != nil || got != "before" {
+			t.Fatalf("%s: call before the stall = %q, %v", network, got, err)
+		}
+		serving := func() int {
+			server.mu.Lock()
+			defer server.mu.Unlock()
+			return len(server.serving)
+		}
+		others := serving()
+
+		conn, err := trs[1].Dial(ref.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe, err := encodeFrame(&request{ReqID: 1, Version: wireVersion, ObjectID: ref.ObjectID,
+			Incarnation: ref.Incarnation, Method: "big"}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(fe.Bytes()); err != nil {
+			t.Fatalf("%s: sending the request: %v", network, err)
+		}
+		wire.PutEncoder(fe)
+		start := <-sk.replied
+
+		if got, err := echo(t, client, ref, "during"); err != nil || got != "during" {
+			t.Errorf("%s: call on another connection during the stall = %q, %v", network, got, err)
+		}
+		for serving() > others && time.Since(start) < timeout+time.Second {
+			time.Sleep(time.Millisecond)
+		}
+		if took := time.Since(start); serving() > others || took < timeout || took > timeout+slack {
+			t.Errorf("%s: stalled connection severed %s after the reply (still serving: %v); want within %s",
+				network, took, serving() > others, timeout)
+		}
+		if got, err := echo(t, client, ref, "after"); err != nil || got != "after" {
+			t.Errorf("%s: call on another connection afterwards = %q, %v", network, got, err)
+		}
+		conn.Close()
+	}
+}
+
 // TestCallExpiredBeforeItsWrite: a call whose context deadline passes before
 // its frame reaches the write path — here, in the caller's own argument
 // encoding — returns its timeout at once against a peer that never reads,
