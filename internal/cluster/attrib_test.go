@@ -44,14 +44,17 @@ var attribRuns atomic.Uint32
 // on-demand _profile CPU capture taken while the handler is under load
 // comes back as a non-empty pprof gzip.
 func TestClusterTailAttribution(t *testing.T) {
-	// The target machine gets an address no earlier run in this process
-	// used.  A node's slow ledger lives as long as the process and its
-	// admission threshold is four times a slow-decaying estimate of the
-	// node's tail: under -count=N the profile load at the end of run N-1
-	// leaves the estimate at the burn, and run N's one sampled call would
-	// no longer clear the threshold.
+	// The target machine and the operator get addresses no earlier run in
+	// this process used.  A node's slow ledger lives as long as the process
+	// and its admission threshold is four times a slow-decaying estimate of
+	// the node's tail: under -count=N the profile load at the end of run
+	// N-1 leaves the estimate at the burn, and run N's one sampled call
+	// would no longer clear the threshold.  The operator's call-latency
+	// histogram lives as long too, and an earlier run's call that landed in
+	// a higher bucket would keep the top exemplar.
+	subnet := 100 + attribRuns.Add(1)%100
 	cfg := twoServers()
-	cfg.Servers[0].Host = fmt.Sprintf("192.168.%d.1", 100+attribRuns.Add(1)%100)
+	cfg.Servers[0].Host = fmt.Sprintf("192.168.%d.1", subnet)
 	c := startCluster(t, cfg)
 	target := c.Servers[0]
 	addr := fmt.Sprintf("%s:%d", target.Spec.Host, ssc.WellKnownPort)
@@ -70,8 +73,9 @@ func TestClusterTailAttribution(t *testing.T) {
 	ref := svc.Register("", &spinSkel{burn: 8 * time.Millisecond})
 
 	// Operator endpoint, pinned to simulated time like every cluster node.
-	obs.NodeHLC("192.168.0.252").SetNow(c.Clk.Now)
-	admin, err := orb.NewEndpoint(c.NW.Host("192.168.0.252"))
+	operator := fmt.Sprintf("192.168.%d.252", subnet)
+	obs.NodeHLC(operator).SetNow(c.Clk.Now)
+	admin, err := orb.NewEndpoint(c.NW.Host(operator))
 	if err != nil {
 		t.Fatal(err)
 	}

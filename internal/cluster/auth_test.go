@@ -23,9 +23,7 @@ func TestAuthenticatedCluster(t *testing.T) {
 	if err := st.OpenMovie("T2"); err != nil {
 		t.Fatalf("signed movie open: %v", err)
 	}
-	if c.FakeClk != nil {
-		c.FakeClk.Advance(60 * time.Second)
-	}
+	play(c, 60*time.Second)
 	if _, _, err := st.PollPlayback(); err != nil {
 		t.Fatalf("signed playback poll: %v", err)
 	}
@@ -67,9 +65,7 @@ func TestAuthenticatedPrincipalVisible(t *testing.T) {
 	if err := st.OpenMovie("T2"); err != nil {
 		t.Fatal(err)
 	}
-	if c.FakeClk != nil {
-		c.FakeClk.Advance(2 * time.Minute)
-	}
+	play(c, 2*time.Minute)
 	pos1, _, err := st.PollPlayback()
 	if err != nil {
 		t.Fatal(err)

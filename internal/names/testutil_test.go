@@ -61,12 +61,12 @@ func (c *nsCluster) waitFor(what string, cond func() bool) {
 	}
 }
 
-// waitForMaster waits until exactly one live replica is master and returns
-// it.
+// waitForMaster waits until exactly one live replica is master and every
+// live replica knows it, and returns it.
 func (c *nsCluster) waitForMaster() *Replica {
 	c.t.Helper()
 	var m *Replica
-	c.waitFor("a single master elected", func() bool {
+	c.waitFor("a single master elected, known to every live replica", func() bool {
 		m = nil
 		count := 0
 		for _, r := range c.replicas {
@@ -78,7 +78,17 @@ func (c *nsCluster) waitForMaster() *Replica {
 				count++
 			}
 		}
-		return count == 1
+		if count != 1 {
+			return false
+		}
+		// A slave that has not heard from the master yet refuses the
+		// updates it would forward.
+		for _, r := range c.replicas {
+			if _, _, known, _ := r.Status(); !r.ep.Closed() && known != m.ep.Addr() {
+				return false
+			}
+		}
+		return true
 	})
 	return m
 }

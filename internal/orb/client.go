@@ -649,8 +649,13 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 			return derr
 		}
 		if ctxBound {
-			// Encoding the arguments, and any first attempt, spent part of it.
-			timeout = time.Until(deadline)
+			// Encoding the arguments, and any first attempt, spent part of
+			// it; if they spent all of it, the request is not framed at all.
+			if timeout = time.Until(deadline); timeout <= 0 {
+				e.metrics.callTimeouts.Inc()
+				err = &ConnError{Op: "timeout", Err: errCallTimeout}
+				break
+			}
 		}
 		var unsent bool
 		rf, unsent, err = cc.roundTrip(req, timeout, res.into != nil, dst)

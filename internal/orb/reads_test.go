@@ -89,10 +89,11 @@ func TestSequentialCallCostsTwoReads(t *testing.T) {
 // TestPipelinedCallsShareReads: with 64 callers on one connection the
 // writers coalesce frames into batches (DESIGN.md §12), and a batch that
 // took one write to send takes one read to receive, so reads per frame fall
-// below one.  On memnet, where a write waits for its reader and requests
-// queue behind it, the client's writes stay under 0.9 per request; the
-// loopback TCP node counts both ends' writes together, and a TCP write
-// returns once the kernel has the bytes, so there it is not checked.
+// below one.  On memnet, where a writer whose last bytes are still unread
+// yields, so that requests queue behind it, and a reader woken on a busy
+// link yields, so that it wakes to a batch, the client's writes stay under
+// 0.9 per request; the loopback TCP node counts both ends' writes
+// together, so there they are not checked.
 func TestPipelinedCallsShareReads(t *testing.T) {
 	const callers, each = 64, 100
 	for _, network := range []string{"memnet", "tcp"} {

@@ -3,6 +3,7 @@ package orb
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"runtime"
 	"runtime/metrics"
@@ -124,14 +125,22 @@ func schedSamples() uint64 {
 	return n
 }
 
-// pipePingPong is the floor a sequential call over memnet is held to: two
-// goroutines bouncing a call's worth of bytes over a bare net.Pipe, whose
-// every write waits for its reader.  It returns the scheduler samples per
-// round trip.
-func pipePingPong(rounds int) float64 {
-	a, b := net.Pipe()
-	defer a.Close()
+// memnetPingPong is the floor a sequential call over memnet is held to: two
+// goroutines bouncing a call's worth of bytes over a bare memnet
+// connection, with no ORB between them.  It returns the scheduler samples
+// per round trip.
+func memnetPingPong(t *testing.T, rounds int) float64 {
+	nw := transport.NewNetwork()
+	ln, addr, err := nw.Host(perRun("192.168.27.9")).Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
 	go func() {
+		b, err := ln.Accept()
+		if err != nil {
+			return
+		}
 		defer b.Close()
 		buf := make([]byte, 64)
 		for {
@@ -144,10 +153,15 @@ func pipePingPong(rounds int) float64 {
 			}
 		}
 	}()
+	a, err := nw.Host(perRun("10.27.0.9")).Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
 	buf := make([]byte, 64)
 	round := func() {
 		a.Write(buf[:40])
-		a.Read(buf)
+		io.ReadFull(a, buf[:40])
 	}
 	for i := 0; i < 1000; i++ {
 		round()
@@ -162,9 +176,9 @@ func pipePingPong(rounds int) float64 {
 // TestSequentialCallGoroutineRuns prices a sequential call in goroutine
 // runs, at GOMAXPROCS(1) over memnet: a call is the client's goroutine and
 // the server's reader and nothing else, so it costs what two goroutines
-// ping-ponging over a bare net.Pipe cost — four runs a round trip, since a
-// pipe write waits for its reader — where handing the request to a worker
-// and the reply to the caller took five.
+// ping-ponging over a bare memnet connection cost — about two runs a round
+// trip, since a memnet write that fits its link's buffer returns without
+// waiting for the reader, where a rendezvous such as net.Pipe takes four.
 func TestSequentialCallGoroutineRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, client, ref := seatPair(t, seatTransports()["memnet"], &echoSkel{})
@@ -182,13 +196,18 @@ func TestSequentialCallGoroutineRuns(t *testing.T) {
 		call()
 	}
 	perCall := float64(schedSamples()-s0) / calls
-	floor := pipePingPong(calls)
-	t.Logf("%.3f scheduler samples per call (%.2f goroutine runs); a bare net.Pipe round trip takes %.3f (%.2f runs)",
+	floor := memnetPingPong(t, calls)
+	t.Logf("%.3f scheduler samples per call (%.2f goroutine runs); a bare memnet round trip takes %.3f (%.2f runs)",
 		perCall, 8*perCall, floor, 8*floor)
+	// A rendezvous costs four runs a round trip (0.5 samples); memnet's
+	// buffered link about two, plus its reader's occasional yield.
+	if floor > 0.30 {
+		t.Errorf("a bare memnet round trip takes %.2f goroutine runs, want about two", 8*floor)
+	}
 	// Three quarters of a run of slack, for the GC and the grace timers'
 	// own runs on a loaded machine: the old shape sat a whole run above.
 	if perCall > floor+3.0/32 {
-		t.Errorf("a sequential call takes %.2f goroutine runs, over the %.2f of two goroutines on a pipe", 8*perCall, 8*floor)
+		t.Errorf("a sequential call takes %.2f goroutine runs, over the %.2f of two goroutines on memnet", 8*perCall, 8*floor)
 	}
 }
 
@@ -431,12 +450,64 @@ func stalledPeer(t *testing.T, tr transport.Transport) oref.Ref {
 	return oref.Persistent(addr, "test.Peer", "peer")
 }
 
+// stallPayload outgrows what a peer that stops reading lets through: 16
+// times memnet's 64 KiB link buffer, and over 20 times the few tens of KiB
+// two pinnedTCP sockets hold.
+const stallPayload = 1 << 20
+
+// pinnedTCP is loopback TCP whose sockets keep small fixed buffers, so a
+// peer that stops reading stalls its writer after tens of KiB, where the
+// kernel's autotuned buffers take megabytes first.  Its connections are
+// the sockets themselves, uncounted.
+type pinnedTCP struct{ transport.Transport }
+
+func pin(c net.Conn) net.Conn {
+	tc := c.(*net.TCPConn)
+	tc.SetReadBuffer(4 << 10)
+	tc.SetWriteBuffer(4 << 10)
+	return c
+}
+
+func (pinnedTCP) Listen() (net.Listener, string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, "", err
+	}
+	return pinnedListener{ln}, ln.Addr().String(), nil
+}
+
+func (pinnedTCP) Dial(addr string) (net.Conn, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return pin(c), nil
+}
+
+type pinnedListener struct{ net.Listener }
+
+func (l pinnedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return pin(c), nil
+}
+
+// stallTransports is seatTransports with TCP's buffers pinned small.
+func stallTransports() map[string][2]transport.Transport {
+	trs := seatTransports()
+	trs["tcp"] = [2]transport.Transport{pinnedTCP{transport.TCP()}, pinnedTCP{transport.TCP()}}
+	return trs
+}
+
 // TestCallDeadlineBoundsItsOwnWrite: against a peer that accepts and never
-// reads, a caller's own write is what blocks — at once on memnet, whose
-// pipe writes wait for a reader, and over TCP once the request outgrows
-// the socket buffers.  That caller is the connection's flusher, and others
+// reads, a caller's own write is what blocks once the request outgrows
+// what the connection holds — memnet's link buffer, or the sockets'
+// buffers over TCP.  That caller is the connection's flusher, and others
 // queue behind it.  Each must return within its context deadline plus
-// slack, the flusher with a timeout; and the endpoint must still reach a
+// slack, the flusher with a timeout cut short inside its write (the
+// connection's one write error); and the endpoint must still reach a
 // healthy peer afterwards.
 func TestCallDeadlineBoundsItsOwnWrite(t *testing.T) {
 	const (
@@ -444,13 +515,11 @@ func TestCallDeadlineBoundsItsOwnWrite(t *testing.T) {
 		slack   = 100 * time.Millisecond
 		queued  = 3
 	)
-	for network, trs := range seatTransports() {
-		big := make([]byte, 64<<10)
-		if network == "tcp" {
-			big = make([]byte, 14<<20)
-		}
+	big := make([]byte, stallPayload)
+	for network, trs := range stallTransports() {
 		_, client, healthy := seatPair(t, trs, &echoSkel{})
 		stalled := stalledPeer(t, trs[0])
+		writeErrors := counterDelta(client.Metrics(), "orb_conn_write_errors")
 
 		type result struct {
 			took time.Duration
@@ -473,6 +542,9 @@ func TestCallDeadlineBoundsItsOwnWrite(t *testing.T) {
 		r := <-flusher
 		if ConnClass(r.err) != "timeout" || r.took > timeout+slack {
 			t.Errorf("%s: flusher returned after %s with %v; want a timeout within %s", network, r.took, r.err, timeout+slack)
+		}
+		if n := writeErrors(); n != 1 {
+			t.Errorf("%s: %d write errors; want the flusher's write, cut short by its deadline", network, n)
 		}
 		for i := 0; i < queued; i++ {
 			if r := <-others; r.err == nil || r.took > timeout+slack {
@@ -505,20 +577,18 @@ func (s *bigReplySkel) Dispatch(c *ServerCall) error {
 }
 
 // TestServerReplyWriteIsBounded: a client that asks for a reply and never
-// reads it wedges the server's flush of that reply — at the first byte
-// over memnet, once the socket buffers fill over TCP.  The server severs
-// that connection within one call timeout of the flush's start, and its
-// other connections keep serving meanwhile and afterwards.
+// reads it wedges the server's flush of that reply once the reply outgrows
+// what the connection holds — memnet's link buffer, or the sockets'
+// buffers over TCP.  The server severs that connection within one call
+// timeout of the flush's start, and its other connections keep serving
+// meanwhile and afterwards.
 func TestServerReplyWriteIsBounded(t *testing.T) {
 	const (
 		timeout = 200 * time.Millisecond
 		slack   = 100 * time.Millisecond
 	)
-	for network, trs := range seatTransports() {
-		sk := &bigReplySkel{blob: make([]byte, 64<<10), replied: make(chan time.Time, 1)}
-		if network == "tcp" {
-			sk.blob = make([]byte, 14<<20)
-		}
+	for network, trs := range stallTransports() {
+		sk := &bigReplySkel{blob: make([]byte, stallPayload), replied: make(chan time.Time, 1)}
 		server, client, ref := seatPair(t, trs, sk)
 		server.SetCallTimeout(timeout)
 		if got, err := echo(t, client, ref, "before"); err != nil || got != "before" {
@@ -566,13 +636,20 @@ func TestServerReplyWriteIsBounded(t *testing.T) {
 // TestCallExpiredBeforeItsWrite: a call whose context deadline passes before
 // its frame reaches the write path — here, in the caller's own argument
 // encoding — returns its timeout at once against a peer that never reads,
-// whichever of its timer and its would-be flush comes first: the frame is
-// dropped, or the flush it leads is cut short.
+// without framing its request: nothing is written, and the connection,
+// dialed once, stays up.
 func TestCallExpiredBeforeItsWrite(t *testing.T) {
 	const timeout = 10 * time.Millisecond
 	trs := seatTransports()["memnet"]
 	_, client, _ := seatPair(t, trs, &echoSkel{})
 	stalled := stalledPeer(t, trs[0])
+	sent := trs[1].(transport.StatsSource).Stats().FramesSent
+	dials := counterDelta(client.Metrics(), "orb_pool_dials")
+	defer func() {
+		if n := trs[1].(transport.StatsSource).Stats().FramesSent - sent; n != 0 || dials() != 1 {
+			t.Errorf("expired calls wrote %d frames over %d dials; want none over one", n, dials())
+		}
+	}()
 	for i := 0; i < 20; i++ {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)

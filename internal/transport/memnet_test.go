@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -269,4 +270,180 @@ func TestMemnetDialRacingCloseLeavesNoOrphan(t *testing.T) {
 			t.Fatalf("iteration %d: dial that raced Close left a live, orphaned connection (read: %v)", i, rerr)
 		}
 	}
+}
+
+// memPair dials a fresh memnet connection and returns both ends: c, the
+// client's, and s, the server's.
+func memPair(t *testing.T) (nw *Network, c, s net.Conn) {
+	t.Helper()
+	nw = NewNetwork()
+	ln, addr, err := nw.Host("192.168.0.1").Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			c = nil
+		}
+		accepted <- c
+	}()
+	if c, err = nw.Host("10.1.0.1").Dial(addr); err != nil {
+		t.Fatal(err)
+	}
+	if s = <-accepted; s == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { c.Close(); s.Close() })
+	return nw, c, s
+}
+
+// returns runs f in its own goroutine and reports its result on a channel.
+func returns(f func() (int, error)) <-chan ioResult {
+	ch := make(chan ioResult, 1)
+	go func() {
+		n, err := f()
+		ch <- ioResult{n, err}
+	}()
+	return ch
+}
+
+type ioResult struct {
+	n   int
+	err error
+}
+
+// blocked fails the test if ch has delivered within a while.
+func blocked(t *testing.T, ch <-chan ioResult, what string) {
+	t.Helper()
+	select {
+	case r := <-ch:
+		t.Fatalf("%s returned (%d, %v); want it blocked", what, r.n, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// released waits for ch, failing the test if it does not deliver promptly.
+func released(t *testing.T, ch <-chan ioResult, what string) ioResult {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s still blocked", what)
+		return ioResult{}
+	}
+}
+
+// TestMemnetWriterStallsOnAFullBuffer: against a peer that does not read, a
+// write returns as long as its bytes fit in the link, as a socket's does
+// while its buffer has room; once they do not, the writer waits.  A past
+// write deadline releases it with os.ErrDeadlineExceeded and the count of
+// what the reader took of it.
+func TestMemnetWriterStallsOnAFullBuffer(t *testing.T) {
+	_, c, s := memPair(t)
+	if n, err := c.Write(make([]byte, linkBound)); n != linkBound || err != nil {
+		t.Fatalf("a write that fits the buffer = %d, %v; want it taken whole at once", n, err)
+	}
+	w := returns(func() (int, error) { return c.Write([]byte("one byte too many")) })
+	blocked(t, w, "a write to a full buffer")
+	c.SetWriteDeadline(time.Now().Add(-time.Second))
+	if r := released(t, w, "a write past its deadline"); r.n != 0 || !errors.Is(r.err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a stalled write past its deadline = %d, %v; want 0, os.ErrDeadlineExceeded", r.n, r.err)
+	}
+
+	// A write that does not fit is taken only as far as the reader reads it.
+	_, c, s = memPair(t)
+	const took = 1000
+	w = returns(func() (int, error) { return c.Write(make([]byte, 3*linkBound)) })
+	if _, err := io.ReadFull(s, make([]byte, took)); err != nil {
+		t.Fatal(err)
+	}
+	blocked(t, w, "a write the reader stopped reading")
+	c.SetWriteDeadline(time.Now().Add(-time.Second))
+	if r := released(t, w, "a write past its deadline"); r.n != took || !errors.Is(r.err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a write cut short by its deadline = %d, %v; want %d, os.ErrDeadlineExceeded", r.n, r.err, took)
+	}
+}
+
+// TestMemnetCloseDrainsThenEOF: the bytes written before Close reach the
+// peer, which then reads io.EOF; the peer's writes fail.
+func TestMemnetCloseDrainsThenEOF(t *testing.T) {
+	_, c, s := memPair(t)
+	for _, m := range []string{"last ", "words"} {
+		if _, err := c.Write([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	got, err := io.ReadAll(s)
+	if string(got) != "last words" || err != nil {
+		t.Fatalf("peer read %q, %v after Close; want the bytes written before it, then io.EOF", got, err)
+	}
+	if _, err := s.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after the drain = %v, want io.EOF", err)
+	}
+	if _, err := s.Write([]byte("anyone?")); err == nil {
+		t.Fatal("a write to a closed peer succeeded")
+	}
+}
+
+// TestMemnetCutUnblocksReadAndWrite: Cut fails a blocked Read and a blocked
+// Write at once, with an error that is not a deadline's.
+func TestMemnetCutUnblocksReadAndWrite(t *testing.T) {
+	nw, c, _ := memPair(t)
+	r := returns(func() (int, error) { return c.Read(make([]byte, 1)) })
+	w := returns(func() (int, error) { return c.Write(make([]byte, 2*linkBound)) })
+	blocked(t, r, "a read with nothing to read")
+	blocked(t, w, "a write to a peer that does not read")
+	nw.Cut("192.168.0.1")
+	for what, ch := range map[string]<-chan ioResult{"read": r, "write": w} {
+		if res := released(t, ch, "a "+what+" on a cut connection"); res.err == nil || errors.Is(res.err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s on a cut connection = %d, %v; want it failed", what, res.n, res.err)
+		}
+	}
+}
+
+// TestMemnetBulkWriteIsLent: a write far past the buffer's bound is read
+// straight out of the writer's slice — copied once, allocating nothing —
+// and never grows the link's buffer past its bound.
+func TestMemnetBulkWriteIsLent(t *testing.T) {
+	_, c, s := memPair(t)
+	src := make([]byte, 4<<20)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	dst := make([]byte, len(src))
+	got := make(chan error)
+	go func() {
+		for {
+			_, err := io.ReadFull(s, dst)
+			got <- err
+			if err != nil {
+				return
+			}
+		}
+	}()
+	write := func() {
+		if n, err := c.Write(src); n != len(src) || err != nil {
+			t.Fatalf("bulk write = %d, %v", n, err)
+		}
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm: the goroutines' stacks
+	if !bytes.Equal(dst, src) {
+		t.Fatal("the reader got other bytes than were written")
+	}
+	if allocs := testing.AllocsPerRun(5, write); allocs != 0 && !raceEnabled {
+		t.Errorf("a 4 MiB write allocates %.1f times, want 0", allocs)
+	}
+	if n := cap(c.(*memConn).wr.buf); n > linkBound {
+		t.Errorf("the link's buffer grew to %d bytes, past its %d bound", n, linkBound)
+	}
+	c.Close()
+	<-got
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 
 	"itv/internal/wire"
@@ -172,50 +173,69 @@ func TestTCPStats(t *testing.T) {
 // TestWriteBuffersCountsOneFrame: on both transports a vectored write of
 // several buffers is one frame write with the summed byte count, and the
 // peer reads the buffers back to back — the same accounting a single Write
-// of the concatenation gets.
+// of the concatenation gets.  A frame that fits memnet's link buffer goes
+// in whole under one lock, so a peer waiting in Read takes it in one read;
+// one that does not (1 MiB) is lent to the reader a buffer at a time.
 func TestWriteBuffersCountsOneFrame(t *testing.T) {
-	parts := [][]byte{[]byte("head|"), bytes.Repeat([]byte{0xA5}, 1<<20), []byte("|tail")}
-	want := bytes.Join(parts, nil)
-	for name, tr := range map[string]Transport{"memnet": NewNetwork().Host("192.168.78.1"), "tcp": TCP()} {
-		ln, addr, err := tr.Listen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(chan []byte, 1)
-		go func() {
-			c, err := ln.Accept()
+	for _, big := range []int{1 << 10, 1 << 20} {
+		parts := [][]byte{[]byte("head|"), bytes.Repeat([]byte{0xA5}, big), []byte("|tail")}
+		want := bytes.Join(parts, nil)
+		for name, tr := range map[string]Transport{"memnet": NewNetwork().Host("192.168.78.1"), "tcp": TCP()} {
+			ln, addr, err := tr.Listen()
 			if err != nil {
-				got <- nil
-				return
+				t.Fatal(err)
 			}
-			defer c.Close()
-			b, _ := io.ReadAll(c)
-			got <- b
-		}()
-		c, err := tr.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bw, ok := c.(interface {
-			WriteBuffers(*net.Buffers) (int64, error)
-		})
-		if !ok {
-			t.Fatalf("%s: connection offers no WriteBuffers", name)
-		}
-		before := tr.(StatsSource).Stats()
-		bufs := net.Buffers{parts[0], parts[1], parts[2]}
-		n, err := bw.WriteBuffers(&bufs)
-		d := tr.(StatsSource).Stats().Sub(before)
-		c.Close()
-		ln.Close()
-		if err != nil || n != int64(len(want)) {
-			t.Fatalf("%s: WriteBuffers = %d, %v; want %d", name, n, err, len(want))
-		}
-		if d.FramesSent != 1 || d.BytesSent != int64(len(want)) {
-			t.Errorf("%s: frames=%d bytes=%d, want 1/%d", name, d.FramesSent, d.BytesSent, len(want))
-		}
-		if b := <-got; !bytes.Equal(b, want) {
-			t.Errorf("%s: peer read %d bytes, want the %d written", name, len(b), len(want))
+			first, got := make(chan int, 1), make(chan []byte, 1)
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					first <- 0
+					got <- nil
+					return
+				}
+				defer c.Close()
+				b := make([]byte, len(want))
+				n, _ := c.Read(b)
+				first <- n
+				rest, _ := io.ReadAll(c)
+				got <- append(b[:n], rest...)
+			}()
+			c, err := tr.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bw, ok := c.(interface {
+				WriteBuffers(*net.Buffers) (int64, error)
+			})
+			if !ok {
+				t.Fatalf("%s: connection offers no WriteBuffers", name)
+			}
+			if mc, ok := c.(*memConn); ok {
+				// Write only once the peer waits in its Read.
+				for parked := false; !parked; runtime.Gosched() {
+					mc.wr.mu.Lock()
+					parked = mc.wr.readerParked
+					mc.wr.mu.Unlock()
+				}
+			}
+			before := tr.(StatsSource).Stats()
+			bufs := net.Buffers{parts[0], parts[1], parts[2]}
+			n, err := bw.WriteBuffers(&bufs)
+			d := tr.(StatsSource).Stats().Sub(before)
+			c.Close()
+			if err != nil || n != int64(len(want)) {
+				t.Fatalf("%s: WriteBuffers = %d, %v; want %d", name, n, err, len(want))
+			}
+			if d.FramesSent != 1 || d.BytesSent != int64(len(want)) {
+				t.Errorf("%s: frames=%d bytes=%d, want 1/%d", name, d.FramesSent, d.BytesSent, len(want))
+			}
+			if r := <-first; name == "memnet" && big < linkBound && r != len(want) {
+				t.Errorf("%s: the peer's first read took %d bytes of a %d-byte frame that fits the link, want all of them", name, r, len(want))
+			}
+			if b := <-got; !bytes.Equal(b, want) {
+				t.Errorf("%s: peer read %d bytes, want the %d written", name, len(b), len(want))
+			}
+			ln.Close() // only now: closing it first could drop the connection before Accept
 		}
 	}
 }
