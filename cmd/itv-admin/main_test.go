@@ -24,13 +24,6 @@ import (
 	"itv/internal/orb"
 )
 
-func TestMain(m *testing.M) {
-	// As in internal/cluster: keep background goroutines in step with the
-	// fake clock even under the race detector.
-	cluster.PumpSleep = 2 * time.Millisecond
-	os.Exit(m.Run())
-}
-
 // runSeq numbers the test's runs within the process: the nodes' records are
 // process-lifetime and keyed by host, so what a run plants in them carries
 // the run's number and a -count=N repetition reads back only its own.

@@ -1,21 +1,10 @@
 package main
 
 import (
-	"os"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
-
-	"itv/internal/cluster"
 )
-
-func TestMain(m *testing.M) {
-	// As in internal/cluster: keep background goroutines in step with the
-	// fake clock even under the race detector.
-	cluster.PumpSleep = 2 * time.Millisecond
-	os.Exit(m.Run())
-}
 
 // TestRun drives the three ways an operator calls itv-bench: the listing,
 // one experiment picked by a case-insensitive id, and an id that names

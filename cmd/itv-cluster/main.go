@@ -133,10 +133,7 @@ func run(args []string, w io.Writer) error {
 		}
 
 		if c.FakeClk != nil {
-			for i := 0; i < 120; i++ {
-				c.FakeClk.Advance(500 * time.Millisecond)
-				time.Sleep(200 * time.Microsecond)
-			}
+			c.FakeClk.Await(500*time.Millisecond, 120, func() bool { return false })
 		} else {
 			time.Sleep(time.Minute)
 		}

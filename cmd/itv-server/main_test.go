@@ -2,11 +2,9 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"itv/internal/admin"
 	"itv/internal/cluster"
@@ -14,13 +12,6 @@ import (
 	"itv/internal/obs"
 	"itv/internal/orb"
 )
-
-func TestMain(m *testing.M) {
-	// As in internal/cluster: keep background goroutines in step with the
-	// fake clock even under the race detector.
-	cluster.PumpSleep = 2 * time.Millisecond
-	os.Exit(m.Run())
-}
 
 // TestServerBoots boots the server's one-server cluster over memnet, in
 // simulated time, and reads its service set back through the operator's

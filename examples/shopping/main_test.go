@@ -1,21 +1,10 @@
 package main
 
 import (
-	"os"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
-
-	"itv/internal/cluster"
 )
-
-func TestMain(m *testing.M) {
-	// As in internal/cluster: keep background goroutines in step with the
-	// fake clock even under the race detector.
-	cluster.PumpSleep = 2 * time.Millisecond
-	os.Exit(m.Run())
-}
 
 // TestRun runs the shopping session and compares its story line for line:
 // the catalog from the database, both orders placed — the second through

@@ -4,12 +4,16 @@
 // retry + 10 s name-service poll + 5 s RAS poll = 25 s max) is about how
 // polling intervals compose, which is independent of clock rate; the fake
 // clock lets the experiment suite measure those compositions in simulated
-// seconds without waiting for them.
+// seconds without waiting for them.  Fake.Await is the one pump, and each
+// of its steps ends when every goroutine the step woke is parked again.
 package clock
 
 import (
+	"bytes"
 	"container/heap"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
@@ -88,6 +92,8 @@ type Fake struct {
 	now     time.Time
 	waiters waiterHeap
 	seq     int64 // tie-break so equal deadlines fire in creation order
+	dumpMu  sync.Mutex
+	dump    []byte // Settle's goroutine dump buffer, guarded by dumpMu
 }
 
 // NewFake returns a fake clock starting at a fixed, arbitrary epoch.
@@ -206,18 +212,58 @@ func (f *Fake) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// Settle gives background goroutines a chance to run to their next
-// blocking point after an Advance, without moving simulated time.  It
-// yields the processor repeatedly and finishes with one short real pause so
-// goroutines parked on other OS threads get scheduled too.  This is the
-// single sanctioned wall-clock wait in fake-clock tests: itv-vet's
-// sleepyclock check bans raw time.Sleep polling everywhere a clock.Clock is
-// reachable, and this helper (plus Await) is what replaces it.
-func (f *Fake) Settle() {
-	for i := 0; i < 128; i++ {
-		runtime.Gosched()
+// Settle returns once every goroutine but the caller has reached its next
+// blocking point, without moving simulated time.  It reads goroutine
+// states from runtime.Stack dumps, yielding 128 times between dumps, until
+// none but the caller's is running, runnable or in a system call.  This is
+// the single sanctioned wall-clock wait in fake-clock tests: itv-vet's
+// sleepyclock check bans raw time.Sleep polling wherever a clock.Clock is
+// reachable, and this helper (plus Await) replaces it.  Limits: a goroutine
+// parked on a real-time timer (an ORB call timeout, the reader seat's 1 ms
+// promotion) counts as parked; quiet is process-wide, so parallel tests
+// hold each other's settles; a dump stops the world (~0.7 ms at a few
+// hundred goroutines); and a goroutine still busy after settleCap of real
+// time makes Settle panic with its stack rather than let the next Advance
+// race it.
+func (f *Fake) Settle() { f.settle(settleCap) }
+
+const settleCap = 10 * time.Second
+
+func (f *Fake) settle(limit time.Duration) {
+	f.dumpMu.Lock()
+	defer f.dumpMu.Unlock()
+	for deadline := time.Now().Add(limit); ; {
+		for i := 0; i < 128; i++ {
+			runtime.Gosched()
+		}
+		busy := f.busy()
+		if len(busy) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("clock: Settle: goroutines still busy after %v:\n\n%s", limit, strings.Join(busy, "\n\n")))
+		}
 	}
-	time.Sleep(200 * time.Microsecond)
+}
+
+// busy returns the stacks of the goroutines that are not parked, the
+// caller's (the first in the dump) excepted.
+func (f *Fake) busy() []string {
+	n := runtime.Stack(f.dump, true)
+	for n == len(f.dump) { // truncated, or no buffer yet
+		f.dump = make([]byte, 2*len(f.dump)+64<<10)
+		n = runtime.Stack(f.dump, true)
+	}
+	var busy []string
+	for _, g := range bytes.Split(f.dump[:n], []byte("\n\n"))[1:] {
+		state, _, _ := bytes.Cut(g[bytes.IndexByte(g, '[')+1:], []byte("]"))
+		state, _, _ = bytes.Cut(state, []byte(","))
+		switch string(bytes.TrimSuffix(state, []byte(" (scan)"))) {
+		case "running", "runnable", "syscall", "preempted", "copystack":
+			busy = append(busy, string(g))
+		}
+	}
+	return busy
 }
 
 // Await drives the fake clock until cond holds: each round lets the system

@@ -1,7 +1,9 @@
 package clock
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -224,5 +226,64 @@ func TestWithOffsetNegative(t *testing.T) {
 	c := WithOffset(f, -30*time.Minute)
 	if got, want := c.Now(), f.Now().Add(-30*time.Minute); !got.Equal(want) {
 		t.Fatalf("Now = %v, want %v", got, want)
+	}
+}
+
+// TestSettleWaitsForComputation: a goroutine that takes its tick and then
+// computes for 5 ms of real time before it records the result has done so
+// by the time Settle returns — however long the computation outlasts a
+// scheduler yield.
+func TestSettleWaitsForComputation(t *testing.T) {
+	clk := NewFake()
+	tick := clk.After(time.Second)
+	var done atomic.Bool
+	go func() {
+		<-tick
+		for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
+		}
+		done.Store(true)
+	}()
+	clk.Advance(time.Second)
+	clk.Settle()
+	if !done.Load() {
+		t.Fatal("Settle returned while the ticked goroutine was still computing")
+	}
+}
+
+// TestSettleIdleIsCheap: settling a world with nothing to do costs one
+// goroutine dump and some yields, not a real-time pause, so a fake-clock
+// walk through hours of simulated seconds stays fast.
+func TestSettleIdleIsCheap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector slows every yield and dump")
+	}
+	clk := NewFake()
+	start := time.Now()
+	for i := 0; i < 1000; i++ {
+		clk.Settle()
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("1000 idle settles took %v, want under 100ms", d)
+	}
+}
+
+// TestSettlePanicsOnSpinner: a goroutine that never blocks is reported by
+// name once the cap passes, instead of letting the next Advance race it.
+func TestSettlePanicsOnSpinner(t *testing.T) {
+	var stop atomic.Bool
+	defer stop.Store(true)
+	go spin(&stop)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "clock.spin(") {
+			t.Fatalf("panic %q does not name the spinning goroutine", msg)
+		}
+	}()
+	NewFake().settle(50 * time.Millisecond)
+	t.Fatal("settle returned while a goroutine spins")
+}
+
+func spin(stop *atomic.Bool) {
+	for !stop.Load() {
 	}
 }

@@ -223,32 +223,17 @@ func (c *Cluster) ServerByName(name string) *Server {
 	return nil
 }
 
-// PumpSleep is the real-time pause between fake-clock advances in WaitFor.
-// Timing-sensitive experiments raise it so background goroutines keep pace
-// with simulated time even under a slow runtime (e.g. the race detector).
-// Zero means clock.Fake.Settle, the default scheduler yield.
-var PumpSleep time.Duration
-
-// WaitFor drives simulated time until cond holds (or real time passes,
-// with a real clock).  It returns false on timeout.
+// WaitFor drives simulated time until cond holds: 500 ms steps, each
+// settled before cond is checked, for up to 20 simulated minutes (with a
+// real clock, 10 ms polls for 24 s).  It returns false on timeout.
 func (c *Cluster) WaitFor(cond func() bool) bool {
-	for i := 0; i < 2400; i++ {
-		if cond() {
-			return true
-		}
-		if c.FakeClk != nil {
-			c.FakeClk.Advance(500 * time.Millisecond)
-			if pause := PumpSleep; pause > 0 {
-				//lint:ignore sleepyclock PumpSleep is a deliberate real-time yield between fake-clock steps
-				time.Sleep(pause)
-			} else {
-				c.FakeClk.Settle()
-			}
-		} else {
-			c.Clk.Sleep(10 * time.Millisecond)
-		}
+	if c.FakeClk != nil {
+		return c.FakeClk.Await(500*time.Millisecond, 2400, cond)
 	}
-	return false
+	for i := 0; i < 2400 && !cond(); i++ {
+		c.Clk.Sleep(10 * time.Millisecond)
+	}
+	return cond()
 }
 
 // MustWaitFor is WaitFor that panics on timeout, for harness internals.

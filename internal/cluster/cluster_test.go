@@ -8,6 +8,7 @@ import (
 	"itv/internal/clock"
 	"itv/internal/core"
 	"itv/internal/media"
+	"itv/internal/mms"
 	"itv/internal/orb"
 	"itv/internal/settop"
 )
@@ -252,19 +253,25 @@ func TestMMSFailover(t *testing.T) {
 	if primary == nil {
 		t.Fatal("no MMS primary")
 	}
-	// Stop without restart: the backup replica must take over.
+	// Stop the primary replica.  What §5.2 promises is that another
+	// replica takes the binding over: the backup, or a fresh replica the
+	// CSC's reconciliation starts on the same server — so track the
+	// instance, not the server.
+	stopped := primary.MMS()
 	if err := primary.SSC.StopService("mms"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, c, "MMS backup takes over", func() bool {
-		p := c.MMSPrimary()
-		return p != nil && p != primary
+	var promoted *mms.Service
+	waitFor(t, c, "another MMS replica takes over", func() bool {
+		if p := c.MMSPrimary(); p != nil {
+			promoted = p.MMS()
+		}
+		return promoted != nil && promoted != stopped
 	})
-	newPrimary := c.MMSPrimary()
 
 	// State rebuilt: the promoted replica knows about the open movie.
 	waitFor(t, c, "state rebuilt from MDS queries", func() bool {
-		return newPrimary.MMS().OpenCount() == 1
+		return promoted.OpenCount() == 1
 	})
 
 	// The settop's stub rebinds transparently: closing the movie works.

@@ -3,21 +3,15 @@ package cluster
 import (
 	"os"
 	"testing"
-	"time"
 
 	"itv/internal/obs"
 )
 
-// TestMain slows the fake-clock pump slightly so background goroutines keep
-// pace with simulated time even under the race detector's ~10x slowdown;
-// the §9.7-style measurements couple simulated intervals to real goroutine
-// progress.
-//
-// On a failing run with ITV_FLIGHT_DUMP set (CI does), it dumps every
-// node's flight-recorder ring as one merged timeline, so the log of a flaky
-// failover test carries the causal story, not just the assertion message.
+// TestMain, on a failing run with ITV_FLIGHT_DUMP set (CI does), dumps
+// every node's flight-recorder ring as one merged timeline, so the log of a
+// flaky failover test carries the causal story, not just the assertion
+// message.
 func TestMain(m *testing.M) {
-	PumpSleep = 2 * time.Millisecond
 	code := m.Run()
 	if code != 0 {
 		obs.DumpEventsOnFailure(os.Stderr)

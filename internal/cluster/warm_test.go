@@ -26,22 +26,12 @@ func nodeTotals() map[string]int64 {
 	return t
 }
 
-// quiesce settles the fake clock until a whole settle passes with no ORB
-// call anywhere, and returns the counters read at that point: what moves
-// them afterwards is the caller's own doing.
-func quiesce(t *testing.T, c *Cluster) map[string]int64 {
-	t.Helper()
-	prev := nodeTotals()
-	for i := 0; i < 100; i++ {
-		c.FakeClk.Settle()
-		now := nodeTotals()
-		if now["orb_client_calls"] == prev["orb_client_calls"] {
-			return now
-		}
-		prev = now
-	}
-	t.Fatal("background calls never stopped")
-	return nil
+// quiesce settles the fake clock, so no background ORB call is left in
+// flight, and returns the counters read at that point: what moves them
+// afterwards is the caller's own doing.
+func quiesce(c *Cluster) map[string]int64 {
+	c.FakeClk.Settle()
+	return nodeTotals()
 }
 
 // mirrorPushes counts the Connection Manager's primary-to-backup table
@@ -109,11 +99,11 @@ func TestWarmFlowsLeaveTheNameServiceAlone(t *testing.T) {
 	}
 
 	const n = 6 // each title twice
-	before := quiesce(t, c)
+	before := quiesce(c)
 	for i := 0; i < n; i++ {
 		movieSession(t, st, titles[i%len(titles)].Title)
 	}
-	after := quiesce(t, c)
+	after := quiesce(c)
 	if d := after["names_resolves"] - before["names_resolves"]; d != 0 {
 		t.Errorf("%d warm movie sessions cost %d name resolutions, want 0", n, d)
 	}
@@ -132,13 +122,13 @@ func TestWarmFlowsLeaveTheNameServiceAlone(t *testing.T) {
 		t.Errorf("%d remote ORB calls took %d transport reads, want two each", remote, reads)
 	}
 
-	before = quiesce(t, c)
+	before = quiesce(c)
 	for i := 0; i < n; i++ {
 		if _, _, err := st.ChangeChannel(apps[i%len(apps)]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after = quiesce(t, c)
+	after = quiesce(c)
 	if d := after["names_resolves"] - before["names_resolves"]; d != 0 {
 		t.Errorf("%d warm channel changes cost %d name resolutions, want 0", n, d)
 	}
@@ -235,11 +225,11 @@ func TestCmgrFailoverRebindsServiceReferences(t *testing.T) {
 	rebound := func(what string, node *Server, op func() error) {
 		t.Helper()
 		rebinds := node.Metrics().Counter("core_rebinds")
-		before, rebindsBefore := quiesce(t, c), rebinds.Value()
+		before, rebindsBefore := quiesce(c), rebinds.Value()
 		if err := op(); err != nil {
 			t.Fatalf("%s after the fail-over: %v", what, err)
 		}
-		after := quiesce(t, c)
+		after := quiesce(c)
 		if d := rebinds.Value() - rebindsBefore; d != 1 {
 			t.Errorf("%s: core_rebinds on %s moved by %d, want 1", what, node.Spec.Name, d)
 		}

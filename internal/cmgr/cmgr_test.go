@@ -293,17 +293,12 @@ func (f *fixture) serverSession(host string) *core.Session {
 	return core.NewSession(ep, f.ns.RootRef(), f.clk)
 }
 
-// settled returns c's value once it has stopped moving: the electors' own
-// resolves (self-check, mirror registration) ride the clock ticks a waitFor
-// just drove, and the last of them may still be in flight.
+// settled returns c's value once the electors' own resolves (self-check,
+// mirror registration), riding the clock ticks a waitFor just drove, have
+// landed.
 func (f *fixture) settled(c *obs.Counter) int64 {
-	for {
-		v := c.Value()
-		f.clk.Settle()
-		if c.Value() == v {
-			return v
-		}
-	}
+	f.clk.Settle()
+	return c.Value()
 }
 
 // TestDirectoryHoldsOneReferencePerNeighborhood: settops are routed to

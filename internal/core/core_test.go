@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -456,6 +457,26 @@ func TestElectorCleanCloseHandsOver(t *testing.T) {
 	// Clean shutdown unbinds immediately — no audit delay.
 	eA.Close()
 	f.waitFor("B takes over after clean handoff", eB.IsPrimary)
+}
+
+// TestElectorStoppedIsNotPrimary: a primary that abandons the election
+// (a crash, whose binding waits for the audit) or closes it (a clean stop)
+// no longer answers IsPrimary, so nothing that looks for the primary picks
+// a dead instance.
+func TestElectorStoppedIsNotPrimary(t *testing.T) {
+	f := newFixture(t)
+	for i, stop := range []func(*Elector){(*Elector).Abandon, (*Elector).Close} {
+		a := startEcho(t, f.nw, fmt.Sprintf("192.168.0.%d", i+1))
+		defer a.ep.Close()
+		name := fmt.Sprintf("svc-stop-%d", i)
+		e := NewSession(a.ep, f.replica.RootRef(), f.clk).NewElector(name, a.ref)
+		e.Start()
+		f.waitFor("primary", e.IsPrimary)
+		stop(e)
+		if e.IsPrimary() {
+			t.Fatalf("%s: a stopped elector still reports primary", name)
+		}
+	}
 }
 
 func TestElectorDemotion(t *testing.T) {

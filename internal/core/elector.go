@@ -91,6 +91,8 @@ func (e *Elector) Close() {
 func (e *Elector) Abandon() { e.shutdown() }
 
 // shutdown stops the loop and reports whether this replica was primary.
+// A stopped replica is no longer primary, whether or not its binding
+// outlives it: IsPrimary answers for a replica that can still serve.
 func (e *Elector) shutdown() (wasPrimary bool) {
 	e.mu.Lock()
 	if e.closed {
@@ -98,13 +100,15 @@ func (e *Elector) shutdown() (wasPrimary bool) {
 		return false
 	}
 	e.closed = true
-	wasPrimary = e.primary
 	started := e.started
 	e.mu.Unlock()
 	close(e.stop)
 	if started {
 		<-e.done
 	}
+	e.mu.Lock()
+	wasPrimary, e.primary = e.primary, false
+	e.mu.Unlock()
 	return wasPrimary
 }
 

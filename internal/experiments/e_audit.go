@@ -120,28 +120,22 @@ func rasMessageRate(servers, clients int) int64 {
 
 	// Local client load: checkStatus is answered from memory (§7.2) and
 	// costs no network messages, no matter how many clients ask.
-	settle(clk, time.Second)
+	clk.Await(step, 2, never)
 	before := totalSent()
-	for step := 0; step < 60; step++ {
+	for s := 0; s < 60; s++ {
 		for c := 0; c < clients/60; c++ {
 			nodes[0].ras.CheckStatus([]oref.Ref{audit.SettopRef(fmt.Sprintf("10.1.0.%d", c%250+1))})
 		}
-		settle(clk, time.Second)
+		clk.Await(step, 2, never)
 	}
 	return totalSent() - before
 }
 
-// settle advances the fake clock and yields so background loops run.
-func settle(clk *clock.Fake, d time.Duration) {
-	steps := int(d / (500 * time.Millisecond))
-	if steps == 0 {
-		steps = 1
-	}
-	for i := 0; i < steps; i++ {
-		clk.Advance(500 * time.Millisecond)
-		clk.Settle()
-	}
-}
+// step is the simulated time one fake-clock advance covers; the audit
+// experiments run for a fixed stretch as clk.Await(step, n, never).
+const step = 500 * time.Millisecond
+
+func never() bool { return false }
 
 // leaseMessageRate counts renewal messages for a client population over a
 // simulated minute.
@@ -157,7 +151,7 @@ func leaseMessageRate(clients, resourcesEach int, ttl time.Duration) int64 {
 	renewEvery := ttl / 2
 	steps := int(time.Minute / renewEvery)
 	for s := 0; s < steps; s++ {
-		settle(clk, renewEvery)
+		clk.Await(step, int(renewEvery/step), never)
 		for c := 0; c < clients; c++ {
 			for r := 0; r < resourcesEach; r++ {
 				lt.Renew(fmt.Sprintf("c%d-r%d", c, r))
@@ -196,12 +190,12 @@ func pingMessageRate(services, clients int) int64 {
 		}
 		pingers = append(pingers, p)
 	}
-	settle(clk, time.Second)
+	clk.Await(step, 2, never)
 	var before int64
 	for _, p := range pingers {
 		before += p.Pings()
 	}
-	settle(clk, time.Minute)
+	clk.Await(step, int(time.Minute/step), never)
 	var after int64
 	for _, p := range pingers {
 		after += p.Pings()
@@ -234,14 +228,8 @@ func E11Leakage() *Table {
 		start := clk.Now()
 		// The client crashes immediately; nothing happens until expiry.
 		var delay time.Duration
-		for i := 0; i < 9000; i++ {
-			settle(clk, time.Second)
-			select {
-			case <-reclaimed:
-				delay = clk.Now().Sub(start)
-				i = 9000
-			default:
-			}
+		if clk.Await(time.Second, 9000, func() bool { return len(reclaimed) > 0 }) {
+			delay = clk.Now().Sub(start)
 		}
 		dt.Close()
 		t.Rows = append(t.Rows, row("duration time-out (2h estimate)",
@@ -256,14 +244,8 @@ func E11Leakage() *Table {
 		lt.Grant("movie")
 		start := clk.Now()
 		var delay time.Duration
-		for i := 0; i < 600; i++ {
-			settle(clk, time.Second)
-			select {
-			case <-reclaimed:
-				delay = clk.Now().Sub(start)
-				i = 600
-			default:
-			}
+		if clk.Await(time.Second, 600, func() bool { return len(reclaimed) > 0 }) {
+			delay = clk.Now().Sub(start)
 		}
 		lt.Close()
 		t.Rows = append(t.Rows, row("client-renewed lease (30s TTL)",

@@ -47,13 +47,6 @@ func E4Failover() *Table {
 // failoverTrials runs n MMS-primary kills and measures time to a live
 // primary being resolvable again.
 func failoverTrials(bind, nsPoll, rasPoll time.Duration, n int) (mean, maxv time.Duration, done int) {
-	// The measurement couples simulated intervals to real goroutine
-	// progress; pace the clock pump so the components keep up even under
-	// a slowed runtime (race detector, loaded machine).
-	prev := cluster.PumpSleep
-	cluster.PumpSleep = 4 * time.Millisecond
-	defer func() { cluster.PumpSleep = prev }()
-
 	cfg := twoServerConfig()
 	cfg.Tunables = cluster.Tunables{
 		BindRetry: bind,

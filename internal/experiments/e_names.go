@@ -201,12 +201,10 @@ func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall ti
 	before := f.ns.Endpoint().Stats().Received
 	rt := clock.Real() // the storm is measured in real time by design
 	start := rt.Now()
-	var ok atomic.Int64
-	var wg sync.WaitGroup
+	var ok, finished atomic.Int64
 	for _, rb := range rebinders {
-		wg.Add(1)
 		go func(rb *core.Rebinder) {
-			defer wg.Done()
+			defer finished.Add(1)
 			err := rb.Invoke("echo", func(e *wire.Encoder) { e.PutString("again") },
 				func(d *wire.Decoder) error { _ = d.String(); return nil })
 			if err == nil {
@@ -227,17 +225,8 @@ func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall ti
 		ref2 := svcEp2.Register("", echoSkel{})
 		_ = adminSess.Root.Bind("popular", ref2)
 	}()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case <-done:
-			return f.ns.Endpoint().Stats().Received - before, ok.Load(), rt.Since(start)
-		default:
-			f.clk.Advance(500 * time.Millisecond)
-			f.clk.Settle()
-		}
-	}
+	f.clk.Await(500*time.Millisecond, 1<<16, func() bool { return finished.Load() == int64(n) })
+	return f.ns.Endpoint().Stats().Received - before, ok.Load(), rt.Since(start)
 }
 
 type echoSkel struct{}

@@ -29,8 +29,8 @@ var mutations = []mutation{
 	{check: "rawerrcmp", file: "internal/orb/endpoint.go",
 		old: "sms == nil && !errors.Is(err, ErrNoSuchMethod)",
 		new: "sms == nil && err != ErrNoSuchMethod"},
-	{check: "sleepyclock", file: "internal/experiments/e_audit.go",
-		old: "clk.Settle()", new: "time.Sleep(200*time.Microsecond)"},
+	{check: "sleepyclock", file: "internal/cluster/cluster.go",
+		old: "c.Clk.Sleep(10 * time.Millisecond)", new: "time.Sleep(10 * time.Millisecond)"},
 	{check: "poolown", file: "internal/orb/client.go",
 		old: "putRequest(req)\n\t\t\twire.PutEncoder(enc)\n\t\t\treturn Errf(ExcDenied",
 		new: "putRequest(req)\n\t\t\treturn Errf(ExcDenied",

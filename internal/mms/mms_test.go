@@ -277,16 +277,11 @@ func TestStaleListedReplicaIsRelistedByTheOpenThatFindsItDead(t *testing.T) {
 }
 
 // nsRequests returns how many requests the name service has received, once
-// the count has stopped moving: the electors' self-checks ride the clock
-// ticks a waitFor just drove, and the last of them may still be in flight.
+// the electors' self-checks, riding the clock ticks a waitFor just drove,
+// have landed.
 func (f *fixture) nsRequests() int64 {
-	for {
-		v := f.ns.Endpoint().Stats().Received
-		f.clk.Settle()
-		if f.ns.Endpoint().Stats().Received == v {
-			return v
-		}
-	}
+	f.clk.Settle()
+	return f.ns.Endpoint().Stats().Received
 }
 
 // openClose opens title for the fixture's settop, closes it again (the

@@ -298,10 +298,8 @@ func TestAuditDoesNotEvictAReboundName(t *testing.T) {
 	}
 	close(chk.proceed) // the audit proceeds to evict "rds"
 
-	for i := 0; i < 5; i++ { // and any number of further rounds leave it alone
-		c.clk.Advance(10 * time.Second)
-		c.clk.Settle()
-	}
+	// And any number of further rounds leave it alone.
+	c.clk.Await(10*time.Second, 5, func() bool { return false })
 	got, err := c.root(0).Resolve("rds")
 	if err != nil || !got.Equal(restarted) {
 		t.Fatalf("after the stale eviction the name resolves to %v, %v; want the restarted replica %v", got, err, restarted)

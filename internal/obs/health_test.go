@@ -114,9 +114,7 @@ func TestHealthStartStop(t *testing.T) {
 
 	// The sampler's ticker registers asynchronously: time moved before it
 	// exists is time it never hears about.
-	for i := 0; i < 1000 && clk.Waiters() == 0; i++ {
-		clk.Settle()
-	}
+	clk.Settle()
 	if !clk.Await(time.Second, 100, func() bool { return len(h.Windows(0)) >= 3 }) {
 		t.Fatalf("sampler never produced windows: have %d", len(h.Windows(0)))
 	}
@@ -124,10 +122,7 @@ func TestHealthStartStop(t *testing.T) {
 	h.Stop()
 	clk.Settle() // let any in-flight tick drain
 	n := len(h.Windows(0))
-	for i := 0; i < 5; i++ {
-		clk.Advance(time.Second)
-		clk.Settle()
-	}
+	clk.Await(time.Second, 5, func() bool { return false })
 	if got := len(h.Windows(0)); got != n {
 		t.Fatalf("sampling continued after Stop: %d -> %d windows", n, got)
 	}
