@@ -102,7 +102,7 @@ func TestRun(t *testing.T) {
 	obs.NodeRecorder(forge).Record(c.Clk.Now(), trace, probe, "planted on forge")
 	c.FakeClk.Advance(time.Second)
 	// The call that carried the trace from forge to kiln coupled their clocks.
-	obs.NodeHLC(kiln).Observe(obs.NodeHLC(forge).Current())
+	obs.NodeHLC(kiln).ObserveAt(obs.NodeHLC(forge).Current(), obs.Mono())
 	obs.NodeRecorder(kiln).Record(c.Clk.Now(), trace, probe, "planted on kiln")
 	for _, h := range []string{forge, kiln} {
 		obs.NodeSlowLedger(h).Record(obs.SlowCall{HLC: obs.NodeHLC(h).Current(), Trace: trace, Method: probe,

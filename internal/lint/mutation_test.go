@@ -32,8 +32,8 @@ var mutations = []mutation{
 	{check: "sleepyclock", file: "internal/cluster/cluster.go",
 		old: "c.Clk.Sleep(10 * time.Millisecond)", new: "time.Sleep(10 * time.Millisecond)"},
 	{check: "poolown", file: "internal/orb/client.go",
-		old: "putRequest(req)\n\t\t\twire.PutEncoder(enc)\n\t\t\treturn Errf(ExcDenied",
-		new: "putRequest(req)\n\t\t\treturn Errf(ExcDenied",
+		old: "putRequest(req)\n\t\t\twire.PutEncoder(enc)\n\t\t\treturn 0, Errf(ExcDenied",
+		new: "putRequest(req)\n\t\t\treturn 0, Errf(ExcDenied",
 		at:  []string{"enc := wire.GetEncoder()\n\tif put != nil {\n\t\tput(enc)\n\t}\n\treq := getRequest()"}},
 	{check: "mortalref", file: "internal/mms/mms.go",
 		old: "_ = (media.Stub{Ep: s.sess.Ep, Ref: om.MDSRef}).CloseMovie(",

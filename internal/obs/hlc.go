@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"itv/internal/clock"
 )
 
 // Hybrid logical clocks (DESIGN.md §11).
@@ -58,21 +60,24 @@ func (h HLCTime) String() string {
 
 // HLC is one node's hybrid logical clock.  All methods are safe for
 // concurrent use; the clock never moves backwards.
+//
+// A reading's physical part comes from the caller's monotonic reading
+// (Mono): an event is timed and stamped from one read of the clock.  By
+// default the HLC converts that reading to wall time through clock.WallAt,
+// which reads the wall clock itself at most once a second.  A node whose
+// SSC injects a clock.Clock (SetNow) reads that clock's Now instead and
+// ignores the reading, so simulated clusters advance HLCs on fake time.
 type HLC struct {
 	state atomic.Uint64
-	// now holds a func() time.Time physical source.  It defaults to
-	// time.Now and is swapped for an injected clock.Clock's Now by the
-	// node's SSC, so simulated clusters advance HLCs on fake time.
-	now atomic.Value
+	// src is the injected physical source, nil for the real clock.
+	src atomic.Pointer[func() time.Time]
 }
 
-// NewHLC returns an HLC reading physical time from now (time.Now when nil).
+// NewHLC returns an HLC reading physical time from now, or from the real
+// clock when now is nil.
 func NewHLC(now func() time.Time) *HLC {
 	h := &HLC{}
-	if now == nil {
-		now = time.Now
-	}
-	h.now.Store(now)
+	h.SetNow(now)
 	return h
 }
 
@@ -80,12 +85,21 @@ func NewHLC(now func() time.Time) *HLC {
 // across the swap: an earlier source's high readings keep the state pinned.
 func (h *HLC) SetNow(now func() time.Time) {
 	if now != nil {
-		h.now.Store(now)
+		h.src.Store(&now)
 	}
 }
 
-func (h *HLC) phys() HLCTime {
-	return packHLC(h.now.Load().(func() time.Time)())
+// Mono is clock.Mono, for the packages that keep to real time by design
+// and so do not import internal/clock (the ORB's call timers): the
+// monotonic reading the HLC stamps from.
+func Mono() time.Duration { return clock.Mono() }
+
+// phys is the physical time at Mono reading m.
+func (h *HLC) phys(m time.Duration) HLCTime {
+	if src := h.src.Load(); src != nil {
+		return packHLC((*src)())
+	}
+	return packHLC(clock.WallAt(m))
 }
 
 // advance moves the clock to at least floor and at least one past the
@@ -105,16 +119,18 @@ func (h *HLC) advance(floor HLCTime) HLCTime {
 	}
 }
 
-// Now returns a fresh reading for a local event (send, record, sample).
-func (h *HLC) Now() HLCTime { return h.advance(h.phys()) }
+// NowAt returns a fresh reading for a local event (send, record, sample)
+// that happened at Mono reading m.
+func (h *HLC) NowAt(m time.Duration) HLCTime { return h.advance(h.phys(m)) }
 
-// Observe merges a remote reading m into this clock (message receive) and
-// returns the local reading for the receive event, which is strictly after
-// both m and every earlier local reading.  A zero m is a no-op Now.
-func (h *HLC) Observe(m HLCTime) HLCTime {
-	floor := h.phys()
-	if m+1 > floor {
-		floor = m + 1
+// ObserveAt merges a remote reading r into this clock (message receive at
+// Mono reading m) and returns the local reading for the receive event,
+// which is strictly after both r and every earlier local reading.  A zero
+// r is a no-op NowAt.
+func (h *HLC) ObserveAt(r HLCTime, m time.Duration) HLCTime {
+	floor := h.phys(m)
+	if r+1 > floor {
+		floor = r + 1
 	}
 	return h.advance(floor)
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"itv/internal/clock"
 )
 
 var hlcEpoch = time.Date(1995, 12, 3, 12, 0, 0, 0, time.UTC)
@@ -29,9 +31,9 @@ func TestHLCTimePacking(t *testing.T) {
 
 func TestHLCMonotonicUnderFrozenClock(t *testing.T) {
 	h := NewHLC(func() time.Time { return hlcEpoch }) // frozen physical clock
-	prev := h.Now()
+	prev := h.NowAt(Mono())
 	for i := 0; i < 100; i++ {
-		cur := h.Now()
+		cur := h.NowAt(Mono())
 		if cur <= prev {
 			t.Fatalf("HLC went backwards: %v then %v", prev, cur)
 		}
@@ -45,37 +47,37 @@ func TestHLCMonotonicUnderFrozenClock(t *testing.T) {
 func TestHLCObserveAdoptsFasterPeer(t *testing.T) {
 	h := NewHLC(func() time.Time { return hlcEpoch })
 	peer := packHLC(hlcEpoch.Add(time.Hour)) // a peer an hour ahead
-	got := h.Observe(peer)
+	got := h.ObserveAt(peer, Mono())
 	if got <= peer {
-		t.Fatalf("Observe(%v) = %v, want a reading after the peer's", peer, got)
+		t.Fatalf("ObserveAt(%v) = %v, want a reading after the peer's", peer, got)
 	}
 	// Local reads stay above the adopted reading even though the physical
 	// clock is still an hour behind.
-	if next := h.Now(); next <= got {
-		t.Fatalf("post-observe Now %v not after %v", next, got)
+	if next := h.NowAt(Mono()); next <= got {
+		t.Fatalf("post-observe NowAt %v not after %v", next, got)
 	}
 }
 
 func TestHLCObserveZeroAndPast(t *testing.T) {
 	h := NewHLC(func() time.Time { return hlcEpoch })
-	cur := h.Now()
-	if got := h.Observe(0); got <= cur {
-		t.Fatalf("Observe(0) must still advance: %v then %v", cur, got)
+	cur := h.NowAt(Mono())
+	if got := h.ObserveAt(0, Mono()); got <= cur {
+		t.Fatalf("ObserveAt(0) must still advance: %v then %v", cur, got)
 	}
 	past := packHLC(hlcEpoch.Add(-time.Hour))
-	if got := h.Observe(past); got <= cur {
+	if got := h.ObserveAt(past, Mono()); got <= cur {
 		t.Fatalf("observing a lagging peer must not rewind: %v then %v", cur, got)
 	}
 }
 
 func TestHLCLogicalOverflowRollsIntoPhysical(t *testing.T) {
 	h := NewHLC(func() time.Time { return hlcEpoch })
-	start := h.Now()
+	start := h.NowAt(Mono())
 	// Drain the 16-bit logical space; the packed value keeps growing, so
 	// ordering survives even a pathological same-millisecond burst.
 	var last HLCTime
 	for i := 0; i < 1<<16; i++ {
-		last = h.Now()
+		last = h.NowAt(Mono())
 	}
 	if last <= start {
 		t.Fatal("ordering lost across logical overflow")
@@ -92,9 +94,9 @@ func TestHLCConcurrentNowIsStrictlyOrderedPerGoroutine(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			prev := h.Now()
+			prev := h.NowAt(Mono())
 			for i := 0; i < 1000; i++ {
-				cur := h.Now()
+				cur := h.NowAt(Mono())
 				if cur <= prev {
 					t.Errorf("HLC not monotonic under concurrency: %v then %v", prev, cur)
 					return
@@ -104,6 +106,60 @@ func TestHLCConcurrentNowIsStrictlyOrderedPerGoroutine(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRealHLCStampsFromThePassedReading: on the real clock an HLC takes
+// its physical time from the caller's Mono reading, not from a clock read
+// of its own, so a reading taken ten seconds ago stamps ten seconds ago.
+func TestRealHLCStampsFromThePassedReading(t *testing.T) {
+	m := Mono() - 10*time.Second
+	if got, want := NewHLC(nil).NowAt(m), packHLC(clock.WallAt(m)); got != want {
+		t.Fatalf("NowAt(reading 10s ago) = %v, want %v", got, want)
+	}
+	if got, want := NewHLC(nil).ObserveAt(0, m), packHLC(clock.WallAt(m)); got != want {
+		t.Fatalf("ObserveAt(0, reading 10s ago) = %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		h := NodeHLC("hlc-test-allocs")
+		h.ObserveAt(h.NowAt(Mono()), Mono())
+	}); n != 0 {
+		t.Errorf("a stamp and an observe allocate %.0f times, want 0", n)
+	}
+}
+
+// TestInjectedHLCIgnoresThePassedReading: an HLC on an injected clock reads
+// that clock, whatever reading the caller passes.
+func TestInjectedHLCIgnoresThePassedReading(t *testing.T) {
+	f := clock.NewFake()
+	h := NewHLC(f.Now)
+	want := packHLC(f.Now())
+	for _, m := range []time.Duration{1, Mono(), Mono() + time.Hour} {
+		if got := h.NowAt(m); got.Physical() != want.Physical() {
+			t.Fatalf("NowAt(%v) on a fake clock = %v, want the fake clock's %v", m, got, want)
+		}
+	}
+}
+
+// TestHLCMonotonicAcrossReanchorAndSwap: a reading a minute ahead forces
+// the real clock's anchor to re-read the wall clock and stamps a minute
+// ahead; the readings after it, and after a swap to a fake clock decades
+// behind, still only go up.
+func TestHLCMonotonicAcrossReanchorAndSwap(t *testing.T) {
+	h := NewHLC(nil)
+	prev := h.NowAt(Mono())
+	next := func(what string, m time.Duration) {
+		t.Helper()
+		cur := h.NowAt(m)
+		if cur <= prev {
+			t.Fatalf("%s: HLC went back from %v to %v", what, prev, cur)
+		}
+		prev = cur
+	}
+	next("a minute ahead", Mono()+time.Minute)
+	next("back to now", Mono())
+	h.SetNow(clock.NewFake().Now)
+	next("swapped to a fake clock", Mono())
+	next("on the fake clock", Mono())
 }
 
 func TestNodeHLCRegistry(t *testing.T) {

@@ -251,7 +251,7 @@ func TestDebugServer(t *testing.T) {
 	run := skewRuns.Add(1)
 	cause, effect := fmt.Sprintf("cause %d", run), fmt.Sprintf("effect %d", run)
 	NodeRecorder("debug-fast").Record(at.Add(time.Hour), 0xdef, "skew_event", cause)
-	NodeHLC("debug-slow").Observe(NodeHLC("debug-fast").Current())
+	NodeHLC("debug-slow").ObserveAt(NodeHLC("debug-fast").Current(), Mono())
 	NodeRecorder("debug-slow").Record(at.Add(time.Second), 0xdef, "skew_event", effect)
 	body, _ := get(all, "/debug/events")
 	lines := strings.Split(body, "\n")

@@ -550,9 +550,20 @@ func (e *Endpoint) call(ctx context.Context, ref oref.Ref, method string, put fu
 	}
 	m := e.metrics
 	m.clientCalls.Inc()
-	start := time.Now()
-	err := e.invoke(ctx, ref, method, put, &res, dst)
-	d := time.Since(start)
+	// Two clock readings time the call, and the HLC stamps the request and
+	// observes the reply from the same two (DESIGN.md §13).
+	start := mono()
+	peer, err := e.invoke(ctx, ref, method, put, &res, dst, start)
+	end := mono()
+	if peer != 0 {
+		// Couple to the server's clock and hand the raw reading to any
+		// caller measuring this peer's offset.
+		e.hlc.ObserveAt(peer, end)
+		if cs := obs.ClockSinkFrom(ctx); cs != nil {
+			cs.Set(peer)
+		}
+	}
+	d := end - start
 	ms := m.methodFor(ref.TypeID, method)
 	if sp := obs.SpanFrom(ctx); sp.Sampled && sp.TraceID != 0 {
 		// Sampled calls publish a latency exemplar carrying their trace id,
@@ -572,12 +583,15 @@ func (e *Endpoint) call(ctx context.Context, ref oref.Ref, method string, put fu
 	return err
 }
 
-func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res *results, dst []byte) error {
+// invoke makes the call that started at Mono reading start.  It returns
+// the HLC reading the server stamped on its reply, zero when no reply came
+// back (or the call was local).
+func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res *results, dst []byte, start time.Duration) (obs.HLCTime, error) {
 	// Local implementation: a plain dispatch, no network (§3.2: "maps to a
 	// local implementation or to stubs that perform a remote procedure
 	// call").
 	if ref.Addr == e.addr {
-		return e.invokeLocal(ctx, ref, method, put, res, dst)
+		return 0, e.invokeLocal(ctx, ref, method, put, res, dst)
 	}
 
 	// The effective timeout is the endpoint's configured bound on a round
@@ -593,7 +607,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 	if ctxBound && timeout <= 0 {
 		e.failures.Add(1)
 		e.metrics.callTimeouts.Inc()
-		return &ConnError{Op: "timeout", Err: context.DeadlineExceeded}
+		return 0, &ConnError{Op: "timeout", Err: context.DeadlineExceeded}
 	}
 
 	enc := wire.GetEncoder()
@@ -614,7 +628,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 	// Every request carries the sender's HLC (sampled or not): clock
 	// coupling must not depend on trace sampling.  Atomics only — the
 	// unsampled hot path stays allocation-free.
-	req.HLC = uint64(e.hlc.Now())
+	req.HLC = uint64(e.hlc.NowAt(start))
 	if a := e.authenticator(); a != nil {
 		se := wire.GetEncoder()
 		req.appendSigPayload(se)
@@ -626,7 +640,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 		if err != nil {
 			putRequest(req)
 			wire.PutEncoder(enc)
-			return Errf(ExcDenied, "signing: %v", err)
+			return 0, Errf(ExcDenied, "signing: %v", err)
 		}
 		req.Principal = principal
 		req.Ticket = ticket
@@ -646,7 +660,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 			putRequest(req)
 			wire.PutEncoder(enc)
 			e.failures.Add(1)
-			return derr
+			return 0, derr
 		}
 		if ctxBound {
 			// Encoding the arguments, and any first attempt, spent part of
@@ -677,7 +691,7 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 			}
 		}
 		e.failures.Add(1)
-		return err
+		return 0, err
 	}
 	err = decodeResponse(rf, res, dst)
 	// Back-propagate an adopted trace id into the caller's sink, success or
@@ -687,17 +701,9 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 			sink.Set(rf.resp.TraceID)
 		}
 	}
-	// Couple to the server's clock and hand the raw reading to any caller
-	// measuring this peer's offset.
-	if rf.resp.HLC != 0 {
-		h := obs.HLCTime(rf.resp.HLC)
-		e.hlc.Observe(h)
-		if cs := obs.ClockSinkFrom(ctx); cs != nil {
-			cs.Set(h)
-		}
-	}
+	peer := obs.HLCTime(rf.resp.HLC)
 	putRespFrame(rf)
-	return err
+	return peer, err
 }
 
 func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res *results, dst []byte) error {

@@ -521,7 +521,7 @@ func (srv *connServer) run(s *callScratch, seated bool) {
 				srv.pool.Add(-1)
 				seated = true
 			default:
-				srv.handleOne(sr, s, time.Now())
+				srv.handleOne(sr, s, mono())
 				putServerReq(sr)
 			}
 		}
@@ -544,7 +544,7 @@ func (srv *connServer) read(s *callScratch) bool {
 		sr.buf = frame
 		// recvAt starts the queue-wait clock: everything between here and a
 		// worker's pickup is time the request spent waiting for dispatch.
-		sr.recvAt = time.Now()
+		sr.recvAt = mono()
 		sr.dec.Reset(frame)
 		sr.req.UnmarshalWire(&sr.dec)
 		// A version-mismatched request legitimately leaves its payload
@@ -590,7 +590,7 @@ func (srv *connServer) read(s *callScratch) bool {
 func (srv *connServer) overflow(sr *serverReq) {
 	defer srv.e.wg.Done()
 	s := getScratch()
-	srv.handleOne(sr, s, time.Now())
+	srv.handleOne(sr, s, mono())
 	putScratch(s)
 	putServerReq(sr)
 }
@@ -603,12 +603,13 @@ func (srv *connServer) overflow(sr *serverReq) {
 // borrowed segment is not the scratch's, and travels with the frame.
 // pickup ends the request's queue wait: a worker's clock reading, or the
 // arrival itself for an inline dispatch.
-func (srv *connServer) handleOne(sr *serverReq, s *callScratch, pickup time.Time) {
-	method, sms := srv.e.handleInto(&sr.req, srv.remote, s)
+func (srv *connServer) handleOne(sr *serverReq, s *callScratch, pickup time.Duration) {
+	method, sms := srv.e.handleInto(&sr.req, srv.remote, s, sr.recvAt)
 	// Stamp the reply with this node's HLC — one site covers every response
-	// path, so the caller's clock couples to ours on every round trip.
-	s.resp.HLC = uint64(srv.e.hlc.Now())
-	done := time.Now()
+	// path, so the caller's clock couples to ours on every round trip.  The
+	// handler's end is the stamp's time as well as the service time's end.
+	done := mono()
+	s.resp.HLC = uint64(srv.e.hlc.NowAt(done))
 	qf, err := encodeResponse(&s.resp)
 	if err != nil {
 		// The reply does not fit a frame.  That is this call's failure, not
@@ -634,8 +635,8 @@ func (srv *connServer) handleOne(sr *serverReq, s *callScratch, pickup time.Time
 			sampled: sr.req.Sampled,
 			method:  method,
 			peer:    srv.remote,
-			queue:   pickup.Sub(sr.recvAt),
-			service: done.Sub(pickup),
+			queue:   pickup - sr.recvAt,
+			service: done - pickup,
 			handoff: done,
 		}
 	}
@@ -648,12 +649,13 @@ func (srv *connServer) handleOne(sr *serverReq, s *callScratch, pickup time.Time
 // encodes the response frame out of s before reusing the scratch.  It
 // returns the request's method as a string that outlives the frame and the
 // method's own latency row, nil when it has none (no name at all for a
-// request refused at the version gate).
+// request refused at the version gate).  recvAt is the Mono reading at the
+// request's arrival, the time of the HLC's receive event.
 //
 // This is the decode boundary for the request's three strings (DESIGN.md
 // §9): each is resolved from its bytes in the frame to a string some table
 // already holds, and only a value no table holds is copied out.
-func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) (method string, sms *serverMethodStats) {
+func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch, recvAt time.Duration) (method string, sms *serverMethodStats) {
 	e.received.Add(1)
 	resp := &s.resp
 	resp.reset()
@@ -674,7 +676,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch) (
 	// Couple our HLC to the sender's.  Only after the version gate: a
 	// mismatched request's HLC field was never decoded.
 	if req.HLC != 0 {
-		e.hlc.Observe(obs.HLCTime(req.HLC))
+		e.hlc.ObserveAt(obs.HLCTime(req.HLC), recvAt)
 	}
 
 	caller := Caller{Addr: remoteAddr}

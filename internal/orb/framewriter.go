@@ -85,7 +85,7 @@ type frameMeta struct {
 	peer    string
 	queue   time.Duration
 	service time.Duration
-	handoff time.Time // when the worker handed the frame to the writer
+	handoff time.Duration // Mono reading: the worker handed the frame to the writer
 }
 
 // queuedFrame is one frame awaiting flush plus its attribution.  With a
@@ -132,11 +132,11 @@ type frameWriter struct {
 	// short (nil on a client): a batch still being written after the
 	// endpoint's call timeout (limit) gets a past write deadline, and the
 	// failed write severs the connection.  due is when the batch being
-	// written runs out (zero between batches); stallArmed says the timer
-	// is pending.
+	// written runs out, as a Mono reading (zero between batches);
+	// stallArmed says the timer is pending.
 	stall      *time.Timer
 	limit      func() time.Duration
-	due        time.Time
+	due        time.Duration
 	stallArmed bool
 
 	// queued numbers the frames in the order they join the queue, from 1;
@@ -181,13 +181,24 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 		return seq
 	}
 	w.flushing, w.owner = true, by
+	// now is the flush's latest clock reading, the previous batch's write
+	// return, zero before the first batch or when that batch needed none.
+	var now time.Duration
 	for len(w.q) > 0 {
 		batch := w.q
 		first := w.queued - uint64(len(batch)) + 1
 		w.q = w.spare[:0]
 		w.spare = nil
 		if w.stall != nil {
-			w.armStall()
+			// The batch starts writing now: at the previous write's return,
+			// or, for the first, at its leading frame's hand-off.
+			if now == 0 {
+				now = batch[0].meta.handoff
+			}
+			if now == 0 {
+				now = mono() // a reply without meta
+			}
+			w.armStall(now)
 		}
 		w.mu.Unlock()
 
@@ -196,12 +207,12 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 		// (rare) ledger admission never extend the lock hold of concurrent
 		// senders.  One clock reading covers the whole batch: every frame in
 		// it left the wire at the same write return.
-		var now time.Time
+		now = 0
 		for i := range batch {
 			b := &batch[i]
 			if b.meta.sms != nil {
-				if now.IsZero() {
-					now = time.Now()
+				if now == 0 {
+					now = mono()
 				}
 				w.attribute(&b.meta, now)
 			}
@@ -217,7 +228,7 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 
 		w.mu.Lock()
 		w.spare = batch[:0]
-		w.due = time.Time{}
+		w.due = 0
 	}
 	w.flushing, w.owner = false, nil
 	if w.expired {
@@ -259,13 +270,14 @@ func (w *frameWriter) boundWrites(limit func() time.Duration) {
 	w.stall.Stop()
 }
 
-// armStall gives the batch about to be written its due time, under w.mu.
-// Arming is a clock reading while the timer is pending: it starts the
-// timer only when none is, so a busy connection resets it at most once a
-// limit, and stalled moves it on to the batch then being written.
-func (w *frameWriter) armStall() {
+// armStall gives the batch about to be written, which starts at Mono
+// reading start, its due time, under w.mu.  Arming reads no clock, and
+// while the timer is pending it is one store: it starts the timer only
+// when none is, so a busy connection resets it at most once a limit, and
+// stalled moves it on to the batch then being written.
+func (w *frameWriter) armStall(start time.Duration) {
 	d := w.limit()
-	w.due = time.Now().Add(d)
+	w.due = start + d
 	if !w.stallArmed {
 		w.stallArmed = true
 		w.stall.Reset(d)
@@ -279,10 +291,10 @@ func (w *frameWriter) stalled() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.stallArmed = false
-	if w.due.IsZero() {
+	if w.due == 0 {
 		return // between batches: the next one arms again
 	}
-	if left := time.Until(w.due); left > 0 {
+	if left := w.due - mono(); left > 0 {
 		w.stallArmed = true
 		w.stall.Reset(left)
 		return
@@ -296,8 +308,8 @@ func (w *frameWriter) stalled() {
 // histogram observes and two ledger atomics, no allocation; sampled calls
 // additionally publish exemplars carrying the trace ID and the full
 // three-way split.
-func (w *frameWriter) attribute(m *frameMeta, now time.Time) {
-	flush := now.Sub(m.handoff)
+func (w *frameWriter) attribute(m *frameMeta, now time.Duration) {
+	flush := now - m.handoff
 	if flush < 0 {
 		flush = 0
 	}

@@ -2,9 +2,27 @@ package orb
 
 import (
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"itv/internal/obs"
 	"itv/internal/wire"
+)
+
+// mono is the ORB's clock: one monotonic reading per event of a call
+// (DESIGN.md §13), which the call timers and the HLC stamps share.  While
+// countMono is set it counts its readings in monoReads, the count
+// TestSequentialCallClockReads pins.
+func mono() time.Duration {
+	if countMono.Load() {
+		monoReads.Add(1)
+	}
+	return obs.Mono()
+}
+
+var (
+	countMono atomic.Bool
+	monoReads atomic.Int64
 )
 
 // epMetrics caches this endpoint's obs counters so the invoke and dispatch

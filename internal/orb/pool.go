@@ -175,7 +175,7 @@ type serverReq struct {
 	req    request
 	dec    wire.Decoder
 	buf    []byte
-	recvAt time.Time
+	recvAt time.Duration // Mono reading
 }
 
 var serverReqPool = sync.Pool{New: func() any { return new(serverReq) }}
@@ -185,7 +185,7 @@ func getServerReq() *serverReq { return serverReqPool.Get().(*serverReq) }
 func putServerReq(sr *serverReq) {
 	sr.req.reset()
 	sr.dec.Reset(nil)
-	sr.recvAt = time.Time{}
+	sr.recvAt = 0
 	if !wire.CapOK(cap(sr.buf)) {
 		sr.buf = nil
 	}

@@ -86,6 +86,33 @@ func TestSequentialCallCostsTwoReads(t *testing.T) {
 	}
 }
 
+// TestSequentialCallClockReads is the count behind one clock reading per
+// event (DESIGN.md §13): a warm sequential call reads the monotonic clock
+// five times — the client at the call's start and end, the server at the
+// request's arrival, the handler's end and the reply write's return.  The
+// HLC stamps on both ends add none: NowAt and ObserveAt take these
+// readings, and an HLC has no way to read Mono of its own.
+func TestSequentialCallClockReads(t *testing.T) {
+	const calls = 300
+	p := newReadsPair(t, "memnet")
+	ref := p.server.Register("", &echoSkel{})
+	if _, err := echo(t, p.client, ref, "warm: dial"); err != nil {
+		t.Fatal(err)
+	}
+	countMono.Store(true)
+	before := monoReads.Load()
+	for i := 0; i < calls; i++ {
+		if _, err := echo(t, p.client, ref, "thirty-two bytes of echo payload"); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	got := monoReads.Load() - before
+	countMono.Store(false)
+	if got != 5*calls {
+		t.Errorf("%d sequential calls took %d clock readings, want %d (5 a call)", calls, got, 5*calls)
+	}
+}
+
 // TestPipelinedCallsShareReads: with 64 callers on one connection the
 // writers coalesce frames into batches (DESIGN.md §12), and a batch that
 // took one write to send takes one read to receive, so reads per frame fall
