@@ -62,6 +62,8 @@ func looplessConn(stream io.Reader, id uint64, w *waiter) *clientConn {
 		cc.shards[i].m = make(map[uint64]*waiter)
 	}
 	cc.fw = frameWriter{conn: conn, m: unitMetrics, onErr: cc.writeFailed}
+	cc.timer = time.AfterFunc(time.Hour, cc.expire)
+	cc.timer.Stop()
 	cc.shardFor(id).m[id] = w
 	return cc
 }
@@ -140,6 +142,8 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 			if oneByte && sz.str > 1<<20 {
 				continue
 			}
+			// filling: the last read left w in its shard's lent slot.
+			var filling bool
 			read := func(w *waiter) *respFrame {
 				t.Helper()
 				var r io.Reader = bytes.NewReader(stream)
@@ -152,6 +156,7 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 				if cerr != nil || got != w {
 					t.Fatalf("%+v oneByte=%v: readReply = %p, %v; want the registered waiter", sz, oneByte, got, cerr)
 				}
+				filling = cc.shardFor(id).lent == w
 				next := getRespFrame()
 				defer putRespFrame(next)
 				if _, cerr := cc.readReply(next); cerr != nil || next.resp.ReqID != id+1 || next.resp.HLC != 1 {
@@ -167,9 +172,9 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 				dst := dk.make(sz.str)
 				w := &waiter{into: true, dst: dst}
 				split := read(w)
-				if took := split.data != nil; took != (sz.str > flushCopyLimit) || took != w.filling {
+				if took := split.data != nil; took != (sz.str > flushCopyLimit) || took != filling {
 					t.Fatalf("%+v dst=%s: split read taken = %v (filling %v), want exactly above flushCopyLimit",
-						sz, dk.name, took, w.filling)
+						sz, dk.name, took, filling)
 				}
 				a, b := whole.resp, split.resp
 				if a.ReqID != b.ReqID || a.Status != b.Status || a.TraceID != b.TraceID || a.HLC != b.HLC {
@@ -284,7 +289,7 @@ const frameReadAhead = 4 << 10
 // frame the header announced but a bounded read-ahead, which the next frame
 // read gets to see in full; nothing written past the announced string;
 // nothing written at all unless the waiter was claimed.
-func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waiter, cerr *ConnError, rf *respFrame) {
+func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waiter, filling bool, cerr *ConnError, rf *respFrame) {
 	t.Helper()
 	const slack = 64
 	dst := lentBuf(0, dstCap+slack)
@@ -312,11 +317,12 @@ func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waite
 	if got != nil && got != w {
 		t.Fatalf("readReply claimed a waiter nobody registered")
 	}
-	if got != w && w.filling {
+	filling = cc.shardFor(7).lent == w
+	if got != w && filling {
 		t.Fatal("waiter marked filling but not returned: its delivery is lost")
 	}
 	full := dst[:cap(dst)]
-	if !w.filling && !allCanary(full) {
+	if !filling && !allCanary(full) {
 		t.Fatal("lent storage written without a claim")
 	}
 	if !allCanary(full[dstCap:]) {
@@ -325,7 +331,7 @@ func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waite
 	if cerr == nil && rf.data != nil && len(rf.data) <= dstCap && &rf.data[0] != &full[0] {
 		t.Fatal("storage that sufficed was replaced")
 	}
-	return w, got, cerr, rf
+	return w, got, filling, cerr, rf
 }
 
 // TestSplitReadHostilePrefixes: a prefix that does not parse cleanly falls
@@ -338,7 +344,7 @@ func TestSplitReadHostilePrefixes(t *testing.T) {
 	// less than splitPrefix, more, everything.
 	firsts := []int{4, 4 + splitPrefix/2, 4 + splitPrefix + 100, 0}
 	for i, h := range hostileReplies(blobLen) {
-		w, got, cerr, rf := checkHostile(t, h.stream, firsts[i%len(firsts)], blobLen)
+		w, got, filling, cerr, rf := checkHostile(t, h.stream, firsts[i%len(firsts)], blobLen)
 		op := ""
 		if cerr != nil {
 			op = cerr.Op
@@ -347,8 +353,8 @@ func TestSplitReadHostilePrefixes(t *testing.T) {
 			t.Errorf("%s: readReply = waiter %v, op %q; want waiter %v, op %q",
 				h.name, got == w, op, h.claimed || h.op == "", h.op)
 		}
-		if w.filling != h.claimed {
-			t.Errorf("%s: waiter claimed for the split read = %v, want %v", h.name, w.filling, h.claimed)
+		if filling != h.claimed {
+			t.Errorf("%s: waiter claimed for the split read = %v, want %v", h.name, filling, h.claimed)
 		}
 		if h.op == "decode" && !errors.Is(cerr, wire.ErrTruncated) {
 			t.Errorf("%s: decode failure carries %v, want wire.ErrTruncated as the whole-frame read reports", h.name, cerr.Err)
@@ -387,7 +393,7 @@ func FuzzReadReply(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 7, 0, 0}, uint16(0), uint16(9))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(2), uint16(9))
 	f.Fuzz(func(t *testing.T, stream []byte, first, dstCap uint16) {
-		_, _, _, rf := checkHostile(t, stream, int(first), int(dstCap)<<4)
+		_, _, _, _, rf := checkHostile(t, stream, int(first), int(dstCap)<<4)
 		putRespFrame(rf)
 	})
 }
@@ -844,7 +850,7 @@ func TestBulkReplyRacingTimer(t *testing.T) {
 		if len(w.ch) != 0 {
 			t.Fatal("a pooled waiter holds an undelivered frame")
 		}
-		if w.into || w.dst != nil || w.filling {
+		if w.into || w.dst != nil || w.due != 0 {
 			t.Fatalf("a pooled waiter kept its declaration: %+v", w)
 		}
 	}

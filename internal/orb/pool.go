@@ -11,70 +11,58 @@ import (
 // Hot-path object pools.  One remote invocation used to allocate a waiter
 // channel, a timer, two encoders, a request, a frame buffer per side, a
 // response, and a ServerCall — all dead the moment the call returned.  The
-// pools below recycle every one of them; see DESIGN.md §9 for the ownership
+// timer is now the connection's, one for all its calls (clientConn.arm);
+// the pools below recycle the rest.  See DESIGN.md §9 for the ownership
 // rules that make the reuse safe.
 
 // waiter is one call in flight on a connection.  A caller that holds the
 // connection's reader seat reads its own reply (DESIGN.md §12); any other
 // gets it on ch from whoever holds the seat.  The channel has capacity 1
 // so a delivery never blocks; a nil delivery means the connection failed
-// or the call expired.  The timer runs expire; it is created once and
-// re-armed per call, and done carries expire's completion to a putWaiter
-// that found it already started.
+// or the call expired.  due is the call's deadline, a Mono reading, by
+// which the connection's timer (clientConn.expire) ends the call; done
+// carries the end of that work to a putWaiter or a seated caller that
+// found the waiter fired.
 //
 // into declares that the caller's results begin with one byte string and
-// lends dst as storage for it (Endpoint.InvokeInto).  Both are set before
-// the waiter is registered and constant while it is.  The seat holder
-// sets filling, under the pending shard's lock, when it claims the waiter
-// to read a large reply straight into dst: from then until its delivery
-// the lent storage is the seat holder's to write.
+// lends dst as storage for it (Endpoint.InvokeInto).  into, dst and due
+// are set before the waiter is registered and constant while it is.
 type waiter struct {
-	ch    chan *respFrame
-	timer *time.Timer
-	done  chan struct{}
+	ch   chan *respFrame
+	done chan struct{}
 
-	cc *clientConn
-	id uint64
+	cc  *clientConn
+	id  uint64
+	due time.Duration
 
-	fired  atomic.Bool // the timer ran: the call is over, whatever arrives
+	fired  atomic.Bool // the timer took it: the call is over, whatever arrives
 	seated atomic.Bool // the caller is reading off the connection itself
-	reaped bool        // the caller has waited for expire to finish already
+	reaped bool        // the caller has waited for the timer to finish already
 
-	into    bool
-	dst     []byte
-	filling bool
+	into bool
+	dst  []byte
 }
 
 var waiterPool = sync.Pool{New: func() any {
 	return &waiter{ch: make(chan *respFrame, 1), done: make(chan struct{}, 1)}
 }}
 
-// getWaiter returns a pooled waiter: its timer stopped, its channel empty.
+// getWaiter returns a pooled waiter, its channel empty.
 func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
 
-// arm starts the call's timer; cc and id must be set and the waiter
-// registered first, since expire looks it up by them.
-func (w *waiter) arm(d time.Duration) {
-	if w.timer == nil {
-		w.timer = time.AfterFunc(d, w.expire)
-	} else {
-		w.timer.Reset(d)
-	}
-}
-
-// putWaiter returns w to the pool.  armed reports whether its timer was
-// started for this call; if it can no longer be stopped, expire is running
-// or has run, and w is pooled only once it is done with it (which a seated
-// caller may have waited for already: reaped).  The caller must have
-// received the waiter's pending delivery, if any, before pooling it.
-func putWaiter(w *waiter, armed bool) {
-	if armed && !w.reaped && !w.timer.Stop() {
+// putWaiter returns w to the pool.  A waiter the connection's timer took
+// (fired) is pooled only once the timer is done with it, which a seated
+// caller may have waited for already (reaped); the timer touches no other.
+// The caller must have received the waiter's pending delivery, if any,
+// before pooling it.
+func putWaiter(w *waiter) {
+	if w.fired.Load() && !w.reaped {
 		<-w.done
 	}
-	w.cc, w.id = nil, 0
+	w.cc, w.id, w.due = nil, 0, 0
 	w.fired.Store(false)
 	w.reaped = false
-	w.into, w.dst, w.filling = false, nil, false
+	w.into, w.dst = false, nil
 	waiterPool.Put(w)
 }
 

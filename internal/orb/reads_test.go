@@ -113,6 +113,36 @@ func TestSequentialCallClockReads(t *testing.T) {
 	}
 }
 
+// TestSequentialCallArmsNoTimer is the count behind one timer per
+// connection (DESIGN.md §12): a call only registers its deadline, and the
+// connection's timer, already pending for an earlier one, is not touched.
+// A thousand warm sequential calls set it at most once.
+func TestSequentialCallArmsNoTimer(t *testing.T) {
+	const calls = 1000
+	p := newReadsPair(t, "memnet")
+	ref := p.server.Register("", &echoSkel{})
+	if _, err := echo(t, p.client, ref, "warm: dial"); err != nil {
+		t.Fatal(err)
+	}
+	p.client.mu.Lock()
+	cc := p.client.conns[ref.Addr]
+	p.client.mu.Unlock()
+	arms := func() int {
+		cc.tmu.Lock()
+		defer cc.tmu.Unlock()
+		return cc.arms
+	}
+	before := arms()
+	for i := 0; i < calls; i++ {
+		if _, err := echo(t, p.client, ref, "thirty-two bytes of echo payload"); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if n := arms() - before; n > 1 {
+		t.Errorf("%d sequential calls set the deadline timer %d times, want at most once", calls, n)
+	}
+}
+
 // TestPipelinedCallsShareReads: with 64 callers on one connection the
 // writers coalesce frames into batches (DESIGN.md §12), and a batch that
 // took one write to send takes one read to receive, so reads per frame fall

@@ -167,8 +167,8 @@ func (h *memHost) Dial(addr string) (net.Conn, error) {
 
 	dstCtr := countersFor(dstIP)
 	up, down := newLink(), newLink()
-	client := &memConn{net: h.net, local: memAddr(clientAddr), remote: memAddr(addr), hostIP: h.ip, ctr: ctr, rd: down, wr: up}
-	server := &memConn{net: h.net, local: memAddr(addr), remote: memAddr(clientAddr), hostIP: dstIP, ctr: dstCtr, rd: up, wr: down}
+	client := newMemConn(h.net, memAddr(clientAddr), memAddr(addr), h.ip, ctr, down, up)
+	server := newMemConn(h.net, memAddr(addr), memAddr(clientAddr), dstIP, dstCtr, up, down)
 	client.peer, server.peer = server, client
 	src.conns[client] = struct{}{}
 	dst.conns[server] = struct{}{}
@@ -358,10 +358,7 @@ func (l *link) read(b []byte, dl *deadline) (int, error) {
 		}
 		l.readerParked = true
 		l.mu.Unlock()
-		select {
-		case <-l.readable:
-		case <-dl.wait():
-		}
+		<-l.readable
 		l.mu.Lock()
 		l.readerParked = false
 		if !waited {
@@ -438,10 +435,7 @@ func (l *link) writeOne(b []byte, dl *deadline) (int, error) {
 		}
 		l.writerParked = true
 		l.mu.Unlock()
-		select {
-		case <-l.writable:
-		case <-dl.wait():
-		}
+		<-l.writable
 		l.mu.Lock()
 		l.writerParked = false
 	}
@@ -513,54 +507,55 @@ func (l *link) sever() {
 
 // deadline is one end's read or write deadline, as on a socket: once it
 // passes, a blocked call returns os.ErrDeadlineExceeded and so does every
-// later one until the deadline moves.
+// later one until the deadline moves.  The call it bounds parks on its
+// link's channel (wake), and the deadline passing sends that channel a
+// token as a writer does, so a parked end waits on one channel, not on a
+// select.  A token that finds nobody parked is harmless: every park loops
+// and looks again at what it waits for.
 type deadline struct {
-	mu     sync.Mutex
-	timer  *time.Timer
-	cancel chan struct{} // closed when the deadline passes; replaced only once closed
-	gone   atomic.Bool   // cancel is closed
+	wake chan struct{}
+
+	mu    sync.Mutex // serializes set
+	timer *time.Timer
+
+	// state is the generation of the deadline, moved on by every set, shifted
+	// left one, and 1 in its low bit once that generation has passed.  A
+	// timer marks only its own generation passed, so a timer left from an
+	// earlier set never fails a moved deadline.
+	state atomic.Uint64
 }
 
 // set moves the deadline to t; the zero time means none.
 func (d *deadline) set(t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.timer != nil && !d.timer.Stop() {
-		<-d.cancel // the timer fired: wait until it has closed cancel
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
 	}
-	d.timer = nil
-	if d.cancel == nil || d.gone.Load() {
-		d.cancel = make(chan struct{})
-		d.gone.Store(false)
-	}
+	gen := d.state.Load()>>1 + 1
+	d.state.Store(gen << 1)
 	if t.IsZero() {
 		return
 	}
 	dur := time.Until(t)
 	if dur <= 0 {
-		d.gone.Store(true)
-		close(d.cancel)
+		d.pass(gen)
 		return
 	}
-	cancel := d.cancel
-	d.timer = time.AfterFunc(dur, func() {
-		d.gone.Store(true)
-		close(cancel)
-	})
+	d.timer = time.AfterFunc(dur, func() { d.pass(gen) })
+}
+
+// pass marks generation gen of the deadline passed, if it is still the
+// current one, and wakes the call parked on it.
+func (d *deadline) pass(gen uint64) {
+	if d.state.CompareAndSwap(gen<<1, gen<<1|1) {
+		wake(true, d.wake)
+	}
 }
 
 // passed reports whether the deadline has passed.
-func (d *deadline) passed() bool { return d.gone.Load() }
-
-// wait returns a channel that is closed when the deadline passes.
-func (d *deadline) wait() chan struct{} {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cancel == nil {
-		d.cancel = make(chan struct{})
-	}
-	return d.cancel
-}
+func (d *deadline) passed() bool { return d.state.Load()&1 != 0 }
 
 type memConn struct {
 	net    *Network
@@ -573,6 +568,15 @@ type memConn struct {
 	rdl    deadline
 	wdl    deadline
 	closed sync.Once
+}
+
+// newMemConn returns one end of a connection, reading rd and writing wr.
+// Its read deadline wakes a reader parked on rd; its write deadline, a
+// writer parked on wr while its write is lent.
+func newMemConn(n *Network, local, remote memAddr, hostIP string, ctr *netCounters, rd, wr *link) *memConn {
+	c := &memConn{net: n, local: local, remote: remote, hostIP: hostIP, ctr: ctr, rd: rd, wr: wr}
+	c.rdl.wake, c.wdl.wake = rd.readable, wr.writable
+	return c
 }
 
 func (c *memConn) LocalAddr() net.Addr  { return c.local }

@@ -274,7 +274,7 @@ func TestMemnetDialRacingCloseLeavesNoOrphan(t *testing.T) {
 
 // memPair dials a fresh memnet connection and returns both ends: c, the
 // client's, and s, the server's.
-func memPair(t *testing.T) (nw *Network, c, s net.Conn) {
+func memPair(t testing.TB) (nw *Network, c, s net.Conn) {
 	t.Helper()
 	nw = NewNetwork()
 	ln, addr, err := nw.Host("192.168.0.1").Listen()
@@ -446,4 +446,105 @@ func TestMemnetBulkWriteIsLent(t *testing.T) {
 	}
 	c.Close()
 	<-got
+}
+
+// TestMemnetParkedEndWakesAtItsDeadline: a reader parked on an empty link,
+// and a writer parked while the reader has not taken its lent write, return
+// os.ErrDeadlineExceeded when their deadline passes, not before.
+func TestMemnetParkedEndWakesAtItsDeadline(t *testing.T) {
+	const after = 50 * time.Millisecond
+	_, c, _ := memPair(t)
+	for _, end := range []struct {
+		what string
+		set  func(time.Time) error
+		call func() (int, error)
+	}{
+		{"read", c.SetReadDeadline, func() (int, error) { return c.Read(make([]byte, 1)) }},
+		{"lent write", c.SetWriteDeadline, func() (int, error) { return c.Write(make([]byte, 2*linkBound)) }},
+	} {
+		start := time.Now()
+		end.set(start.Add(after))
+		r := released(t, returns(end.call), "a parked "+end.what+" past its deadline")
+		if took := time.Since(start); !errors.Is(r.err, os.ErrDeadlineExceeded) || took < after {
+			t.Errorf("a parked %s = %d, %v after %v; want os.ErrDeadlineExceeded at its %v deadline", end.what, r.n, r.err, took, after)
+		}
+	}
+}
+
+// TestMemnetDeadlineMovedLaterDoesNotFailRead: a read deadline moved later
+// before it fires leaves the parked read waiting for bytes, and so does a
+// timer left from the earlier deadline that could not be stopped in time.
+func TestMemnetDeadlineMovedLaterDoesNotFailRead(t *testing.T) {
+	_, c, s := memPair(t)
+	c.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	rdl := &c.(*memConn).rdl
+	stale := rdl.state.Load() >> 1
+	c.SetReadDeadline(time.Now().Add(time.Hour))
+	buf := make([]byte, 5)
+	r := returns(func() (int, error) { return io.ReadFull(c, buf) })
+	time.Sleep(40 * time.Millisecond)
+	rdl.pass(stale) // the earlier deadline's timer, had it already fired
+	blocked(t, r, "a read whose deadline moved later")
+	if _, err := s.Write([]byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	if res := released(t, r, "a read given bytes"); res.err != nil || string(buf) != "later" {
+		t.Fatalf("read = %q, %v; want the bytes written", buf[:res.n], res.err)
+	}
+}
+
+// TestMemnetClearedDeadlineLeavesNextReadAlone: a read deadline that passed
+// while nobody was parked — set in the past, or run out on its timer — and
+// was then cleared leaves the next read to wait for its bytes, though its
+// passing left a token on the link for a reader that was not there.
+func TestMemnetClearedDeadlineLeavesNextReadAlone(t *testing.T) {
+	for _, d := range []time.Duration{-time.Second, 10 * time.Millisecond} {
+		_, c, s := memPair(t)
+		c.SetReadDeadline(time.Now().Add(d))
+		time.Sleep(2 * max(d, 0))
+		c.SetReadDeadline(time.Time{})
+		buf := make([]byte, 3)
+		r := returns(func() (int, error) { return io.ReadFull(c, buf) })
+		blocked(t, r, "a read after its deadline was cleared")
+		if _, err := s.Write([]byte("hi!")); err != nil {
+			t.Fatal(err)
+		}
+		if res := released(t, r, "a read given bytes"); res.err != nil || string(buf) != "hi!" {
+			t.Fatalf("deadline %v, cleared: read = %q, %v; want the bytes written", d, buf[:res.n], res.err)
+		}
+	}
+}
+
+// BenchmarkMemnetRoundTrip times one 64-byte ping-pong on one connection:
+// a write that fits the link, the peer's read and reply, and the read of
+// the reply — the link's own share of a sequential call.  It allocates
+// nothing.
+func BenchmarkMemnetRoundTrip(b *testing.B) {
+	_, c, s := memPair(b)
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			if _, err := io.ReadFull(s, buf); err != nil {
+				return
+			}
+			if _, err := s.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	ping, pong := make([]byte, 64), make([]byte, 64)
+	roundTrip := func() {
+		if _, err := c.Write(ping); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, pong); err != nil {
+			b.Fatal(err)
+		}
+	}
+	roundTrip() // warm: the links' buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
 }
