@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var pkgs []*lint.Package
 	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
+		loaded, err := loader.Load(dir)
 		if err != nil {
 			// A failed load is the hardest state to debug blind; show every
 			// line the loader produced (errors.Join renders one per line).
@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return 2
 		}
-		pkgs = append(pkgs, pkg)
+		pkgs = append(pkgs, loaded...)
 	}
 
 	diags := lint.Run(pkgs, selected)

@@ -2,13 +2,7 @@ package auth
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -252,130 +246,6 @@ func TestEndToEndSignedInvocation(t *testing.T) {
 	err = badEp.Invoke(appRef, "whoami", nil, func(d *wire.Decoder) error { _ = d.String(); return nil })
 	if !orb.IsApp(err, orb.ExcDenied) {
 		t.Fatalf("wrong-key call err = %v, want Denied", err)
-	}
-}
-
-// TestSignedCallAllocatesNothing holds the signed path to the ORB's floor
-// (DESIGN.md §12): a warm call that carries a ticket and an HMAC allocates
-// nothing on either end, over memnet and TCP.  The signer signs into the
-// request's scratch, and the verifier finds the ticket in its session cache,
-// verifies into the worker's scratch and hands the skeleton its own string
-// for the principal.
-func TestSignedCallAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts do not hold under the race detector")
-	}
-	clk := clock.NewFake()
-	svc := NewService(clk)
-	const principal = "settop/10.1.0.5"
-	key := svc.Enroll(principal)
-	nw := transport.NewNetwork()
-	for network, trs := range map[string][2]transport.Transport{
-		"memnet": {nw.Host("192.168.0.2"), nw.Host("10.1.0.5")},
-		"tcp":    {transport.TCP(), transport.TCP()},
-	} {
-		server, err := orb.NewEndpoint(trs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer server.Close()
-		server.SetAuthenticator(NewVerifier(svc.RealmKey(), clk))
-		ref := server.Register("", &whoamiSkel{})
-		client, err := orb.NewEndpoint(trs[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		client.SetAuthenticator(NewSigner(principal, key, clk,
-			func() ([]byte, []byte, error) { return svc.IssueTicket(principal) }))
-		whoami := func() {
-			err := client.InvokeCtx(context.Background(), ref, "whoami", nil, func(d *wire.Decoder) error {
-				if who := d.BytesView(); string(who) != principal {
-					return fmt.Errorf("server saw principal %q", who)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 8; i++ { // dial, fetch the ticket, admit the principal, fill the pools
-			whoami()
-		}
-		if n := testing.AllocsPerRun(1000, whoami); n != 0 {
-			t.Errorf("%s: a warm signed call allocates %.0f times, want 0", network, n)
-		}
-	}
-}
-
-// TestConcurrentSignedCallAllocations holds the verifier's concurrent path
-// to the floor: 64 principals, each on its own connection, call one server
-// at once, so the session cache and the HMAC state pool are contended.
-// Allocations are counted over many calls, because the odd goroutine start
-// (a worker started lazily, a reader lent to an idle connection) is not a
-// per-call cost; what is left must stay under half an allocation per call.
-func TestConcurrentSignedCallAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts do not hold under the race detector")
-	}
-	const conns, calls = 64, 20000
-	clk := clock.NewFake()
-	svc := NewService(clk)
-	nw := transport.NewNetwork()
-	server, err := orb.NewEndpoint(nw.Host("192.168.0.3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	server.SetAuthenticator(NewVerifier(svc.RealmKey(), clk))
-	ref := server.Register("", &whoamiSkel{})
-	clients := make([]*orb.Endpoint, conns)
-	for i := range clients {
-		addr := fmt.Sprintf("10.3.0.%d", i+1)
-		if clients[i], err = orb.NewEndpoint(nw.Host(addr)); err != nil {
-			t.Fatal(err)
-		}
-		defer clients[i].Close()
-		principal := "settop/" + addr
-		key := svc.Enroll(principal)
-		clients[i].SetAuthenticator(NewSigner(principal, key, clk,
-			func() ([]byte, []byte, error) { return svc.IssueTicket(principal) }))
-	}
-	whoami := func(c *orb.Endpoint) error {
-		return c.InvokeCtx(context.Background(), ref, "whoami", nil,
-			func(d *wire.Decoder) error { _ = d.BytesView(); return nil })
-	}
-	run := func() {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, c := range clients {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for next.Add(1) <= calls {
-					if err := whoami(c); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	run() // every principal admitted, every pool and worker at its peak
-	// No collection while counting: one would empty the pools and charge the
-	// calls for refilling them.
-	runtime.GC()
-	gc := debug.SetGCPercent(-1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	debug.SetGCPercent(gc)
-	perCall := float64(after.Mallocs-before.Mallocs) / calls
-	t.Logf("%d connections: %.4f allocations per signed call", conns, perCall)
-	if perCall >= 0.5 {
-		t.Errorf("%d connections: %.4f allocations per signed call, want under 0.5", conns, perCall)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // golden loads one fixture package (dir relative to testdata/mod) and runs
 // the named checks over it.  Load refuses a fixture that does not
 // type-check: a broken fixture tests nothing.
-func golden(t *testing.T, checkNames, dir string) ([]Diagnostic, *Package) {
+func golden(t *testing.T, checkNames, dir string) ([]Diagnostic, []*Package) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "mod"))
 	if err != nil {
@@ -22,7 +22,7 @@ func golden(t *testing.T, checkNames, dir string) ([]Diagnostic, *Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.Load(filepath.Join(root, filepath.FromSlash(dir)))
+	pkgs, err := loader.Load(filepath.Join(root, filepath.FromSlash(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func golden(t *testing.T, checkNames, dir string) ([]Diagnostic, *Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run([]*Package{pkg}, checks), pkg
+	return Run(pkgs, checks), pkgs
 }
 
 // want is one expectation parsed from a `// want "substr"` comment.
@@ -109,11 +109,16 @@ func TestGolden(t *testing.T) {
 		{"internal/ctxflow", "ctxflow"},
 		{"checks/generics", "poolown,ctxflow,mutexacrossrpc"},
 		{"checks/multifile", "poolown"},
+		{"checks/xtest", "rawerrcmp"},
 	}
 	for _, tc := range cases {
 		t.Run(filepath.Base(tc.dir), func(t *testing.T) {
-			diags, pkg := golden(t, tc.checks, tc.dir)
-			matchWants(t, diags, collectWants(t, pkg))
+			diags, pkgs := golden(t, tc.checks, tc.dir)
+			var wants []want
+			for _, pkg := range pkgs {
+				wants = append(wants, collectWants(t, pkg)...)
+			}
+			matchWants(t, diags, wants)
 		})
 	}
 }

@@ -222,12 +222,14 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	return files, nil
 }
 
-// Load type-checks one directory as an analysis unit, test files
-// included.  A parse or type error fails the load, so every check runs on
-// complete type information.  An in-package test file may import a
-// sibling that imports this package back; that inner edge resolves to the
-// export view (no tests), which l.export provides.
-func (l *Loader) Load(dir string) (*Package, error) {
+// Load type-checks one directory as analysis units, test files included:
+// the package with its in-package tests and, if there is one, its
+// external test package (p_test), which imports p as that first unit, the
+// way `go test` builds it.  A parse or type error fails the load, so
+// every check runs on complete type information.  An in-package test file
+// may import a sibling that imports this package back; that inner edge
+// resolves to the export view (no tests), which l.export provides.
+func (l *Loader) Load(dir string) ([]*Package, error) {
 	dir = filepath.Clean(dir)
 	path, err := l.importPathFor(dir)
 	if err != nil {
@@ -237,31 +239,62 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
+	var in, ext []*ast.File
+	for _, f := range files {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ext = append(ext, f)
+		} else {
+			in = append(in, f)
+		}
+	}
+	if len(in) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+	var pkgs []*Package
+	var imp types.Importer = l
+	for _, files := range [][]*ast.File{in, ext} {
+		if len(files) == 0 {
+			break
+		}
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Implicits:  make(map[ast.Node]types.Object),
+			Scopes:     make(map[ast.Node]*types.Scope),
+		}
+		tpkg, err := l.check(path, files, info, imp)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, &Package{Path: path, ModPath: l.ModPath, Fset: l.fset, Files: files, Types: tpkg, Info: info})
+		imp, path = withPackage{l, tpkg}, path+"_test"
 	}
-	tpkg, err := l.check(path, files, info)
-	if err != nil {
-		return nil, err
+	return pkgs, nil
+}
+
+// withPackage imports p as itself and every other path as the loader
+// does: an external test package's view of the package it tests.
+type withPackage struct {
+	*Loader
+	p *types.Package
+}
+
+func (w withPackage) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == w.p.Path() {
+		return w.p, nil
 	}
-	return &Package{Path: path, ModPath: l.ModPath, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+	return w.Loader.ImportFrom(path, dir, mode)
 }
 
 // check type-checks files as package path and reports every complaint,
 // not just the first: a failed load is the hardest state to debug from
 // the command line.
-func (l *Loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
+func (l *Loader) check(path string, files []*ast.File, info *types.Info, imp types.Importer) (*types.Package, error) {
 	var errs []error
 	conf := types.Config{
-		Importer:    l,
+		Importer:    imp,
 		Error:       func(err error) { errs = append(errs, err) },
 		FakeImportC: true,
 	}
@@ -308,7 +341,7 @@ func (l *Loader) export(path string) (*types.Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	p, err := l.check(path, files, nil)
+	p, err := l.check(path, files, nil, l)
 	if err != nil {
 		return nil, err
 	}

@@ -109,11 +109,11 @@ func TestAnalyzersFireOnTheirMutation(t *testing.T) {
 	}
 	var pkgs []*Package
 	for dir := range dirs {
-		pkg, err := loader.Load(dir)
+		loaded, err := loader.Load(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkgs = append(pkgs, pkg)
+		pkgs = append(pkgs, loaded...)
 	}
 	got := make(map[site]bool)
 	for _, d := range Run(pkgs, All()) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,36 +14,12 @@ import (
 	"itv/internal/wire"
 )
 
-// pendingShardCount is the number of shards the per-connection pending
-// map splits into: the next power of two at or above the core count
-// (capped at 64), computed once at startup.  Request ids index shards
-// round-robin, so 64-way concurrency spreads registration across that
-// many locks instead of serializing on one.
-var pendingShardCount = func() uint64 {
-	n := runtime.GOMAXPROCS(0)
-	c := uint64(1)
-	for c < uint64(n) && c < 64 {
-		c <<= 1
-	}
-	return c
-}()
-
-// pendingShard is one slice of a connection's pending-waiter map.  lent is
-// the waiter of this shard whose reply the seat holder has claimed to read
-// straight into its lent storage (readInto): it has left m, and until its
-// delivery the storage is the seat holder's to write.
-type pendingShard struct {
-	mu   sync.Mutex
-	m    map[uint64]*waiter
-	lent *waiter
-}
-
 // clientConn is a pooled connection to one remote endpoint, multiplexing
 // concurrent requests by id.  Outgoing frames go through fw, which
 // coalesces concurrent writes (DESIGN.md §12); waiters register in
-// per-core shards so registration does not serialize under load.  Replies
-// are read by whoever holds the reader seat (seat.go): a caller waiting
-// for its own reply, or a background reader started when several are.
+// pending until their replies come.  Replies are read by whoever holds the
+// reader seat (seat.go): a caller waiting for its own reply, or a
+// background reader started when several are.
 type clientConn struct {
 	conn net.Conn
 	fr   *wire.FrameReader // the seat holder's
@@ -53,7 +28,15 @@ type clientConn struct {
 	fw   frameWriter
 
 	nextID atomic.Uint64
-	shards []pendingShard
+
+	// pending is the registered waiters by request id, and lent the one
+	// whose reply the seat holder has claimed to read straight into its
+	// lent storage (readInto): it has left pending, and until its delivery
+	// the storage is the seat holder's to write.  One slot is enough: only
+	// the seat holder reads, one frame at a time.  pmu guards both.
+	pmu     sync.Mutex
+	pending map[uint64]*waiter
+	lent    *waiter
 
 	// state is the seat and the pending waiters in one word, so that a
 	// holder gives the seat up only when no registered waiter is left
@@ -82,20 +65,12 @@ type clientConn struct {
 
 func newClientConn(e *Endpoint, conn net.Conn) *clientConn {
 	cc := &clientConn{conn: conn, fr: wire.NewFrameReader(conn), m: e.metrics, ep: e,
-		shards: make([]pendingShard, pendingShardCount)}
-	for i := range cc.shards {
-		cc.shards[i].m = make(map[uint64]*waiter)
-	}
+		pending: make(map[uint64]*waiter)}
 	cc.fw = frameWriter{conn: conn, m: e.metrics, onErr: cc.writeFailed}
 	cc.idle.init(cc.onIdle)
 	cc.timer = time.AfterFunc(time.Hour, cc.expire)
 	cc.timer.Stop()
 	return cc
-}
-
-// shardFor returns the pending shard a request id registers in.
-func (cc *clientConn) shardFor(id uint64) *pendingShard {
-	return &cc.shards[id&(pendingShardCount-1)]
 }
 
 // writeFailed is the frameWriter's error hook: a failed flush kills the
@@ -186,14 +161,13 @@ func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
 	if derr := tailErr(&rf.dec); derr != nil {
 		return nil, &ConnError{Op: "decode", Err: derr}
 	}
-	sh := cc.shardFor(rf.resp.ReqID)
-	sh.mu.Lock()
-	w := sh.m[rf.resp.ReqID]
+	cc.pmu.Lock()
+	w := cc.pending[rf.resp.ReqID]
 	if w != nil {
-		delete(sh.m, rf.resp.ReqID)
+		delete(cc.pending, rf.resp.ReqID)
 		cc.state.Add(-pendingOne)
 	}
-	sh.mu.Unlock()
+	cc.pmu.Unlock()
 	return w, nil
 }
 
@@ -209,11 +183,11 @@ func tailErr(d *wire.Decoder) error {
 // splitPrefix of them or more, are in rf.buf.  It decodes the envelope from
 // that prefix and, when the reply is statusOK, its body leads with a byte
 // string above flushCopyLimit and the waiter it answers declared one,
-// claims that waiter — moves it from the pending shard's map to its lent
-// slot, so that from here on the seat holder alone delivers to it — and
-// reads the string into the waiter's storage under BytesInto's sizing rule,
-// then the few bytes behind it into rf.buf.  A nil waiter (and nil error) means nothing was
-// decided or read: take the frame whole.
+// claims that waiter — moves it from the pending map to its lent slot, so
+// that from here on the seat holder alone delivers to it — and reads the
+// string into the waiter's storage under BytesInto's sizing rule, then the
+// few bytes behind it into rf.buf.  A nil waiter (and nil error) means
+// nothing was decided or read: take the frame whole.
 //
 // The bounds are the whole-frame decode's — body within the frame, string
 // within the body, nothing left over — so lent storage never receives a
@@ -242,17 +216,16 @@ func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
 	}
 	after -= int(strLen)
 
-	sh := cc.shardFor(id)
-	sh.mu.Lock()
-	w := sh.m[id]
+	cc.pmu.Lock()
+	w := cc.pending[id]
 	if w == nil || !w.into {
-		sh.mu.Unlock()
+		cc.pmu.Unlock()
 		return nil, nil
 	}
-	delete(sh.m, id)
+	delete(cc.pending, id)
 	cc.state.Add(-pendingOne)
-	sh.lent = w
-	sh.mu.Unlock()
+	cc.lent = w
+	cc.pmu.Unlock()
 
 	// The string is longer than anything Begin reads ahead, so all of the
 	// prefix behind strOff is the string's.
@@ -282,7 +255,7 @@ func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
 // calls keep the first error and return false.
 //
 // Ordering protocol with registration: dead is set (CAS) before the
-// shards are swept, and roundTrip checks dead under the shard lock before
+// pending map is swept, and roundTrip checks dead under pmu before
 // registering — so every waiter is either refused registration or found
 // by the sweep.  No waiter is stranded.
 func (cc *clientConn) fail(err error) bool {
@@ -297,15 +270,12 @@ func (cc *clientConn) fail(err error) bool {
 	cc.tmu.Lock()
 	cc.timer.Stop()
 	cc.tmu.Unlock()
-	for i := range cc.shards {
-		sh := &cc.shards[i]
-		sh.mu.Lock()
-		pending := sh.m
-		sh.m = make(map[uint64]*waiter)
-		sh.mu.Unlock()
-		for _, w := range pending {
-			w.ch <- nil
-		}
+	cc.pmu.Lock()
+	pending := cc.pending
+	cc.pending = make(map[uint64]*waiter)
+	cc.pmu.Unlock()
+	for _, w := range pending {
+		w.ch <- nil
 	}
 	return true
 }
@@ -345,16 +315,15 @@ func (cc *clientConn) roundTrip(req *request, due time.Duration, into bool, dst 
 	id := cc.nextID.Add(1)
 	req.ReqID = id
 	w.cc, w.id, w.due = cc, id, due
-	sh := cc.shardFor(id)
-	sh.mu.Lock()
+	cc.pmu.Lock()
 	if cc.dead.Load() {
-		sh.mu.Unlock()
+		cc.pmu.Unlock()
 		putWaiter(w)
 		return nil, false, cc.failure()
 	}
-	sh.m[id] = w
+	cc.pending[id] = w
 	cc.state.Add(pendingOne)
-	sh.mu.Unlock()
+	cc.pmu.Unlock()
 	cc.arm(due)
 
 	fe, err := encodeFrame(req, 0)

@@ -14,3 +14,27 @@ const WireVersion = wireVersion
 // send enqueues one encoded frame with no attribution and no call behind
 // it: the write path as the frameWriter tests drive it.
 func (w *frameWriter) send(fe *wire.Encoder) { w.sendFrame(queuedFrame{fe: fe}) }
+
+// PerRun, ClockReads and TimerArms are the seams the cost card
+// (costcard_test.go) reads.  PerRun is perRun: a host name no earlier run
+// in this process has used.
+var PerRun = perRun
+
+// ClockReads returns how many times the ORB reads its clock while f runs.
+func ClockReads(f func()) int64 {
+	countMono.Store(true)
+	defer countMono.Store(false)
+	before := monoReads.Load()
+	f()
+	return monoReads.Load() - before
+}
+
+// TimerArms returns how many times e's connection to addr set its timer.
+func (e *Endpoint) TimerArms(addr string) int {
+	e.mu.Lock()
+	cc := e.conns[addr]
+	e.mu.Unlock()
+	cc.tmu.Lock()
+	defer cc.tmu.Unlock()
+	return cc.arms
+}

@@ -57,14 +57,11 @@ var unitMetrics = newEpMetrics("10.9.0.1")
 func looplessConn(stream io.Reader, id uint64, w *waiter) *clientConn {
 	conn := streamConn{newScriptConn(func(p []byte) (int, error) { return len(p), nil }), stream}
 	cc := &clientConn{conn: conn, fr: wire.NewFrameReader(conn), m: unitMetrics,
-		shards: make([]pendingShard, pendingShardCount)}
-	for i := range cc.shards {
-		cc.shards[i].m = make(map[uint64]*waiter)
-	}
+		pending: make(map[uint64]*waiter)}
 	cc.fw = frameWriter{conn: conn, m: unitMetrics, onErr: cc.writeFailed}
 	cc.timer = time.AfterFunc(time.Hour, cc.expire)
 	cc.timer.Stop()
-	cc.shardFor(id).m[id] = w
+	cc.pending[id] = w
 	return cc
 }
 
@@ -142,7 +139,7 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 			if oneByte && sz.str > 1<<20 {
 				continue
 			}
-			// filling: the last read left w in its shard's lent slot.
+			// filling: the last read left w in the lent slot.
 			var filling bool
 			read := func(w *waiter) *respFrame {
 				t.Helper()
@@ -156,7 +153,7 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 				if cerr != nil || got != w {
 					t.Fatalf("%+v oneByte=%v: readReply = %p, %v; want the registered waiter", sz, oneByte, got, cerr)
 				}
-				filling = cc.shardFor(id).lent == w
+				filling = cc.lent == w
 				next := getRespFrame()
 				defer putRespFrame(next)
 				if _, cerr := cc.readReply(next); cerr != nil || next.resp.ReqID != id+1 || next.resp.HLC != 1 {
@@ -317,7 +314,7 @@ func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waite
 	if got != nil && got != w {
 		t.Fatalf("readReply claimed a waiter nobody registered")
 	}
-	filling = cc.shardFor(7).lent == w
+	filling = cc.lent == w
 	if got != w && filling {
 		t.Fatal("waiter marked filling but not returned: its delivery is lost")
 	}

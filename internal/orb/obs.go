@@ -11,8 +11,8 @@ import (
 
 // mono is the ORB's clock: one monotonic reading per event of a call
 // (DESIGN.md §13), which the call timers and the HLC stamps share.  While
-// countMono is set it counts its readings in monoReads, the count
-// TestSequentialCallClockReads pins.
+// countMono is set it counts its readings in monoReads, the count the cost
+// card's clock reads cell pins (costcard_test.go, through ClockReads).
 func mono() time.Duration {
 	if countMono.Load() {
 		monoReads.Add(1)

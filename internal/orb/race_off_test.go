@@ -1,5 +1,5 @@
 //go:build !race
 
-package orb
+package orb_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package orb
+package orb_test
 
 // raceEnabled: the race detector's sync.Pool drops a quarter of what is
 // put back, so an allocation budget that counts on pooled buffers coming

@@ -158,14 +158,12 @@ func (cc *clientConn) readUntil(me *waiter, begun *respFrame) (rf *respFrame, cl
 			rf = getRespFrame()
 		}
 		got, cerr := cc.readReply(rf)
-		if got != nil {
-			if sh := cc.shardFor(got.id); sh.lent == got {
-				// Done with the lent storage: from here on the timer has
-				// nothing to cut short for it (expire).
-				sh.mu.Lock()
-				sh.lent = nil
-				sh.mu.Unlock()
-			}
+		if got != nil && cc.lent == got {
+			// Done with the lent storage: from here on the timer has
+			// nothing to cut short for it (expire).
+			cc.pmu.Lock()
+			cc.lent = nil
+			cc.pmu.Unlock()
 		}
 		if cerr != nil && got == nil && me != nil && errors.Is(cerr.Err, os.ErrDeadlineExceeded) {
 			// Only expire sets a read deadline, and only while its own caller
@@ -318,29 +316,26 @@ func (cc *clientConn) expire() {
 	var next time.Duration
 	var over []*waiter
 	var lent *waiter
-	for i := range cc.shards {
-		sh := &cc.shards[i]
-		sh.mu.Lock()
-		for id, w := range sh.m {
-			if w.due > now {
-				next = earlier(next, w.due)
-				continue
-			}
-			delete(sh.m, id)
-			cc.state.Add(-pendingOne)
-			w.fired.Store(true)
-			over = append(over, w)
+	cc.pmu.Lock()
+	for id, w := range cc.pending {
+		if w.due > now {
+			next = earlier(next, w.due)
+			continue
 		}
-		if w := sh.lent; w != nil && !w.fired.Load() {
-			if w.due > now {
-				next = earlier(next, w.due)
-			} else {
-				w.fired.Store(true)
-				lent = w
-			}
-		}
-		sh.mu.Unlock()
+		delete(cc.pending, id)
+		cc.state.Add(-pendingOne)
+		w.fired.Store(true)
+		over = append(over, w)
 	}
+	if w := cc.lent; w != nil && !w.fired.Load() {
+		if w.due > now {
+			next = earlier(next, w.due)
+		} else {
+			w.fired.Store(true)
+			lent = w
+		}
+	}
+	cc.pmu.Unlock()
 	if due := cc.fw.expireAt(now); due != 0 {
 		next = earlier(next, due)
 	}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"runtime"
-	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,8 +18,8 @@ import (
 )
 
 // Tests for run-to-completion (seat.go, DESIGN.md §12): who reads a
-// connection, what a sequential call costs in hand-offs and goroutine runs,
-// and what happens when whoever holds a reader seat is held up — by a
+// connection (what a sequential call costs in hand-offs and goroutine runs
+// is on the cost card), and what happens when whoever holds a reader seat is held up — by a
 // handler that blocks, a chain of calls that comes back to its own caller, a
 // peer that goes away while nobody is calling, a peer that stops reading, or
 // the endpoint's own Close.
@@ -76,140 +74,6 @@ func (s *gateSkel) Dispatch(c *ServerCall) error {
 		return ErrNoSuchMethod
 	}
 	return nil
-}
-
-// TestSequentialCallHandsOffNothing is the count behind run-to-completion's
-// time claim: with one call at a time on a connection, the server's reader
-// dispatches every request itself and the caller reads every reply itself,
-// so neither a request nor a reply changes goroutines on a channel.  (Reads
-// stay at one per frame: TestSequentialCallCostsTwoReads.)
-func TestSequentialCallHandsOffNothing(t *testing.T) {
-	const calls = 300
-	for network, trs := range seatTransports() {
-		server, client, ref := seatPair(t, trs, &echoSkel{})
-		if _, err := echo(t, client, ref, "warm: dial"); err != nil {
-			t.Fatal(err)
-		}
-		// A loaded machine can stall the loop for longer than the grace, and
-		// the idle check then lends the next call a background reader; a
-		// window that met one is measured again.
-		var inline, self int64
-		for attempt := 0; attempt < 3; attempt++ {
-			inl := counterDelta(server.Metrics(), "orb_server_inline_dispatches")
-			sr := counterDelta(client.Metrics(), "orb_client_self_reads")
-			for i := 0; i < calls; i++ {
-				if got, err := echo(t, client, ref, "thirty-two bytes of echo payload"); err != nil || len(got) != 32 {
-					t.Fatalf("%s: call %d: %q, %v", network, i, got, err)
-				}
-			}
-			if inline, self = inl(), sr(); inline == calls && self == calls {
-				break
-			}
-			t.Logf("%s: attempt %d: %d inline dispatches, %d self reads", network, attempt, inline, self)
-		}
-		if inline != calls || self != calls {
-			t.Errorf("%s: %d sequential calls: %d inline dispatches, %d self reads; want %d of each",
-				network, calls, inline, self, calls)
-		}
-	}
-}
-
-// schedSamples is the runtime's count of goroutine runs it sampled for
-// scheduling latency: one run in eight of every goroutine.
-func schedSamples() uint64 {
-	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
-	metrics.Read(s)
-	var n uint64
-	for _, c := range s[0].Value.Float64Histogram().Counts {
-		n += c
-	}
-	return n
-}
-
-// memnetPingPong is the floor a sequential call over memnet is held to: two
-// goroutines bouncing a call's worth of bytes over a bare memnet
-// connection, with no ORB between them.  It returns the scheduler samples
-// per round trip.
-func memnetPingPong(t *testing.T, rounds int) float64 {
-	nw := transport.NewNetwork()
-	ln, addr, err := nw.Host(perRun("192.168.27.9")).Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		b, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer b.Close()
-		buf := make([]byte, 64)
-		for {
-			n, err := b.Read(buf)
-			if err != nil {
-				return
-			}
-			if _, err := b.Write(buf[:n]); err != nil {
-				return
-			}
-		}
-	}()
-	a, err := nw.Host(perRun("10.27.0.9")).Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	buf := make([]byte, 64)
-	round := func() {
-		a.Write(buf[:40])
-		io.ReadFull(a, buf[:40])
-	}
-	for i := 0; i < 1000; i++ {
-		round()
-	}
-	s0 := schedSamples()
-	for i := 0; i < rounds; i++ {
-		round()
-	}
-	return float64(schedSamples()-s0) / float64(rounds)
-}
-
-// TestSequentialCallGoroutineRuns prices a sequential call in goroutine
-// runs, at GOMAXPROCS(1) over memnet: a call is the client's goroutine and
-// the server's reader and nothing else, so it costs what two goroutines
-// ping-ponging over a bare memnet connection cost — about two runs a round
-// trip, since a memnet write that fits its link's buffer returns without
-// waiting for the reader, where a rendezvous such as net.Pipe takes four.
-func TestSequentialCallGoroutineRuns(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	_, client, ref := seatPair(t, seatTransports()["memnet"], &echoSkel{})
-	const calls = 5000
-	call := func() {
-		if _, err := echo(t, client, ref, "thirty-two bytes of echo payload"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		call()
-	}
-	s0 := schedSamples()
-	for i := 0; i < calls; i++ {
-		call()
-	}
-	perCall := float64(schedSamples()-s0) / calls
-	floor := memnetPingPong(t, calls)
-	t.Logf("%.3f scheduler samples per call (%.2f goroutine runs); a bare memnet round trip takes %.3f (%.2f runs)",
-		perCall, 8*perCall, floor, 8*floor)
-	// A rendezvous costs four runs a round trip (0.5 samples); memnet's
-	// buffered link about two, plus its reader's occasional yield.
-	if floor > 0.30 {
-		t.Errorf("a bare memnet round trip takes %.2f goroutine runs, want about two", 8*floor)
-	}
-	// Three quarters of a run of slack, for the GC and the grace timers'
-	// own runs on a loaded machine: the old shape sat a whole run above.
-	if perCall > floor+3.0/32 {
-		t.Errorf("a sequential call takes %.2f goroutine runs, over the %.2f of two goroutines on memnet", 8*perCall, 8*floor)
-	}
 }
 
 // TestCallMeetsTheIdleReader: a call on a connection the idle check has
@@ -380,7 +244,7 @@ func FuzzSeatedReadReply(f *testing.F) {
 		w := &waiter{ch: make(chan *respFrame, 1), id: 7, into: true, dst: dst[:0:lent]}
 		other := &waiter{ch: make(chan *respFrame, 1), id: 8}
 		cc := looplessConn(&firstRead{r: bytes.NewReader(stream), n: int(first)}, 7, w)
-		cc.shardFor(8).m[8] = other
+		cc.pending[8] = other
 		cc.idle.init(func() {})
 		w.cc, other.cc = cc, cc
 		cc.state.Store(seatHeld + 2*pendingOne)
@@ -410,7 +274,7 @@ func FuzzSeatedReadReply(f *testing.F) {
 				putRespFrame(got)
 			}
 		default:
-			if _, pending := cc.shardFor(8).m[8]; !pending {
+			if _, pending := cc.pending[8]; !pending {
 				t.Fatal("waiter 8 was claimed and never delivered to")
 			}
 		}
@@ -1064,7 +928,7 @@ func TestKickDoesNotOutliveItsCaller(t *testing.T) {
 	cc := newClientConn(e, conn)
 	defer cc.fail(ErrShutdown)
 	w := &waiter{ch: make(chan *respFrame, 1), done: make(chan struct{}, 1), cc: cc, id: 1, due: mono()}
-	cc.shardFor(1).m[1] = w
+	cc.pending[1] = w
 	cc.state.Store(seatHeld + pendingOne)
 
 	w.seated.Store(true) // the caller has just taken the seat
