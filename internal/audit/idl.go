@@ -54,7 +54,7 @@ func getStatuses(d *wire.Decoder) ([]bool, []uint64) {
 // Stub is the client proxy for a RAS instance.  It is the name service's
 // names.StatusChecker.
 type Stub struct {
-	Ep  orb.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 
@@ -72,7 +72,7 @@ func (s Stub) CheckStatus(refs []oref.Ref) (alive []bool, traces []uint64, err e
 // The ctx lets the peer-poll loop attach an obs.ClockSink and measure the
 // peer's clock offset from the same exchange it uses for auditing.
 func (s Stub) LocalStatus(ctx context.Context, refs []oref.Ref) (alive []bool, traces []uint64, err error) {
-	err = orb.InvokeVia(ctx, s.Ep, s.Ref, "localStatus",
+	err = s.Ep.InvokeCtx(ctx, s.Ref, "localStatus",
 		func(e *wire.Encoder) { oref.PutRefs(e, refs) },
 		func(d *wire.Decoder) error { alive, traces = getStatuses(d); return nil })
 	return alive, traces, err

@@ -44,7 +44,7 @@ func (s *ServiceSkeleton) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the client-side proxy for the authentication service.
 type Stub struct {
-	Ep  orb.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 

@@ -134,6 +134,38 @@ func TestWarmFlowsLeaveTheNameServiceAlone(t *testing.T) {
 	}
 }
 
+// TestMovieSessionAllocations pins what a warm, signed movie session
+// allocates across the whole cluster: the settop's 15 calls and the 7 they
+// fan out to.  The stubs' closures stay on the stack, the rebinder makes
+// a trace sink only to rebind, an open registers its movie object without
+// copying the object table, and titles and server names decode through
+// tables (EXPERIMENTS.md E23).  It reads 23; each of those four cuts,
+// undone alone, reads 29 to 61, so the bound sits below the smallest of
+// them.
+func TestMovieSessionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	cfg := Orlando()
+	cfg.EnableAuth = true
+	c := startCluster(t, cfg)
+	st := bootSettop(t, c, "1", 0)
+	titles := cfg.Servers[0].Movies
+	for i := 0; i < 200; i++ {
+		movieSession(t, st, titles[i%len(titles)].Title)
+	}
+	quiesce(c)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		movieSession(t, st, titles[i%len(titles)].Title)
+		i++
+	})
+	t.Logf("%.1f allocations per warm movie session", allocs)
+	if allocs > 24 {
+		t.Errorf("a warm movie session allocates %.1f objects, want ≤ 24", allocs)
+	}
+}
+
 // cmgrBackup returns neighborhood nbhd's passive Connection Manager replica.
 func cmgrBackup(t *testing.T, c *Cluster, nbhd string) *cmgr.Service {
 	t.Helper()

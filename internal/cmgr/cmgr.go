@@ -44,6 +44,10 @@ type Alloc struct {
 	Kind   int64 // atm.Kind
 }
 
+// servers holds the servers a fabric here has carried a connection from,
+// admitted once Allocate succeeds, never from a call (DESIGN.md §9).
+var servers wire.Table[string]
+
 func (a *Alloc) MarshalWire(e *wire.Encoder) {
 	e.PutString(a.ID)
 	e.PutString(a.Settop)
@@ -55,7 +59,7 @@ func (a *Alloc) MarshalWire(e *wire.Encoder) {
 func (a *Alloc) UnmarshalWire(d *wire.Decoder) {
 	a.ID = d.String()
 	a.Settop = d.String()
-	a.Server = d.String()
+	a.Server = d.Known(&servers)
 	a.Rate = d.Int()
 	a.Kind = d.Int()
 }
@@ -220,7 +224,7 @@ func (s *Service) Allocate(settop, server string, rate int64, kind atm.Kind) (Al
 	if err != nil {
 		return Alloc{}, orb.Errf(orb.ExcExhausted, "%v", err)
 	}
-	a := Alloc{ID: conn.ID, Settop: settop, Server: server, Rate: conn.Rate, Kind: int64(kind)}
+	a := Alloc{ID: conn.ID, Settop: settop, Server: wire.Canonical(&servers, server), Rate: conn.Rate, Kind: int64(kind)}
 	s.mu.Lock()
 	s.table[a.ID] = a
 	s.perTop[settop]++
@@ -347,7 +351,7 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 	switch c.Method() {
 	case "allocate":
 		settop := c.Args().String()
-		server := c.Args().String()
+		server := c.Args().Known(&servers)
 		rate := c.Args().Int()
 		kind := atm.Kind(c.Args().Int())
 		a, err := s.Allocate(settop, server, rate, kind)
@@ -392,7 +396,7 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the client proxy for a Connection Manager.
 type Stub struct {
-	Ep  names.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 

@@ -1,6 +1,7 @@
 package cmgr
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"itv/internal/orb"
 	"itv/internal/oref"
 	"itv/internal/transport"
+	"itv/internal/wire"
 )
 
 type fixture struct {
@@ -212,6 +214,33 @@ func TestRemoteStub(t *testing.T) {
 	}
 	if err := stub.Release(a.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJunkServersGrowNothing: allocations from servers the fabric does not
+// know, twice as many as the server table holds, are refused and admit
+// nothing; the first allocation from a real server admits its name.
+func TestJunkServersGrowNothing(t *testing.T) {
+	f := newFixture(t)
+	s := f.newReplica("192.168.0.1", "1")
+	f.waitFor("primary", s.IsPrimary)
+	stub := Stub{Ep: f.client.Ep, Ref: s.Ref()}
+	held := servers.Len()
+	for i := 0; i < 2*wire.TableEntries; i++ {
+		junk := fmt.Sprintf("10.99.%d.%d", i/256, i%256)
+		if _, err := stub.Allocate("10.1.0.5", junk, atm.Mbps, atm.CBR); !orb.IsApp(err, orb.ExcExhausted) {
+			t.Fatalf("Allocate from %s: %v", junk, err)
+		}
+	}
+	if got := servers.Len(); got != held {
+		t.Fatalf("server table went from %d to %d entries on servers no fabric carries", held, got)
+	}
+	a, err := stub.Allocate("10.1.0.5", "192.168.0.2", atm.Mbps, atm.CBR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := servers.Lookup([]byte("192.168.0.2")); !ok || a.Server != "192.168.0.2" {
+		t.Fatalf("allocation from %s: %+v, admitted %v", "192.168.0.2", a, ok)
 	}
 }
 

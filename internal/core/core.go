@@ -179,10 +179,11 @@ func (rb *Rebinder) Do(ctx context.Context, call func(oref.Ref) error) error {
 		if attempt > 0 && rb.Backoff > 0 {
 			rb.s.Clk.Sleep(rb.Backoff << (attempt - 1))
 		}
-		var sink obs.TraceSink
+		var sink *obs.TraceSink // made only to rebind: &sink would escape every call
 		rctx := ctx
 		if rebinding {
-			rctx = obs.WithTraceSink(ctx, &sink)
+			sink = new(obs.TraceSink)
+			rctx = obs.WithTraceSink(ctx, sink)
 		}
 		ref, err := rb.refCtx(rctx)
 		if err != nil {

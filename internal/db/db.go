@@ -245,7 +245,7 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the database client proxy.
 type Stub struct {
-	Ep  orb.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 

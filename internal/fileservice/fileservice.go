@@ -339,7 +339,7 @@ func (k *fileSkel) Dispatch(c *orb.ServerCall) error {
 
 // File is the client proxy for a file object.
 type File struct {
-	Ep  names.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 

@@ -1,7 +1,6 @@
 package media
 
 import (
-	"itv/internal/names"
 	"itv/internal/orb"
 	"itv/internal/oref"
 	"itv/internal/wire"
@@ -16,7 +15,7 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 	s := k.s
 	switch c.Method() {
 	case "open":
-		title := c.Args().String()
+		title := DecodeTitle(c.Args())
 		settop := c.Args().String()
 		connID := c.Args().String()
 		ref, id, err := s.Open(title, settop, connID)
@@ -29,7 +28,7 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 	case "closeMovie":
 		return s.CloseMovie(c.Args().String())
 	case "probe":
-		info, ok, load := s.Probe(c.Args().String())
+		info, ok, load := s.Probe(DecodeTitle(c.Args()))
 		c.Results().PutBool(ok)
 		info.MarshalWire(c.Results())
 		c.Results().PutInt(int64(load))
@@ -86,7 +85,7 @@ func (k *movieSkel) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the client proxy for an MDS replica.
 type Stub struct {
-	Ep  names.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 
@@ -159,7 +158,7 @@ func (s Stub) Titles() ([]string, error) {
 
 // Movie is the client proxy for an open movie object.
 type Movie struct {
-	Ep  names.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 

@@ -37,6 +37,13 @@ const (
 // name ("svc/mds/forge", Fig. 4).
 const ContextPath = "svc/mds"
 
+// titles holds the titles this process's catalogs carry, admitted as they
+// enter a catalog, never from a call (DESIGN.md §9).
+var titles wire.Table[string]
+
+// DecodeTitle decodes a title, as a catalog's copy when one here carries it.
+func DecodeTitle(d *wire.Decoder) string { return d.Known(&titles) }
+
 // MovieInfo describes a title in a server's store.
 type MovieInfo struct {
 	Title   string
@@ -51,7 +58,7 @@ func (m *MovieInfo) MarshalWire(e *wire.Encoder) {
 }
 
 func (m *MovieInfo) UnmarshalWire(d *wire.Decoder) {
-	m.Title = d.String()
+	m.Title = DecodeTitle(d)
 	m.Size = d.Int()
 	m.Bitrate = d.Int()
 }
@@ -82,7 +89,7 @@ func (o *OpenMovie) MarshalWire(e *wire.Encoder) {
 
 func (o *OpenMovie) UnmarshalWire(d *wire.Decoder) {
 	o.MovieID = d.String()
-	o.Title = d.String()
+	o.Title = DecodeTitle(d)
 	o.Settop = d.String()
 	o.ConnID = d.String()
 }
@@ -116,7 +123,7 @@ func New(sess *core.Session, serverName string, titles []MovieInfo) *Service {
 		open:       make(map[string]*movieState),
 	}
 	for _, t := range titles {
-		s.catalog[t.Title] = t
+		s.AddTitle(t)
 	}
 	sess.Ep.Register("mds", &skel{s: s})
 	return s
@@ -136,6 +143,7 @@ func (s *Service) Register() error {
 
 // AddTitle adds a movie to the store (content distribution).
 func (s *Service) AddTitle(t MovieInfo) {
+	t.Title = wire.Canonical(&titles, t.Title)
 	s.mu.Lock()
 	s.catalog[t.Title] = t
 	s.mu.Unlock()

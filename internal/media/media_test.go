@@ -2,6 +2,7 @@ package media
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"itv/internal/names"
 	"itv/internal/orb"
 	"itv/internal/transport"
+	"itv/internal/wire"
 )
 
 func testCatalog() []MovieInfo {
@@ -197,6 +199,42 @@ func TestProbeAndOpenMovies(t *testing.T) {
 	om := movies[0]
 	if om.MovieID != id || om.Title != "T2" || om.Settop != "10.1.0.5" || om.ConnID != "conn-9" {
 		t.Fatalf("record = %+v", om)
+	}
+}
+
+// TestJunkTitlesGrowNothing: probes and opens of titles no catalog
+// carries, twice as many as the title table holds, leave the table where it
+// was — a peer can name any title, so naming one admits nothing — and a
+// title a catalog carries still decodes as the catalog's copy, allocating
+// nothing.
+func TestJunkTitlesGrowNothing(t *testing.T) {
+	f := newFixture(t)
+	stub := Stub{Ep: f.client.Ep, Ref: f.mds.Ref()}
+	held := titles.Len()
+	for i := 0; i < 2*wire.TableEntries; i++ {
+		junk := fmt.Sprintf("junk-%d", i)
+		if _, ok, _, err := stub.Probe(junk); err != nil || ok {
+			t.Fatalf("Probe(%s) = %v, %v", junk, ok, err)
+		}
+		if _, _, err := stub.Open(junk, "10.1.0.5", "c"); !orb.IsApp(err, orb.ExcNotFound) {
+			t.Fatalf("Open(%s): %v", junk, err)
+		}
+	}
+	if got := titles.Len(); got != held {
+		t.Fatalf("title table went from %d to %d entries on titles no catalog carries", held, got)
+	}
+
+	var e wire.Encoder
+	e.PutString("T2")
+	var d wire.Decoder
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Reset(e.Bytes())
+		if got := DecodeTitle(&d); got != "T2" {
+			t.Fatalf("DecodeTitle = %q", got)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a carried title allocates %.1f objects, want 0", allocs)
 	}
 }
 

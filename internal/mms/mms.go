@@ -117,9 +117,7 @@ func (s *Service) OpenCount() int {
 
 // Start begins campaigning and background maintenance.
 func (s *Service) Start() {
-	if _, err := s.sess.Root.BindNewContext("svc"); err != nil && !orb.IsApp(err, orb.ExcAlreadyBound) {
-		_ = err // transient; elector retries
-	}
+	_, _ = s.sess.Root.BindNewContext("svc") // bound already, or no master yet: the elector retries
 	s.elector.Start()
 	go s.run()
 }
@@ -457,7 +455,7 @@ func (k *skel) TypeID() string { return TypeID }
 func (k *skel) Dispatch(c *orb.ServerCall) error {
 	switch c.Method() {
 	case "open":
-		title := c.Args().String()
+		title := media.DecodeTitle(c.Args())
 		ref, id, err := k.s.Open(title, c.Caller().Host())
 		if err != nil {
 			return err

@@ -482,11 +482,23 @@ func TestNeighborhoodOf(t *testing.T) {
 		"10.0.0.0":    "0",
 		"127.0.0.1":   "",
 		"10.255.1.1":  "255",
+		"10.1.0.5":    "1",
+		"10.1.0":      "",
+		"10.1.0.5.6":  "",
+		"11.1.0.5":    "",
+		"":            "",
+		"10..0.5":     "",
+		"10.1.0.":     "1",
 	}
 	for host, want := range cases {
 		if got := NeighborhoodOf(host); got != want {
 			t.Errorf("NeighborhoodOf(%q) = %q, want %q", host, got, want)
 		}
+	}
+	// It runs on every movie open (the Connection Manager directory keys
+	// on it): a substring, never a split.
+	if n := testing.AllocsPerRun(100, func() { NeighborhoodOf("10.1.0.5") }); n != 0 {
+		t.Errorf("NeighborhoodOf allocates %.0f objects, want 0", n)
 	}
 }
 

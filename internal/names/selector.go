@@ -37,11 +37,11 @@ const (
 // Settop addresses have the form 10.<neighborhood>.x.y; other addresses
 // have no neighborhood and return "".
 func NeighborhoodOf(host string) string {
-	parts := strings.Split(host, ".")
-	if len(parts) != 4 || parts[0] != "10" {
+	if !strings.HasPrefix(host, "10.") || strings.Count(host, ".") != 3 {
 		return ""
 	}
-	return parts[1]
+	nbhd, _, _ := strings.Cut(host[3:], ".")
+	return nbhd
 }
 
 // selectLocal evaluates a built-in policy over sorted bindings.  rrState

@@ -701,12 +701,12 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 }
 
 func (e *Endpoint) invokeLocal(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), res *results, dst []byte) error {
-	// Lock-free dispatch lookup: the object table is published as a
-	// copy-on-write snapshot, so local calls never serialize on e.mu.
 	if e.closedFlag.Load() {
 		return ErrShutdown
 	}
-	sk := e.answerer(method, (*e.objsnap.Load())[ref.ObjectID], ref.Incarnation)
+	e.objMu.RLock()
+	sk := e.answerer(method, e.objects[ref.ObjectID], ref.Incarnation)
+	e.objMu.RUnlock()
 	if sk == nil {
 		return ErrInvalidReference
 	}

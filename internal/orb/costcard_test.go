@@ -544,3 +544,37 @@ func BenchmarkInvoke(b *testing.B) {
 	b.ResetTimer()
 	r.seq(b, b.N)
 }
+
+// BenchmarkInvokeParallel is the same call from GOMAXPROCS goroutines at
+// once, remote over 64 connections and local on the server itself: every
+// dispatch reads the server's object table under its read lock, so -cpu 2
+// and up shows what readers on different cores cost each other.  It gates
+// nothing.
+func BenchmarkInvokeParallel(b *testing.B) {
+	b.Run("remote", func(b *testing.B) {
+		r := newRig(b, probe{conns: 64, warm: 8})
+		var next atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			ep := r.clients[int(next.Add(1))%len(r.clients)]
+			for pb.Next() {
+				if err := r.call(ep); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+	b.Run("local", func(b *testing.B) {
+		r := newRig(b, probe{warm: 8})
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := r.call(r.server); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}

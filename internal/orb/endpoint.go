@@ -201,17 +201,14 @@ type Endpoint struct {
 	profBuf []byte
 
 	mu      sync.Mutex
+	objMu   sync.RWMutex // guards objects; writers hold mu too (DESIGN.md §12)
 	objects map[string]Skeleton
 	conns   map[string]*clientConn // by remote addr
 	dialing map[string]*dialWait   // by remote addr; singleflight dials
 	serving map[net.Conn]struct{}
 	closed  bool
 
-	// Dispatch hot-path state, readable without e.mu: objsnap is a
-	// copy-on-write snapshot of objects republished on every Register/
-	// Unregister (rare), so concurrent dispatches never serialize on the
-	// endpoint lock; closedFlag mirrors closed for the same reason.
-	objsnap    atomic.Pointer[objTable]
+	// closedFlag mirrors closed, so dispatch reads it without e.mu.
 	closedFlag atomic.Bool
 
 	sent       atomic.Int64
@@ -261,26 +258,9 @@ func newEndpoint(tr transport.Transport, ln net.Listener, addr string) *Endpoint
 	e.node = &nodeSkel{e}
 	e.callTimeout.Store(int64(10 * time.Second))
 	e.wireVer.Store(wireVersion)
-	e.republishObjects()
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e
-}
-
-// objTable is the immutable published view of an endpoint's object map.
-// Dispatch indexes it with the request's object-id bytes directly, so an
-// id is never turned into a string: per-session objects cost nothing here,
-// and an id that names no object leaves nothing behind.
-type objTable map[string]Skeleton
-
-// republishObjects snapshots e.objects into the lock-free dispatch view.
-// Callers hold e.mu (newEndpoint being the only pre-publication caller).
-func (e *Endpoint) republishObjects() {
-	t := make(objTable, len(e.objects))
-	for id, sk := range e.objects {
-		t[id] = sk
-	}
-	e.objsnap.Store(&t)
 }
 
 // SetAuthenticator installs the call-signing hook.  It may be called after
@@ -346,8 +326,9 @@ func (e *Endpoint) Register(objectID string, sk Skeleton) oref.Ref {
 	if _, dup := e.objects[objectID]; dup {
 		panic(fmt.Sprintf("orb: duplicate object id %q", objectID))
 	}
+	e.objMu.Lock()
 	e.objects[objectID] = sk
-	e.republishObjects()
+	e.objMu.Unlock()
 	return oref.Ref{Addr: e.addr, Incarnation: e.incarnation, TypeID: typeID, ObjectID: objectID}
 }
 
@@ -355,8 +336,9 @@ func (e *Endpoint) Register(objectID string, sk Skeleton) oref.Ref {
 // dynamically created objects such as open movies (§9.2).
 func (e *Endpoint) Unregister(objectID string) {
 	e.mu.Lock()
+	e.objMu.Lock()
 	delete(e.objects, objectID)
-	e.republishObjects()
+	e.objMu.Unlock()
 	e.mu.Unlock()
 }
 
@@ -704,14 +686,14 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch, r
 	}
 	caller.Principal = principal
 
-	// Lock-free dispatch lookup: the object table is published as a
-	// copy-on-write snapshot, so concurrent connections (and the resident
-	// workers within one) never serialize on e.mu to find their target.
 	if e.closedFlag.Load() {
 		resp.Status = statusShutdown
 		return
 	}
-	sk := e.answerer(method, (*e.objsnap.Load())[string(req.objectID)], req.Incarnation)
+	// Indexed by the id's bytes: no string is made (DESIGN.md §9).
+	e.objMu.RLock()
+	sk := e.answerer(method, e.objects[string(req.objectID)], req.Incarnation)
+	e.objMu.RUnlock()
 	if sk == nil {
 		resp.Status = statusInvalidRef
 		return

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -290,6 +291,113 @@ func TestRefForAndDuplicateRegister(t *testing.T) {
 		}
 	}()
 	server.Register("", &echoSkel{})
+}
+
+// TestRegisterUnregisterAllocatesNothing: a per-session object (an open
+// movie, §9.2) registered and withdrawn beside long-lived ones costs
+// nothing on the heap — the object table is written in place, not copied,
+// so a movie open and close do not grow with the objects already live.
+func TestRegisterUnregisterAllocatesNothing(t *testing.T) {
+	server, _, _, _ := newPair(t)
+	for i := 0; i < 20; i++ {
+		server.Register(fmt.Sprintf("svc-%d", i), &echoSkel{})
+	}
+	sk := &echoSkel{}
+	pair := func() {
+		server.Register("movie-1", sk)
+		server.Unregister("movie-1")
+	}
+	for i := 0; i < 100; i++ {
+		pair()
+	}
+	if n := testing.AllocsPerRun(10000, pair); n != 0 {
+		t.Errorf("Register+Unregister beside 20 objects: %.2f allocs, want 0", n)
+	}
+}
+
+// idSkel answers "id" with the object id it was registered under.
+type idSkel string
+
+func (s idSkel) TypeID() string { return "test.Id" }
+
+func (s idSkel) Dispatch(c *ServerCall) error {
+	if c.Method() != "id" {
+		return ErrNoSuchMethod
+	}
+	c.Results().PutString(string(s))
+	return nil
+}
+
+// TestDispatchWhileRegistering: while per-session objects come and go,
+// every call — remote, and local on the server's own endpoint — reaches
+// the skeleton registered under its own id or is told the reference is
+// invalid, never another object's; the long-lived object always answers.
+func TestDispatchWhileRegistering(t *testing.T) {
+	server, client, _, _ := newPair(t)
+	longRef := server.Register("long", idSkel("long"))
+	ids := []string{"movie-1", "movie-2", "movie-3", "movie-4"}
+	refs := make([]oref.Ref, len(ids))
+	for i, id := range ids {
+		refs[i] = server.Register(id, idSkel(id))
+		server.Unregister(id)
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	for _, id := range ids {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				server.Register(id, idSkel(id))
+				server.Unregister(id)
+			}
+		}()
+	}
+
+	call := func(e *Endpoint, ref oref.Ref) (string, error) {
+		var got string
+		err := e.Invoke(ref, "id", nil, func(d *wire.Decoder) error { got = d.String(); return nil })
+		return got, err
+	}
+	var wg sync.WaitGroup
+	callers := []*Endpoint{client, client, server, server}
+	errs := make(chan error, len(callers)) // one from each at most
+	for c, e := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if got, err := call(e, longRef); err != nil || got != "long" {
+					errs <- fmt.Errorf("long-lived object answered %q, %v", got, err)
+					return
+				}
+				k := (c + i) % len(ids)
+				got, err := call(e, refs[k])
+				switch {
+				case errors.Is(err, ErrInvalidReference):
+				case err != nil:
+					errs <- fmt.Errorf("%s: %v, want its answer or an invalid reference", ids[k], err)
+					return
+				case got != ids[k]:
+					errs <- fmt.Errorf("a call on %s reached %s", ids[k], got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 func TestReconnectAfterServerRestart(t *testing.T) {

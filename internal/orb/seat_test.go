@@ -399,7 +399,14 @@ func TestCallDeadlineBoundsItsOwnWrite(t *testing.T) {
 		}
 		flusher, others := make(chan result, 1), make(chan result, queued)
 		go call(big, flusher)
-		time.Sleep(timeout / 10) // the flusher is in its write by now
+		// The big call is the only one on the connection, so a flush owner
+		// is its waiter: from here on it is in its write, and the queued
+		// callers' frames wait behind it.
+		for start := time.Now(); !leadsFlush(client, stalled.Addr); time.Sleep(time.Millisecond) {
+			if time.Since(start) > timeout {
+				t.Fatalf("%s: the big call never led the connection's flush", network)
+			}
+		}
 		for i := 0; i < queued; i++ {
 			go call([]byte("queued"), others)
 		}
@@ -420,6 +427,20 @@ func TestCallDeadlineBoundsItsOwnWrite(t *testing.T) {
 			t.Fatalf("%s: call to a healthy peer afterwards = %q, %v", network, got, err)
 		}
 	}
+}
+
+// leadsFlush reports whether e's connection to addr has a call leading
+// its flush.
+func leadsFlush(e *Endpoint, addr string) bool {
+	e.mu.Lock()
+	cc := e.conns[addr]
+	e.mu.Unlock()
+	if cc == nil {
+		return false
+	}
+	cc.fw.mu.Lock()
+	defer cc.fw.mu.Unlock()
+	return cc.fw.owner != nil
 }
 
 // bigReplySkel answers "big" with a lent blob, noting when each such reply

@@ -153,7 +153,7 @@ func (s *skel) Dispatch(c *orb.ServerCall) error {
 
 // Stub is the client proxy for a Settop Manager.
 type Stub struct {
-	Ep  orb.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 

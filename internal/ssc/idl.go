@@ -44,7 +44,7 @@ func (s *skel) Dispatch(c *orb.ServerCall) error {
 // Stub is the client-side proxy for a remote SSC; the CSC drives SSCs
 // through it (§6.2).
 type Stub struct {
-	Ep  orb.Invoker
+	Ep  *orb.Endpoint
 	Ref oref.Ref
 }
 
@@ -92,7 +92,7 @@ func (s Stub) Running() ([]string, error) {
 // the same exchange it uses for liveness.
 func (s Stub) RunningCtx(ctx context.Context) ([]string, error) {
 	var out []string
-	err := orb.InvokeVia(ctx, s.Ep, s.Ref, "running", nil,
+	err := s.Ep.InvokeCtx(ctx, s.Ref, "running", nil,
 		func(d *wire.Decoder) error { out = d.Strings(); return nil })
 	return out, err
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"itv/internal/core"
+	"itv/internal/media"
 	"itv/internal/orb"
 	"itv/internal/oref"
 	"itv/internal/wire"
@@ -56,9 +57,7 @@ func (s *Service) IsPrimary() bool { return s.elector.IsPrimary() }
 
 // Start begins campaigning.
 func (s *Service) Start() {
-	if _, err := s.sess.Root.BindNewContext("svc"); err != nil && !orb.IsApp(err, orb.ExcAlreadyBound) {
-		_ = err
-	}
+	_, _ = s.sess.Root.BindNewContext("svc") // bound already, or no master yet: the elector retries
 	s.elector.Start()
 }
 
@@ -107,18 +106,18 @@ func (k *skel) Dispatch(c *orb.ServerCall) error {
 	settop := c.Caller().Host()
 	switch c.Method() {
 	case "savePosition":
-		title := c.Args().String()
+		title := media.DecodeTitle(c.Args())
 		pos := c.Args().Int()
 		k.s.SavePosition(settop, title, pos)
 		return nil
 	case "getPosition":
-		title := c.Args().String()
+		title := media.DecodeTitle(c.Args())
 		pos, ok := k.s.Position(settop, title)
 		c.Results().PutBool(ok)
 		c.Results().PutInt(pos)
 		return nil
 	case "forget":
-		k.s.Forget(settop, c.Args().String())
+		k.s.Forget(settop, media.DecodeTitle(c.Args()))
 		return nil
 	default:
 		return orb.ErrNoSuchMethod

@@ -64,7 +64,7 @@ func (t *Table[V]) Admit(sym string, mk func(sym string) V) (V, bool) {
 		return v, true
 	}
 	if t.Len() >= TableEntries {
-		return zero, false // full tables stay off the lock
+		return t.get(sym) // full tables stay off the lock; sym may have filled it
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -133,4 +133,14 @@ func self(s string) string { return s }
 // Symbol decodes a length-prefixed string through t (see Intern).
 func (d *Decoder) Symbol(t *Table[string]) string {
 	return Intern(t, d.BytesView())
+}
+
+// Known decodes a length-prefixed string through t without admitting it:
+// a symbol a peer may invent, which its owner admits (Canonical) once vouched for.
+func (d *Decoder) Known(t *Table[string]) string {
+	b := d.BytesView()
+	if s, ok := t.Lookup(b); ok {
+		return s
+	}
+	return string(b)
 }
