@@ -94,6 +94,7 @@ type Fake struct {
 	seq     int64 // tie-break so equal deadlines fire in creation order
 	dumpMu  sync.Mutex
 	dump    []byte // Settle's goroutine dump buffer, guarded by dumpMu
+	dumps   int    // the dumps Settle has taken, guarded by dumpMu
 }
 
 // NewFake returns a fake clock starting at a fixed, arbitrary epoch.
@@ -249,6 +250,7 @@ func (f *Fake) settle(limit time.Duration) {
 // busy returns the stacks of the goroutines that are not parked, the
 // caller's (the first in the dump) excepted.
 func (f *Fake) busy() []string {
+	f.dumps++
 	n := runtime.Stack(f.dump, true)
 	for n == len(f.dump) { // truncated, or no buffer yet
 		f.dump = make([]byte, 2*len(f.dump)+64<<10)

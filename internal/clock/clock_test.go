@@ -252,18 +252,19 @@ func TestSettleWaitsForComputation(t *testing.T) {
 
 // TestSettleIdleIsCheap: settling a world with nothing to do costs one
 // goroutine dump and some yields, not a real-time pause, so a fake-clock
-// walk through hours of simulated seconds stays fast.
+// walk through hours of simulated seconds stays fast.  It counts the dumps;
+// the wall time, which a loaded machine stretches, is only logged.
 func TestSettleIdleIsCheap(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector slows every yield and dump")
-	}
 	clk := NewFake()
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
 		clk.Settle()
 	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("1000 idle settles took %v, want under 100ms", d)
+	t.Logf("1000 idle settles took %v", time.Since(start))
+	clk.dumpMu.Lock()
+	defer clk.dumpMu.Unlock()
+	if clk.dumps != 1000 {
+		t.Fatalf("1000 idle settles took %d goroutine dumps, want one each", clk.dumps)
 	}
 }
 

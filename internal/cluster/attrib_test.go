@@ -14,9 +14,10 @@ import (
 )
 
 // spinSkel serves one deliberately expensive method: it burns real CPU for
-// a fixed wall-time slice, so one call is simultaneously (a) a tail-latency
+// a wall-time slice, so one call is simultaneously (a) a tail-latency
 // outlier the attribution machinery must catch and (b) a hot frame an
-// on-demand CPU profile must be able to show.
+// on-demand CPU profile must be able to show.  burn is set before the
+// first call.
 type spinSkel struct{ burn time.Duration }
 
 func (s *spinSkel) TypeID() string { return "test.Attrib" }
@@ -70,7 +71,8 @@ func TestClusterTailAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	ref := svc.Register("", &spinSkel{burn: 8 * time.Millisecond})
+	spin := &spinSkel{}
+	ref := svc.Register("", spin)
 
 	// Operator endpoint, pinned to simulated time like every cluster node.
 	operator := fmt.Sprintf("192.168.%d.252", subnet)
@@ -82,9 +84,18 @@ func TestClusterTailAttribution(t *testing.T) {
 	t.Cleanup(admin.Close)
 	admin.SetCallTimeout(45 * time.Second)
 
-	// One sampled call to the slow method: the 8ms burn towers over the
+	// One sampled call to the slow method: its burn towers over the
 	// cluster's microsecond-scale traffic, so it must clear the ledger's
-	// admission threshold and land its exemplar in the top bucket.
+	// admission threshold and land its exemplar in the top bucket.  The
+	// threshold is four times the node's tail estimate, which a slow boot
+	// (under -race, say) can raise: the burn is five times the estimate read
+	// just before, and 8ms at least.
+	before, err := admin.SlowOf(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spin.burn = max(8*time.Millisecond, 5*before.Estimate)
+	t.Logf("tail estimate %s, burn %s", before.Estimate, spin.burn)
 	sp := obs.Span{TraceID: obs.NewSpanID(), SpanID: obs.NewSpanID(), Sampled: true}
 	ctx := obs.ContextWithSpan(context.Background(), sp)
 	if err := admin.InvokeCtx(ctx, ref, "spin", nil, nil); err != nil {
@@ -133,8 +144,8 @@ func TestClusterTailAttribution(t *testing.T) {
 	if slow.Method != "spin" || slow.Node != target.Spec.Host {
 		t.Fatalf("ledger entry = method %q node %q, want spin on %s", slow.Method, slow.Node, target.Spec.Host)
 	}
-	if slow.Service < 8*time.Millisecond {
-		t.Fatalf("service = %s, want >= the 8ms burn", slow.Service)
+	if slow.Service < spin.burn {
+		t.Fatalf("service = %s, want >= the %s burn", slow.Service, spin.burn)
 	}
 	if slow.Service < slow.Queue || slow.Service < slow.Flush {
 		t.Fatalf("breakdown blames the wrong phase: q=%s s=%s f=%s", slow.Queue, slow.Service, slow.Flush)

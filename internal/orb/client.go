@@ -29,14 +29,11 @@ type clientConn struct {
 
 	nextID atomic.Uint64
 
-	// pending is the registered waiters by request id, and lent the one
-	// whose reply the seat holder has claimed to read straight into its
-	// lent storage (readInto): it has left pending, and until its delivery
-	// the storage is the seat holder's to write.  One slot is enough: only
-	// the seat holder reads, one frame at a time.  pmu guards both.
+	// pending is the calls awaiting replies by request id: registered, or
+	// lent while the seat holder reads a reply into its caller's storage
+	// (readInto).  pmu guards it.
 	pmu     sync.Mutex
 	pending map[uint64]*waiter
-	lent    *waiter
 
 	// state is the seat and the pending waiters in one word, so that a
 	// holder gives the seat up only when no registered waiter is left
@@ -49,14 +46,10 @@ type clientConn struct {
 	// records nextID when armed.
 	idle graceCheck
 
-	// The deadline timer (arm, expire): one for every call in flight, set
-	// for the earliest deadline among them, which due holds as a Mono
-	// reading (zero while the timer is not pending).  tmu serializes
-	// setting it; arms, guarded by tmu, counts the times it was set.
-	timer *time.Timer
-	tmu   sync.Mutex
-	due   atomic.Int64
-	arms  int
+	// The deadline timer (expire): one for every call in flight, set for
+	// the earliest deadline among them, and for the deadline of the call
+	// that leads a flush.
+	timer dueTimer
 
 	dead  atomic.Bool
 	errMu sync.Mutex
@@ -68,15 +61,14 @@ func newClientConn(e *Endpoint, conn net.Conn) *clientConn {
 		pending: make(map[uint64]*waiter)}
 	cc.fw = frameWriter{conn: conn, m: e.metrics, onErr: cc.writeFailed}
 	cc.idle.init(cc.onIdle)
-	cc.timer = time.AfterFunc(time.Hour, cc.expire)
-	cc.timer.Stop()
+	cc.timer.init(cc.expire)
 	return cc
 }
 
 // writeFailed is the frameWriter's error hook: a failed flush kills the
 // connection like a failed direct write always has.  A write that failed
-// on its deadline was cut short by the expiry of the call leading the
-// flush (frameWriter.expireAt), and is reported as that call's timeout.
+// on its deadline was cut short by the deadline of the call leading the
+// flush (frameWriter.cut), and is reported as that call's timeout.
 func (cc *clientConn) writeFailed(err error) {
 	cerr := &ConnError{Op: "write", Err: err}
 	if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -111,8 +103,7 @@ func (cc *clientConn) readFailed(err *ConnError) {
 const splitPrefix = 64
 
 // readReply reads one reply frame into rf and claims the waiter it answers
-// (nil when that caller has given up).  A waiter returned alongside an
-// error was claimed before the failure and is still owed its delivery.
+// (nil when that caller has given up), even when the read then fails.
 //
 // A small frame is whole once the frame reader has begun it.  A frame above
 // flushCopyLimit is read in two steps: the prefix that came with the
@@ -121,13 +112,16 @@ const splitPrefix = 64
 // as much, the string goes straight into the waiter's storage (readInto).
 // Anything else — an error reply, an undeclared or departed caller, a
 // prefix that does not parse — is read whole behind the prefix and decoded
-// as every small frame is.
+// as every small frame is.  So is another call's reply when the reader is
+// a seated caller (me): its timer's kick can cut a whole read short and
+// hand the rest to the next reader, but not a read into another caller's
+// storage.
 //
 // A read error with no waiter claimed leaves rf holding the frame as far
 // as it got (rf.size is nonzero once it was begun): called again on the
 // same rf, readReply resumes it.  That is how a frame survives a timer's
 // kick out of Read (DESIGN.md §12).
-func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
+func (cc *clientConn) readReply(rf *respFrame, me *waiter) (*waiter, *ConnError) {
 	// rf.buf holds what has been read of this frame so far.
 	if rf.size == 0 {
 		have, n, err := cc.fr.Begin(rf.buf)
@@ -146,7 +140,7 @@ func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
 				return nil, &ConnError{Op: "read", Err: err}
 			}
 		}
-		if w, cerr := cc.readInto(rf, n); w != nil {
+		if w, cerr := cc.readInto(rf, n, me); w != nil {
 			return w, cerr
 		}
 		rf.whole = true
@@ -161,11 +155,13 @@ func (cc *clientConn) readReply(rf *respFrame) (*waiter, *ConnError) {
 	if derr := tailErr(&rf.dec); derr != nil {
 		return nil, &ConnError{Op: "decode", Err: derr}
 	}
+	sched(pClaim, nil)
 	cc.pmu.Lock()
 	w := cc.pending[rf.resp.ReqID]
 	if w != nil {
 		delete(cc.pending, rf.resp.ReqID)
 		cc.state.Add(-pendingOne)
+		w.move(pClaim)
 	}
 	cc.pmu.Unlock()
 	return w, nil
@@ -183,16 +179,16 @@ func tailErr(d *wire.Decoder) error {
 // splitPrefix of them or more, are in rf.buf.  It decodes the envelope from
 // that prefix and, when the reply is statusOK, its body leads with a byte
 // string above flushCopyLimit and the waiter it answers declared one,
-// claims that waiter — moves it from the pending map to its lent slot, so
-// that from here on the seat holder alone delivers to it — and reads the
-// string into the waiter's storage under BytesInto's sizing rule, then the
-// few bytes behind it into rf.buf.  A nil waiter (and nil error) means
+// lends that waiter — from here on the seat holder alone delivers to it,
+// and takes it out of pending once the read is over (unlend) — and reads
+// the string into the waiter's storage under BytesInto's sizing rule, then
+// the few bytes behind it into rf.buf.  A nil waiter (and nil error) means
 // nothing was decided or read: take the frame whole.
 //
 // The bounds are the whole-frame decode's — body within the frame, string
 // within the body, nothing left over — so lent storage never receives a
 // byte the frame does not have.
-func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
+func (cc *clientConn) readInto(rf *respFrame, n int, me *waiter) (*waiter, *ConnError) {
 	prefix := rf.buf
 	d := &rf.dec
 	d.Reset(prefix)
@@ -216,15 +212,15 @@ func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
 	}
 	after -= int(strLen)
 
+	sched(pLend, nil)
 	cc.pmu.Lock()
 	w := cc.pending[id]
-	if w == nil || !w.into {
+	if w == nil || !w.into || me != nil && w != me {
 		cc.pmu.Unlock()
 		return nil, nil
 	}
-	delete(cc.pending, id)
 	cc.state.Add(-pendingOne)
-	cc.lent = w
+	w.move(pLend)
 	cc.pmu.Unlock()
 
 	// The string is longer than anything Begin reads ahead, so all of the
@@ -259,6 +255,7 @@ func (cc *clientConn) readInto(rf *respFrame, n int) (*waiter, *ConnError) {
 // registering — so every waiter is either refused registration or found
 // by the sweep.  No waiter is stranded.
 func (cc *clientConn) fail(err error) bool {
+	sched(pFail, nil)
 	if !cc.dead.CompareAndSwap(false, true) {
 		return false
 	}
@@ -267,16 +264,19 @@ func (cc *clientConn) fail(err error) bool {
 	cc.errMu.Unlock()
 	cc.conn.Close()
 	cc.idle.stop(cc.ep)
-	cc.tmu.Lock()
-	cc.timer.Stop()
-	cc.tmu.Unlock()
+	cc.timer.t.Stop()
+	// The sweep decides under pmu, as the seat holder's unlend does: a lent
+	// waiter is its holder's to deliver to, and once unlent its caller may
+	// pool it and use it again.  A delivery never blocks.
+	sched(pSweep, nil)
 	cc.pmu.Lock()
-	pending := cc.pending
+	for _, w := range cc.pending {
+		if _, ok := w.move(pSweep); ok {
+			w.ch <- nil
+		}
+	}
 	cc.pending = make(map[uint64]*waiter)
 	cc.pmu.Unlock()
-	for _, w := range pending {
-		w.ch <- nil
-	}
 	return true
 }
 
@@ -305,16 +305,18 @@ func (cc *clientConn) failure() error {
 // waiter carries to whoever reads the reply.
 //
 // due, the call's deadline as a Mono reading, bounds the whole round trip,
-// its own write included: the connection's timer kicks the caller out of a
-// flush it leads or a read it is making (expire).  unsent reports a failure
-// that left no byte of the request on the connection, which the caller may
-// therefore send again elsewhere (Endpoint.invoke).
-func (cc *clientConn) roundTrip(req *request, due time.Duration, into bool, dst []byte) (rf *respFrame, unsent bool, err error) {
+// its own write included: the connection's timer cuts short a flush the
+// call leads and kicks the caller out of a read it is making (expire).  A
+// late call has no time left: it ends before its frame is sent.  unsent
+// reports a failure that left no byte of the request on the connection,
+// which the caller may therefore send again elsewhere (Endpoint.invoke).
+func (cc *clientConn) roundTrip(req *request, due time.Duration, late, into bool, dst []byte) (rf *respFrame, unsent bool, err error) {
 	w := getWaiter()
 	w.into, w.dst = into, dst
 	id := cc.nextID.Add(1)
 	req.ReqID = id
-	w.cc, w.id, w.due = cc, id, due
+	w.id, w.due = id, due
+	sched(pRegister, w)
 	cc.pmu.Lock()
 	if cc.dead.Load() {
 		cc.pmu.Unlock()
@@ -323,34 +325,36 @@ func (cc *clientConn) roundTrip(req *request, due time.Duration, into bool, dst 
 	}
 	cc.pending[id] = w
 	cc.state.Add(pendingOne)
+	w.move(pRegister)
 	cc.pmu.Unlock()
-	cc.arm(due)
+	if late {
+		cc.end(id)
+	} else {
+		cc.timer.arm(due, 0)
+	}
 
-	fe, err := encodeFrame(req, 0)
-	if err != nil {
+	var seq uint64
+	if fe, ferr := encodeFrame(req, 0); ferr != nil {
 		// An unframeable request (over MaxFrameSize) has always killed the
 		// connection like a failed write; keep that contract.
-		werr := &ConnError{Op: "write", Err: err}
-		if cc.fail(werr) {
+		if cc.fail(&ConnError{Op: "write", Err: ferr}) {
 			cc.m.writeErrors.Inc()
 		}
-		// fail released every registered waiter (ours included) with nil,
-		// unless the timer took ours first — either way exactly one delivery
-		// is in flight; take it so the waiter can be pooled.
-		if rf := <-w.ch; rf != nil {
-			putRespFrame(rf)
-		}
-		putWaiter(w)
-		return nil, false, werr
+	} else {
+		// Ownership of fe passes to the write path; a flush failure surfaces
+		// through writeFailed -> fail, which releases our waiter with nil.
+		seq = cc.fw.sendFor(queuedFrame{fe: fe}, w)
 	}
-	// Ownership of fe passes to the write path; a flush failure surfaces
-	// through writeFailed -> fail, which releases our waiter with nil.
-	seq := cc.fw.sendFor(queuedFrame{fe: fe}, w)
-
-	rf = cc.await(w)
+	// When the reader seat is free the caller takes it and reads its reply
+	// itself; otherwise its delivery comes on w.ch.
+	if !cc.dead.Load() && cc.takeSeat() {
+		rf = cc.seated(w)
+	} else {
+		rf = <-w.ch
+	}
 	switch {
 	case rf != nil:
-	case w.fired.Load():
+	case w.state.Load()&fired != 0:
 		cc.m.callTimeouts.Inc()
 		err = &ConnError{Op: "timeout", Err: errCallTimeout}
 	default:
@@ -360,19 +364,6 @@ func (cc *clientConn) roundTrip(req *request, due time.Duration, into bool, dst 
 	}
 	putWaiter(w)
 	return rf, unsent, err
-}
-
-// await returns w's reply, or nil when the call failed.  When the reader
-// seat is free the caller takes it and reads the reply itself; otherwise
-// the seat holder delivers it on w.ch.
-func (cc *clientConn) await(w *waiter) *respFrame {
-	if !cc.dead.Load() && cc.takeSeat() {
-		// A failed read of the caller's own reply (claimed) owes no delivery.
-		if rf, claimed := cc.seated(w); rf != nil || claimed {
-			return rf
-		}
-	}
-	return <-w.ch
 }
 
 // dialWait is one in-flight dial that concurrent callers to the same
@@ -655,18 +646,14 @@ func (e *Endpoint) invoke(ctx context.Context, ref oref.Ref, method string, put 
 			e.failures.Add(1)
 			return 0, derr
 		}
-		// A warm call on a pooled connection reads no clock here; one that
-		// had to dial, or is sent again, or runs on a context's deadline,
-		// checks what it has left.
-		if (ctxBound || dialed || !resend) && mono() >= due {
-			// Encoding the arguments, a dial or the first attempt spent all
-			// of the call's time: the request is not framed at all.
-			e.metrics.callTimeouts.Inc()
-			err = &ConnError{Op: "timeout", Err: errCallTimeout}
-			break
-		}
+		// The pre-send check.  A warm call on a pooled connection reads no
+		// clock here; one that had to dial, or is sent again, or runs on a
+		// context's deadline, checks what it has left: if encoding the
+		// arguments, a dial or the first attempt spent all of it, the call
+		// ends before its request is sent.
+		late := (ctxBound || dialed || !resend) && mono() >= due
 		var unsent bool
-		rf, unsent, err = cc.roundTrip(req, due, res.into != nil, dst)
+		rf, unsent, err = cc.roundTrip(req, due, late, res.into != nil, dst)
 		if !unsent || !resend {
 			break
 		}

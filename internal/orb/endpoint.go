@@ -475,8 +475,8 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	// A failed response flush severs the connection; the client re-dials.
 	// So does one still writing after the call timeout: a client that
 	// stopped reading holds no more than that of this connection's replies.
-	srv.fw = frameWriter{conn: conn, m: e.metrics, onErr: func(error) { conn.Close() }}
-	srv.fw.boundWrites(e.timeout)
+	srv.fw = frameWriter{conn: conn, m: e.metrics, onErr: func(error) { conn.Close() }, limit: e.timeout}
+	srv.fw.stall.init(srv.fw.stalled)
 	srv.grace.init(srv.onGrace)
 	srv.run(getScratch(), true)
 }

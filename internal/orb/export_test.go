@@ -1,6 +1,10 @@
 package orb
 
-import "itv/internal/wire"
+import (
+	"sync/atomic"
+
+	"itv/internal/wire"
+)
 
 // SetWireVersionForTest makes the endpoint *accept* (and therefore serve)
 // only the given protocol version, simulating a server built at a different
@@ -34,7 +38,41 @@ func (e *Endpoint) TimerArms(addr string) int {
 	e.mu.Lock()
 	cc := e.conns[addr]
 	e.mu.Unlock()
-	cc.tmu.Lock()
-	defer cc.tmu.Unlock()
-	return cc.arms
+	cc.timer.mu.Lock()
+	defer cc.timer.mu.Unlock()
+	return cc.timer.arms
 }
+
+// setExplorer installs x as the schedule explorer (explore_test.go), or
+// removes it when x is nil.
+func setExplorer(x *explorer) {
+	if x == nil {
+		exploring.Store(nil)
+		return
+	}
+	var s scheduler = x
+	exploring.Store(&s)
+}
+
+// SeatPasses returns how many times, while f runs, a connection's reader
+// seat passed to a background reader — an idle connection's reader, or
+// one started behind a caller that left with replies still owed.  A warm
+// sequential call passes it never.  It counts at the schedule points.
+func SeatPasses(f func()) int64 {
+	c := new(passCounter)
+	var s scheduler = c
+	exploring.Store(&s)
+	defer exploring.Store(nil)
+	f()
+	return c.n.Load()
+}
+
+type passCounter struct{ n atomic.Int64 }
+
+func (c *passCounter) reach(p point, _ *waiter) {
+	if p == pSeatPass {
+		c.n.Add(1)
+	}
+}
+
+func (c *passCounter) misstep(point, *waiter, uint32) {}

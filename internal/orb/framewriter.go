@@ -122,22 +122,16 @@ type frameWriter struct {
 	buf      []byte      // copy-coalesce scratch, reused across flushes
 	vecs     net.Buffers // vectored-flush scratch, reused across flushes
 
-	// owner is the call whose frame made the current flusher one (nil on
-	// the server); expired records that its expiry set a past write
-	// deadline on the connection, which the flush clears when it ends.
-	owner   *waiter
+	// due is when the flush in progress runs out, a Mono reading (zero
+	// between flushes): on a client the deadline of the call whose frame
+	// made it the flusher, on a server the batch's start plus the endpoint's
+	// call timeout (limit), timed by the writer's own stall timer.  expired
+	// records that cut set a past write deadline on the connection, which
+	// the flush clears when it ends.
+	due     time.Duration
 	expired bool
-
-	// stall bounds a server's batch writes, which no call's deadline cuts
-	// short (nil on a client): a batch still being written after the
-	// endpoint's call timeout (limit) gets a past write deadline, and the
-	// failed write severs the connection.  due is when the batch being
-	// written runs out, as a Mono reading (zero between batches);
-	// stallArmed says the timer is pending.
-	stall      *time.Timer
-	limit      func() time.Duration
-	due        time.Duration
-	stallArmed bool
+	limit   func() time.Duration
+	stall   dueTimer
 
 	// queued numbers the frames in the order they join the queue, from 1;
 	// lost is the number of the first frame of which no byte reached the
@@ -160,16 +154,15 @@ type frameWriter struct {
 func (w *frameWriter) sendFrame(qf queuedFrame) { w.sendFor(qf, nil) }
 
 // sendFor is sendFrame for the frame of call by, a client request: its
-// deadline may cut short the flush the frame leads, and a call that has
-// expired already drops its frame here.  It returns the frame's number in
-// the queue (unsent), 0 for a dropped one.
+// deadline bounds the flush the frame leads, and a call that is over
+// already drops its frame here.  It returns the frame's number in the
+// queue (unsent), 0 for a dropped one.
 func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
+	sched(pSend, by)
 	w.mu.Lock()
-	if by != nil && by.fired.Load() {
-		// The call expired before its frame could leave, so nobody waits for
-		// the reply, and a flush it led would have nothing left to cut it
-		// short (expireAt checks the owner under w.mu, as this does, after
-		// the timer marks its calls fired).
+	if by != nil && by.state.Load()&fired != 0 {
+		// A flush it led would have no deadline left to cut it short: the
+		// timer ends calls before it cuts, which reads due under w.mu.
 		w.mu.Unlock()
 		wire.PutEncoder(qf.fe)
 		return 0
@@ -181,7 +174,10 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 		w.mu.Unlock()
 		return seq
 	}
-	w.flushing, w.owner = true, by
+	w.flushing = true
+	if by != nil {
+		w.due = by.due
+	}
 	// now is the flush's latest clock reading, the previous batch's write
 	// return, zero before the first batch or when that batch needed none.
 	var now time.Duration
@@ -190,7 +186,7 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 		first := w.queued - uint64(len(batch)) + 1
 		w.q = w.spare[:0]
 		w.spare = nil
-		if w.stall != nil {
+		if w.limit != nil {
 			// The batch starts writing now: at the previous write's return,
 			// or, for the first, at its leading frame's hand-off.
 			if now == 0 {
@@ -199,10 +195,12 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 			if now == 0 {
 				now = mono() // a reply without meta
 			}
-			w.armStall(now)
+			w.due = now + w.limit()
+			w.stall.arm(w.due, now)
 		}
 		w.mu.Unlock()
 
+		sched(pFlushOwn, by)
 		err := w.writeBatch(batch, first)
 		// Attribution happens here, outside w.mu, so the observes and the
 		// (rare) ledger admission never extend the lock hold of concurrent
@@ -227,11 +225,11 @@ func (w *frameWriter) sendFor(qf queuedFrame, by *waiter) uint64 {
 			w.onErr(err)
 		}
 
+		sched(pFlushRelease, by)
 		w.mu.Lock()
 		w.spare = batch[:0]
-		w.due = 0
 	}
-	w.flushing, w.owner = false, nil
+	w.flushing, w.due = false, 0
 	if w.expired {
 		// The deadline outlived the write it was meant to cut short.
 		w.expired = false
@@ -249,68 +247,34 @@ func (w *frameWriter) unsent(seq uint64) bool {
 	return lost != 0 && seq >= lost
 }
 
-// expireAt bounds a flush by the deadline of the call that leads it, at
-// Mono reading now: once that deadline has passed, the flush's writes fail
-// from now on, and the connection goes with them (onErr).  Otherwise it
-// returns the deadline, for the connection's timer to be set by; zero
-// when no call leads a flush.  The leading call may have its reply already
-// and be registered nowhere else, but it stays in sendFor, and so is not
-// pooled, while it is the owner.  Queued frames ride on someone else's
-// flush and expire without touching the connection.
-func (w *frameWriter) expireAt(now time.Duration) (due time.Duration) {
+// cut ends the flush in progress once its due time has passed, at Mono
+// reading now: its writes fail from here on, and the connection goes with
+// them (onErr).  Otherwise it returns the due time, for a timer to be set
+// by; zero when no flush is running.  It is the one rule for both sides:
+// a client's flush is due by its leading call's deadline, whether or not
+// that call has its reply — it stays in sendFor while it leads, so its
+// waiter is not pooled — and a server's batch by its start plus the call
+// timeout.  Frames queued behind someone else's flush ride on it.
+func (w *frameWriter) cut(now time.Duration) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.owner == nil {
-		return 0
-	}
-	if w.owner.due > now {
-		return w.owner.due
+	if w.due == 0 || w.due > now {
+		return w.due
 	}
 	w.expired = true
 	w.conn.SetWriteDeadline(aLongTimeAgo)
 	return 0
 }
 
-// boundWrites makes every batch this writer flushes fail once it has been
-// writing for limit(): the server's bound on a peer that stops reading its
-// replies.  It allocates the writer's one timer.
-func (w *frameWriter) boundWrites(limit func() time.Duration) {
-	w.limit = limit
-	w.stall = time.AfterFunc(time.Hour, w.stalled)
-	w.stall.Stop()
-}
-
-// armStall gives the batch about to be written, which starts at Mono
-// reading start, its due time, under w.mu.  Arming reads no clock, and
-// while the timer is pending it is one store: it starts the timer only
-// when none is, so a busy connection resets it at most once a limit, and
-// stalled moves it on to the batch then being written.
-func (w *frameWriter) armStall(start time.Duration) {
-	d := w.limit()
-	w.due = start + d
-	if !w.stallArmed {
-		w.stallArmed = true
-		w.stall.Reset(d)
-	}
-}
-
-// stalled is the stall timer: a batch past its due time gets a past write
-// deadline, as expire gives a call's flush; a batch still within it has the
-// timer set again for what it has left.
+// stalled is the server's stall timer: it cuts a batch past its due time,
+// and is set again for the batch being written otherwise.
 func (w *frameWriter) stalled() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.stallArmed = false
-	if w.due == 0 {
-		return // between batches: the next one arms again
+	sched(pStalled, nil)
+	w.stall.ran()
+	now := mono()
+	if due := w.cut(now); due != 0 {
+		w.stall.arm(due, now)
 	}
-	if left := w.due - mono(); left > 0 {
-		w.stallArmed = true
-		w.stall.Reset(left)
-		return
-	}
-	w.expired = true
-	w.conn.SetWriteDeadline(aLongTimeAgo)
 }
 
 // attribute records one served call's decomposition after its response

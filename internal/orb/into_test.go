@@ -59,9 +59,9 @@ func looplessConn(stream io.Reader, id uint64, w *waiter) *clientConn {
 	cc := &clientConn{conn: conn, fr: wire.NewFrameReader(conn), m: unitMetrics,
 		pending: make(map[uint64]*waiter)}
 	cc.fw = frameWriter{conn: conn, m: unitMetrics, onErr: cc.writeFailed}
-	cc.timer = time.AfterFunc(time.Hour, cc.expire)
-	cc.timer.Stop()
+	cc.timer.init(cc.expire)
 	cc.pending[id] = w
+	w.state.Store(registered)
 	return cc
 }
 
@@ -139,7 +139,7 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 			if oneByte && sz.str > 1<<20 {
 				continue
 			}
-			// filling: the last read left w in the lent slot.
+			// filling: the last read left w lent.
 			var filling bool
 			read := func(w *waiter) *respFrame {
 				t.Helper()
@@ -149,14 +149,14 @@ func TestSplitReadMatchesWholeRead(t *testing.T) {
 				}
 				cc := looplessConn(r, id, w)
 				rf := getRespFrame()
-				got, cerr := cc.readReply(rf)
+				got, cerr := cc.readReply(rf, nil)
 				if cerr != nil || got != w {
 					t.Fatalf("%+v oneByte=%v: readReply = %p, %v; want the registered waiter", sz, oneByte, got, cerr)
 				}
-				filling = cc.lent == w
+				filling = w.state.Load()&lent != 0
 				next := getRespFrame()
 				defer putRespFrame(next)
-				if _, cerr := cc.readReply(next); cerr != nil || next.resp.ReqID != id+1 || next.resp.HLC != 1 {
+				if _, cerr := cc.readReply(next, nil); cerr != nil || next.resp.ReqID != id+1 || next.resp.HLC != 1 {
 					t.Fatalf("%+v oneByte=%v: the frame behind decoded as %+v, %v", sz, oneByte, next.resp, cerr)
 				}
 				return rf
@@ -294,7 +294,7 @@ func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waite
 	cr := &countingReader{r: &firstRead{r: bytes.NewReader(stream), n: first}}
 	cc := looplessConn(cr, 7, w)
 	rf = getRespFrame()
-	got, cerr = cc.readReply(rf)
+	got, cerr = cc.readReply(rf, nil)
 
 	if len(stream) >= 4 {
 		if n := int(binary.BigEndian.Uint32(stream)); n <= wire.MaxFrameSize {
@@ -314,7 +314,7 @@ func checkHostile(t testing.TB, stream []byte, first, dstCap int) (w, got *waite
 	if got != nil && got != w {
 		t.Fatalf("readReply claimed a waiter nobody registered")
 	}
-	filling = cc.lent == w
+	filling = w.state.Load()&lent != 0
 	if got != w && filling {
 		t.Fatal("waiter marked filling but not returned: its delivery is lost")
 	}

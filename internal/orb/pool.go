@@ -11,57 +11,166 @@ import (
 // Hot-path object pools.  One remote invocation used to allocate a waiter
 // channel, a timer, two encoders, a request, a frame buffer per side, a
 // response, and a ServerCall — all dead the moment the call returned.  The
-// timer is now the connection's, one for all its calls (clientConn.arm);
+// timer is now the connection's, one for all its calls (clientConn.timer);
 // the pools below recycle the rest.  See DESIGN.md §9 for the ownership
 // rules that make the reuse safe.
 
 // waiter is one call in flight on a connection.  A caller that holds the
 // connection's reader seat reads its own reply (DESIGN.md §12); any other
-// gets it on ch from whoever holds the seat.  The channel has capacity 1
-// so a delivery never blocks; a nil delivery means the connection failed
-// or the call expired.  due is the call's deadline, a Mono reading, by
-// which the connection's timer (clientConn.expire) ends the call; done
-// carries the end of that work to a putWaiter or a seated caller that
-// found the waiter fired.
+// gets it on ch.  The channel has capacity 1 so a delivery never blocks;
+// a nil delivery means the connection failed or the call is over.  due is
+// the call's deadline, a Mono reading, by which the connection's timer
+// ends the call.  state is its life: the table below.
 //
 // into declares that the caller's results begin with one byte string and
 // lends dst as storage for it (Endpoint.InvokeInto).  into, dst and due
 // are set before the waiter is registered and constant while it is.
 type waiter struct {
-	ch   chan *respFrame
-	done chan struct{}
+	ch    chan *respFrame
+	state atomic.Uint32
 
-	cc  *clientConn
 	id  uint64
 	due time.Duration
-
-	fired  atomic.Bool // the timer took it: the call is over, whatever arrives
-	seated atomic.Bool // the caller is reading off the connection itself
-	reaped bool        // the caller has waited for the timer to finish already
 
 	into bool
 	dst  []byte
 }
 
-var waiterPool = sync.Pool{New: func() any {
-	return &waiter{ch: make(chan *respFrame, 1), done: make(chan struct{}, 1)}
-}}
+// A waiter's word is a phase — none while it is pooled or being filled in
+// — plus seated while its caller holds the connection's reader seat.
+const (
+	registered uint32 = 1 << iota // in pending, its reply to come
+	lent                          // in pending, the seat holder reading its reply into the caller's storage
+	delivered                     // its reply is the caller's: on ch, read by the caller, or nil for a failed connection
+	fired                         // the call is over (clientConn.end)
+	seated
+)
+
+// moves is the waiter's life: every change of its word, one row per
+// schedule point that makes it (waiter.move) — the bits it sets and clears,
+// the words it moves from, and the words in which another move got there
+// first and it does nothing.  A move from any other word is a broken
+// hand-off, which the schedule explorer reports.  Every move out of
+// registered or lent is made under the connection's pmu, by whoever takes
+// the waiter out of pending: the seat holder (claim, lend then lent),
+// clientConn.end, or fail (sweep).  That one owes the caller its one
+// delivery on ch, unless the caller read its own reply; from lent the seat
+// holder owes it even when end came first.  The caller sits and stands as
+// it takes and leaves the seat, and pools the waiter once it has its
+// delivery: nothing touches a waiter after that.
+//
+// end is the only move that decides a call is over.  The connection's
+// timer makes it for every call past its deadline, and roundTrip for a
+// call the pre-send check (Endpoint.invoke) found out of time; sendFor, the
+// seat, roundTrip and putWaiter read the word.  Three other places end a
+// call, each where end cannot reach: frameWriter.cut, the one rule that
+// bounds a flush on both sides, since a write stuck behind a peer that
+// stopped reading returns only when a deadline fails it; invoke's refusal
+// of a call whose context expired before it began, before any waiter,
+// frame or dial; and the transport's deadlines, by which cut and end's
+// kick interrupt a blocked Write or Read.
+var moves = [...]struct{ set, clear, from, lose uint32 }{
+	pRegister: {set: registered, from: words(0)},
+	pClaim:    {set: delivered, clear: registered, from: words(registered, registered|seated)},
+	pLend:     {set: lent, clear: registered, from: words(registered, registered|seated)},
+	pLent:     {set: delivered, clear: lent, from: words(lent, lent|seated), lose: words(fired, fired|seated)},
+	pEnd:      {set: fired, clear: registered | lent, from: words(registered, registered|seated, lent, lent|seated)},
+	pSweep:    {set: delivered, clear: registered, from: words(registered, registered|seated), lose: words(lent, lent|seated)},
+	pSit:      {set: seated, from: words(registered), lose: words(delivered, fired)},
+	pStand:    {clear: seated, from: words(registered|seated, delivered|seated, fired|seated)},
+	pPut:      {clear: delivered | fired, from: words(0, delivered, fired)},
+}
+
+// words is a set of words, one bit each.
+func words(ws ...uint32) (set uint32) {
+	for _, w := range ws {
+		set |= 1 << w
+	}
+	return set
+}
+
+// move makes row p of moves on w, and returns the word it found and
+// whether it moved.
+func (w *waiter) move(p point) (word uint32, ok bool) {
+	m := &moves[p]
+	for {
+		word = w.state.Load()
+		if m.from&(1<<word) == 0 {
+			if m.lose&(1<<word) == 0 {
+				misstep(p, w, word)
+			}
+			return word, false
+		}
+		if w.state.CompareAndSwap(word, word&^m.clear|m.set) {
+			return word, true
+		}
+	}
+}
+
+// A schedule point is a hand-off between the goroutines that share a
+// connection: the waiter's moves, and the rest below.  Each is a call to
+// sched, one atomic load unless a test has installed the seeded schedule
+// explorer (explore_test.go), which then parks the goroutine there until it
+// chooses to run it, and hears of every misstep.
+type point uint8
+
+const (
+	pRegister point = iota
+	pClaim
+	pLend
+	pLent
+	pEnd
+	pSweep
+	pSit
+	pStand
+	pPut
+	pSeatTake     // takeSeat
+	pSeatPass     // startReader
+	pSeatRelease  // release
+	pSend         // a frame is about to join the writer's queue
+	pFlushOwn     // the flusher is about to write a batch
+	pFlushRelease // the flusher has written a batch
+	pExpire       // the timers' runs: expire, onIdle, onGrace, stalled
+	pIdle
+	pGrace
+	pStalled
+	pKick // end kicks a seated caller out of Read
+	pFail
+)
+
+// scheduler is what the explorer installs in exploring.
+type scheduler interface {
+	reach(p point, w *waiter)
+	misstep(p point, w *waiter, word uint32)
+}
+
+var exploring atomic.Pointer[scheduler]
+
+// sched is schedule point p, reached for w (nil when no one call is at
+// stake).
+func sched(p point, w *waiter) {
+	if x := exploring.Load(); x != nil {
+		(*x).reach(p, w)
+	}
+}
+
+func misstep(p point, w *waiter, word uint32) {
+	if x := exploring.Load(); x != nil {
+		(*x).misstep(p, w, word)
+	}
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan *respFrame, 1)} }}
 
 // getWaiter returns a pooled waiter, its channel empty.
 func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
 
-// putWaiter returns w to the pool.  A waiter the connection's timer took
-// (fired) is pooled only once the timer is done with it, which a seated
-// caller may have waited for already (reaped); the timer touches no other.
-// The caller must have received the waiter's pending delivery, if any,
-// before pooling it.
+// putWaiter returns w to the pool.  The caller must have received the
+// waiter's delivery, if one is owed.
 func putWaiter(w *waiter) {
-	if w.fired.Load() && !w.reaped {
-		<-w.done
-	}
-	w.cc, w.id, w.due = nil, 0, 0
-	w.fired.Store(false)
-	w.reaped = false
+	sched(pPut, w)
+	w.move(pPut)
+	w.id, w.due = 0, 0
 	w.into, w.dst = false, nil
 	waiterPool.Put(w)
 }

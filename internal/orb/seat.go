@@ -3,6 +3,7 @@ package orb
 import (
 	"errors"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -85,6 +86,7 @@ const (
 
 // takeSeat claims the connection's reader seat if it is free.
 func (cc *clientConn) takeSeat() bool {
+	sched(pSeatTake, nil)
 	for {
 		s := cc.state.Load()
 		if s&seatHeld != 0 {
@@ -98,6 +100,7 @@ func (cc *clientConn) takeSeat() bool {
 
 // release frees the seat unless a registered waiter still needs a reader.
 func (cc *clientConn) release() bool {
+	sched(pSeatRelease, nil)
 	for {
 		s := cc.state.Load()
 		if s >= pendingOne {
@@ -109,37 +112,35 @@ func (cc *clientConn) release() bool {
 	}
 }
 
-// seated is await for a caller that took the seat: it reads until its own
-// reply arrives or the connection's timer takes its call, then gives the
-// seat up.  claimed reports a failed read of its own reply, for which no
-// delivery is owed.
-func (cc *clientConn) seated(w *waiter) (rf *respFrame, claimed bool) {
-	// expire kicks a seated caller out of Read; flagging the seat before
-	// looking at fired means it either kicks us or we see it fired.  A
-	// reader that held the seat before us may have delivered our reply
-	// already: it sends before it lets the seat go.
-	w.seated.Store(true)
-	var begun *respFrame
-	if !w.fired.Load() && len(w.ch) == 0 {
+// seated is roundTrip's wait for a caller that took the seat: it reads
+// until its own reply arrives or its call ends, then gives the seat up,
+// and returns its delivery.  A reader that held the seat before it may
+// have delivered that already (sit loses): it sends before it lets go.
+func (cc *clientConn) seated(w *waiter) *respFrame {
+	var rf, begun *respFrame
+	claimed := false
+	sched(pSit, w)
+	if _, ok := w.move(pSit); ok {
 		rf, claimed = cc.readUntil(w, nil)
 		if !claimed {
 			rf, begun = nil, rf
 		}
-	}
-	w.seated.Store(false)
-	if w.fired.Load() {
-		// expire may have found us seated, and then kicked us or be about to.
-		// Only once it is over can no kick meant for us reach the next
-		// reader: wait for it, and clear any deadline it set.
-		<-w.done
-		w.reaped = true
-		cc.conn.SetReadDeadline(time.Time{})
+		sched(pStand, w)
+		if word, _ := w.move(pStand); word&fired != 0 && !claimed {
+			// end saw us seated when it ended the call, so its kick is what
+			// failed our read (or the connection did); clearing the
+			// deadline keeps it off the next reader.
+			cc.conn.SetReadDeadline(time.Time{})
+		}
 	}
 	cc.leave(begun)
+	if !claimed {
+		return <-w.ch
+	}
 	if rf != nil {
 		cc.m.selfReads.Inc()
 	}
-	return rf, claimed
+	return rf
 }
 
 // readUntil reads replies off the connection for as long as its caller
@@ -157,21 +158,21 @@ func (cc *clientConn) readUntil(me *waiter, begun *respFrame) (rf *respFrame, cl
 		if rf == nil {
 			rf = getRespFrame()
 		}
-		got, cerr := cc.readReply(rf)
-		if got != nil && cc.lent == got {
-			// Done with the lent storage: from here on the timer has
-			// nothing to cut short for it (expire).
+		got, cerr := cc.readReply(rf, me)
+		if got != nil && got.state.Load()&lent != 0 {
+			// Done with the lent storage: from here on end has nothing to
+			// sever for it.
+			sched(pLent, got)
 			cc.pmu.Lock()
-			cc.lent = nil
+			delete(cc.pending, got.id)
+			got.move(pLent)
 			cc.pmu.Unlock()
 		}
 		if cerr != nil && got == nil && me != nil && errors.Is(cerr.Err, os.ErrDeadlineExceeded) {
-			// Only expire sets a read deadline, and only while its own caller
-			// is seated, who clears it before leaving (seated): this is me's
+			// Only end sets a read deadline, and only while its own caller is
+			// seated, who clears it before leaving (seated): this is me's
 			// kick.  The frame reader stays where it stopped, and rf holds the
-			// frame as far as it got.  A kick during a split read that already
-			// claimed its waiter cannot be resumed, and falls through as the
-			// read error it is.
+			// frame as far as it got.
 			if rf.size == 0 {
 				putRespFrame(rf) // nothing of the next frame arrived yet
 				return nil, false
@@ -185,8 +186,6 @@ func (cc *clientConn) readUntil(me *waiter, begun *respFrame) (rf *respFrame, cl
 				if got == me {
 					return nil, true
 				}
-				// Claimed before the failure: the sweep in fail cannot find
-				// it, so this is its one delivery.
 				got.ch <- nil
 			}
 			return nil, false
@@ -231,6 +230,7 @@ func (cc *clientConn) leave(begun *respFrame) {
 // startReader hands the seat its caller holds to a background reader, which
 // starts with begun.
 func (cc *clientConn) startReader(begun *respFrame) bool {
+	sched(pSeatPass, nil)
 	if cc.dead.Load() || !cc.ep.hold() {
 		return false
 	}
@@ -260,6 +260,7 @@ func (cc *clientConn) armIdle() {
 // again a grace later, or leaves that to whoever holds the seat now.
 func (cc *clientConn) onIdle() {
 	defer cc.ep.wg.Done()
+	sched(pIdle, nil)
 	seen := cc.idle.fire()
 	if cc.dead.Load() {
 		return
@@ -275,92 +276,115 @@ func (cc *clientConn) onIdle() {
 	}
 }
 
-// arm makes sure the connection's timer fires by due, the Mono reading at
-// which a call just registered runs out.  While the timer is pending for
-// that deadline or an earlier one, arming is one atomic load: calls that
-// share a timeout set it about once a timeout, when expire moves it on.
-// Only setting it reads the clock.
-func (cc *clientConn) arm(due time.Duration) {
-	if at := cc.due.Load(); at != 0 && at <= int64(due) {
-		return
-	}
-	cc.tmu.Lock()
-	if at := cc.due.Load(); (at == 0 || int64(due) < at) && !cc.dead.Load() {
-		cc.due.Store(int64(due))
-		cc.arms++
-		cc.timer.Reset(due - mono())
-	}
-	cc.tmu.Unlock()
+// dueTimer is a timer set for the earliest due time armed on it, a Mono
+// reading: a client connection's for the deadlines of its calls and of
+// the call leading its flush, a server's for its reply batches.  While it
+// is pending for a due time no later than the one armed, arming is one
+// atomic load, so calls that share a timeout set it about once a timeout.
+// Only setting it reads the clock, and not when the arming side has a
+// reading at hand (now).
+type dueTimer struct {
+	t    *time.Timer
+	mu   sync.Mutex
+	due  atomic.Int64 // zero while the timer is not pending
+	arms int          // the times it was set, guarded by mu
 }
 
-// expire is the connection's timer.  It takes out every call past its
-// deadline and marks it fired: the call is over.  A flush led by a call
-// past its deadline is cut short, whether or not that call's reply has
-// come (frameWriter.expireAt).  A registered waiter is released with nil —
-// kicked out of Read first if its caller is reading.  A waiter whose reply
-// the seat holder is still reading into its lent storage (from a stalled
-// peer, say) is owed its delivery by that holder, so the connection is
-// severed to make the delivery come now.  A caller that finds its call
-// fired waits for expire to be done with it before it leaves the seat
-// (seated) or pools the waiter (putWaiter), so the kick cannot outlive the
-// caller it was meant for.  Then the timer is set for the earliest
-// deadline left, a leading call's among them.
+// init makes f the function the timer runs; f calls ran first.
+func (d *dueTimer) init(f func()) {
+	d.t = time.AfterFunc(time.Hour, f)
+	d.t.Stop()
+}
+
+// arm makes sure the timer fires by due.  now is a Mono reading taken
+// just before, or zero.
+func (d *dueTimer) arm(due, now time.Duration) {
+	if at := d.due.Load(); at != 0 && at <= int64(due) {
+		return
+	}
+	d.mu.Lock()
+	if at := d.due.Load(); at == 0 || int64(due) < at {
+		if now == 0 {
+			now = mono()
+		}
+		d.due.Store(int64(due))
+		d.arms++
+		d.t.Reset(due - now)
+	}
+	d.mu.Unlock()
+}
+
+// ran opens the timer to arming again: it is no longer pending.
+func (d *dueTimer) ran() {
+	d.mu.Lock()
+	d.due.Store(0)
+	d.mu.Unlock()
+}
+
+// expire is the connection's timer.  It ends every call past its deadline,
+// then cuts short a flush whose leading call is past its deadline, whether
+// or not that call's reply has come (frameWriter.cut): in that order, a
+// call that leads no flush yet drops its frame (sendFor).  Then the timer
+// is set for the earliest deadline left, a leading call's among them.
 func (cc *clientConn) expire() {
-	cc.tmu.Lock()
-	cc.due.Store(0) // from here an arm sets the timer again
-	cc.tmu.Unlock()
+	sched(pExpire, nil)
+	cc.timer.ran()
 	if cc.dead.Load() {
 		return
 	}
 	now := mono()
 	var next time.Duration
-	var over []*waiter
-	var lent *waiter
+	var over []uint64
 	cc.pmu.Lock()
 	for id, w := range cc.pending {
-		if w.due > now {
-			next = earlier(next, w.due)
-			continue
-		}
-		delete(cc.pending, id)
-		cc.state.Add(-pendingOne)
-		w.fired.Store(true)
-		over = append(over, w)
-	}
-	if w := cc.lent; w != nil && !w.fired.Load() {
-		if w.due > now {
-			next = earlier(next, w.due)
-		} else {
-			w.fired.Store(true)
-			lent = w
+		switch {
+		case w.due <= now:
+			over = append(over, id)
+		case next == 0 || w.due < next:
+			next = w.due
 		}
 	}
 	cc.pmu.Unlock()
-	if due := cc.fw.expireAt(now); due != 0 {
-		next = earlier(next, due)
+	for _, id := range over {
+		cc.end(id)
 	}
-	for _, w := range over {
-		w.ch <- nil
-		if w.seated.Load() {
-			cc.conn.SetReadDeadline(aLongTimeAgo)
-		}
-		w.done <- struct{}{}
-	}
-	if lent != nil {
-		cc.fail(&ConnError{Op: "timeout", Err: errCallTimeout})
-		lent.done <- struct{}{}
+	if due := cc.fw.cut(now); due != 0 && (next == 0 || due < next) {
+		next = due
 	}
 	if next != 0 {
-		cc.arm(next)
+		cc.timer.arm(next, now)
 	}
 }
 
-// earlier returns the earlier of two deadlines, where zero is none.
-func earlier(a, b time.Duration) time.Duration {
-	if a == 0 || b < a {
-		return b
+// end ends call id if it is still pending: the one way a call is over
+// before its reply (pool.go's moves).  A caller seated on the connection
+// is kicked out of Read, and then delivered nil, after which nothing
+// touches the waiter.  A call whose reply the seat holder is reading into
+// its storage (from a stalled peer, say) is owed its delivery by that
+// holder, so the connection is severed to make it come now.
+func (cc *clientConn) end(id uint64) {
+	sched(pEnd, nil)
+	var word uint32
+	cc.pmu.Lock()
+	w := cc.pending[id]
+	if w != nil {
+		delete(cc.pending, id)
+		if word, _ = w.move(pEnd); word&registered != 0 {
+			cc.state.Add(-pendingOne)
+		}
 	}
-	return a
+	cc.pmu.Unlock()
+	switch {
+	case w == nil:
+	case word&lent != 0:
+		cc.fail(&ConnError{Op: "timeout", Err: errCallTimeout})
+	default:
+		if word&seated != 0 {
+			sched(pKick, w)
+			cc.conn.SetReadDeadline(aLongTimeAgo)
+		}
+		w.ch <- nil
+	}
 }
 
 // ---- server ----
@@ -396,6 +420,7 @@ func (srv *connServer) dispatchInline(sr *serverReq, s *callScratch) bool {
 // later one is running, it is timed from now.
 func (srv *connServer) onGrace() {
 	defer srv.e.wg.Done()
+	sched(pGrace, nil)
 	timed := srv.grace.fire()
 	word := srv.seat.Load()
 	switch {
@@ -425,7 +450,7 @@ func (srv *connServer) promote() {
 func (srv *connServer) finish() {
 	srv.seat.Store(seatClosed)
 	srv.grace.stop(srv.e)
-	srv.fw.stall.Stop()
+	srv.fw.stall.t.Stop()
 	srv.conn.Close()
 	srv.e.mu.Lock()
 	delete(srv.e.serving, srv.conn)
