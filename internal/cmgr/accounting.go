@@ -115,19 +115,25 @@ func (s *Service) UsageOf(settop string) Usage {
 	return Usage{Settop: settop}
 }
 
+// minUsageBytes is the least a usage record occupies on the wire: an empty
+// string, two one-byte numbers and a float.
+const minUsageBytes = 11
+
 // Usage (stub): fetch the accounting table from a replica.
 func (st Stub) Usage() ([]Usage, error) {
 	var out []Usage
 	err := st.Ep.Invoke(st.Ref, "usage", nil,
-		func(d *wire.Decoder) error {
-			n := d.Count()
-			out = make([]Usage, 0, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				var u Usage
-				u.UnmarshalWire(d)
-				out = append(out, u)
-			}
-			return nil
-		})
+		func(d *wire.Decoder) error { out = getUsages(d); return nil })
 	return out, err
+}
+
+func getUsages(d *wire.Decoder) []Usage {
+	n := d.CountOf(minUsageBytes)
+	out := make([]Usage, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		var u Usage
+		u.UnmarshalWire(d)
+		out = append(out, u)
+	}
+	return out
 }

@@ -71,8 +71,12 @@ func putAllocs(e *wire.Encoder, as []Alloc) {
 	}
 }
 
+// minAllocBytes is the least an allocation occupies on the wire: three
+// empty strings and two one-byte numbers.
+const minAllocBytes = 5
+
 func getAllocs(d *wire.Decoder) []Alloc {
-	n := d.Count()
+	n := d.CountOf(minAllocBytes)
 	out := make([]Alloc, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		var a Alloc

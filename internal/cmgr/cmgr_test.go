@@ -1,7 +1,9 @@
 package cmgr
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -496,4 +498,28 @@ func (allocSkel) Dispatch(c *orb.ServerCall) error {
 	}
 	(&Alloc{ID: "elsewhere"}).MarshalWire(c.Results())
 	return nil
+}
+
+// TestHostileCountAllocatesNothing: allocations or usage records claimed
+// 2^20 at a time, the wire's limit, in 1 MiB — one byte a record — are
+// short of what a record takes at least, and fail before anything is sized
+// by the claim (64 and 40 MiB of records).
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	e := new(wire.Encoder)
+	e.PutUint(1 << 20)
+	e.PutRaw(make([]byte, 1<<20))
+	for name, decode := range map[string]func(*wire.Decoder){
+		"allocs": func(d *wire.Decoder) { getAllocs(d) },
+		"usage":  func(d *wire.Decoder) { getUsages(d) },
+	} {
+		var d wire.Decoder
+		d.Reset(e.Bytes())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode(&d)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; !errors.Is(d.Err(), wire.ErrTruncated) || n > 64<<10 {
+			t.Errorf("%s: %v after %d bytes allocated; want wire.ErrTruncated after next to none", name, d.Err(), n)
+		}
+	}
 }

@@ -131,21 +131,27 @@ func (s Stub) Probe(title string) (MovieInfo, bool, int, error) {
 	return info, ok, int(load), err
 }
 
+// minOpenMovieBytes is the least an open-movie record occupies on the
+// wire: four empty strings.
+const minOpenMovieBytes = 4
+
 // OpenMovies fetches the open-movie records.
 func (s Stub) OpenMovies() ([]OpenMovie, error) {
 	var out []OpenMovie
 	err := s.Ep.Invoke(s.Ref, "openMovies", nil,
-		func(d *wire.Decoder) error {
-			n := d.Count()
-			out = make([]OpenMovie, 0, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				var o OpenMovie
-				o.UnmarshalWire(d)
-				out = append(out, o)
-			}
-			return nil
-		})
+		func(d *wire.Decoder) error { out = decodeOpenMovies(d); return nil })
 	return out, err
+}
+
+func decodeOpenMovies(d *wire.Decoder) []OpenMovie {
+	n := d.CountOf(minOpenMovieBytes)
+	out := make([]OpenMovie, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		var o OpenMovie
+		o.UnmarshalWire(d)
+		out = append(out, o)
+	}
+	return out
 }
 
 // Titles fetches the catalog.

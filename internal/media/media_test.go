@@ -3,6 +3,7 @@ package media
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -278,5 +279,24 @@ func TestDurationHelper(t *testing.T) {
 	}
 	if (MovieInfo{}).Duration() != 0 {
 		t.Fatal("zero-bitrate duration")
+	}
+}
+
+// TestHostileCountAllocatesNothing: open-movie records claimed 2^20 at a
+// time, the wire's limit, in 1 MiB — one byte a record — are short of the
+// four bytes a record takes at least, and fail before anything is sized by
+// the claim (64 MiB of records).
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	e := new(wire.Encoder)
+	e.PutUint(1 << 20)
+	e.PutRaw(make([]byte, 1<<20))
+	var d wire.Decoder
+	d.Reset(e.Bytes())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decodeOpenMovies(&d)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; !errors.Is(d.Err(), wire.ErrTruncated) || n > 64<<10 {
+		t.Errorf("%v after %d bytes allocated; want wire.ErrTruncated after next to none", d.Err(), n)
 	}
 }

@@ -396,105 +396,57 @@ func TestFrameWriterPoolCanary(t *testing.T) {
 	}
 }
 
-// gatedTransport wraps a memnet transport so the test can stall every
-// dialed connection's writes behind a gate.
-type gatedTransport struct {
-	transport.Transport
-	mu      sync.Mutex
-	gate    chan struct{} // non-nil: writes block until it closes
-	started chan struct{} // non-nil: signaled when a write begins blocking
-}
+// TestInvokeCtxCancelWhileQueued covers the caller's view of a queued
+// frame: A's write is stalled — its peer reads nothing for 100 ms — B's
+// frame queues behind it, and B's context deadline passes while the frame
+// is still waiting for the flusher.  B must get the deadline error at its
+// deadline; once the peer reads, A is served, B's late response is
+// discarded by the unregistered-waiter path, not delivered or leaked, and
+// the next call proceeds normally (the cancelWhileQueued scenario).
+func TestInvokeCtxCancelWhileQueued(t *testing.T) { explorePins(t) }
 
-func (g *gatedTransport) setGate(gate, started chan struct{}) {
-	g.mu.Lock()
-	g.gate, g.started = gate, started
-	g.mu.Unlock()
-}
-
-func (g *gatedTransport) Dial(addr string) (net.Conn, error) {
-	c, err := g.Transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &gatedConn{Conn: c, t: g}, nil
-}
-
-type gatedConn struct {
-	net.Conn
-	t *gatedTransport
-}
-
-func (c *gatedConn) Write(p []byte) (int, error) {
-	c.t.mu.Lock()
-	gate, started := c.t.gate, c.t.started
-	c.t.mu.Unlock()
-	if gate != nil {
-		if started != nil {
-			select {
-			case started <- struct{}{}:
-			default:
+var cancelWhileQueued = scenario{"cancel while queued", func(x *explorer) error {
+	const timeout = 50 * time.Millisecond
+	nw := transport.NewNetwork()
+	peer, stop := peerOn(nw.Host("192.168.39.4"), func(c net.Conn) {
+		x.sleep(2 * timeout)
+		var dec wire.Decoder
+		for frame, err := wire.ReadFrameInto(c, nil); err == nil; frame, err = wire.ReadFrameInto(c, frame) {
+			var req request
+			dec.Reset(frame)
+			req.UnmarshalWire(&dec)
+			e := new(wire.Encoder)
+			if wire.AppendFrame(e, &response{ReqID: req.ReqID, Status: statusOK, Body: req.Body}) == nil {
+				c.Write(e.Bytes())
 			}
 		}
-		<-gate
-	}
-	return c.Conn.Write(p)
-}
-
-// TestInvokeCtxCancelWhileQueued covers the caller's view of a queued
-// frame: goroutine A's write is stalled, B's frame queues behind it, and
-// B's context deadline fires while the frame is still waiting for the
-// flusher.  B must get the deadline error promptly; the connection must
-// stay healthy once the stall clears (B's late response is discarded by
-// the unregistered-waiter path, not delivered or leaked).
-func TestInvokeCtxCancelWhileQueued(t *testing.T) {
-	nw := transport.NewNetwork()
-	server, err := NewEndpoint(nw.Host("192.168.0.1"))
+	})
+	defer stop()
+	client, err := NewEndpoint(nw.Host("10.39.0.8"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	gt := &gatedTransport{Transport: nw.Host("10.1.0.5")}
-	client, err := NewEndpoint(gt)
-	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer client.Close()
-	skel := &echoSkel{}
-	ref := server.Register("", skel)
-
-	// Warm the connection while the gate is open.
-	if _, err := echo(t, client, ref, "warm"); err != nil {
-		t.Fatal(err)
-	}
-
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	gt.setGate(gate, started)
-
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := echo(t, client, ref, "stalled")
+		x.label("A")
+		_, err := timed(x, client, peer, "echo", string(make([]byte, stallPayload)), time.Second)
 		aDone <- err
 	}()
-	<-started // A is the flusher, blocked in Write
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err = client.InvokeCtx(ctx, ref, "echo",
-		func(e *wire.Encoder) { e.PutString("queued") },
-		func(d *wire.Decoder) error { _ = d.String(); return nil })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued call got %v, want context.DeadlineExceeded", err)
+	for !leadsFlush(client, peer.Addr) {
+		x.sleep(time.Millisecond) // until A is the flusher, stalled in its write
 	}
-
-	gt.setGate(nil, nil)
-	close(gate)
+	var errs []error
+	if took, err := timed(x, client, peer, "echo", "queued", timeout); !errors.Is(err, context.DeadlineExceeded) || took > timeout+slack {
+		errs = append(errs, fmt.Errorf("queued call returned after %s with %v; want context.DeadlineExceeded at its deadline", took, err))
+	}
 	if err := <-aDone; err != nil {
-		t.Fatalf("stalled call failed after gate opened: %v", err)
+		errs = append(errs, fmt.Errorf("stalled call failed once its peer read: %v", err))
 	}
-	// The connection survived: B's frame was written late, its response
-	// discarded, and the next call proceeds normally.
-	if out, err := echo(t, client, ref, "after"); err != nil || out != "after" {
-		t.Fatalf("post-race call = %q, %v; want %q, nil", out, err, "after")
+	var out string
+	if err := client.Invoke(peer, "echo", func(e *wire.Encoder) { e.PutString("after") },
+		func(d *wire.Decoder) error { out = d.String(); return nil }); err != nil || out != "after" {
+		errs = append(errs, fmt.Errorf("post-race call = %q, %v; want %q, nil", out, err, "after"))
 	}
-}
+	return errors.Join(errs...)
+}}

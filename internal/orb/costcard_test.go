@@ -68,6 +68,7 @@ type rig struct {
 	clients []*orb.Endpoint
 	ref     oref.Ref
 	srcs    []transport.StatsSource // the server's counters, then the clients' on memnet
+	counts  *orb.Counts             // what the ORB did while the card measured it
 }
 
 func newRig(tb testing.TB, p probe) *rig {
@@ -307,16 +308,18 @@ func clockReads(t *testing.T, r *rig) []float64 {
 		}
 	}
 	settle(1) // the warm call
-	n := orb.ClockReads(func() { r.seq(t, seqCalls); settle(1 + seqCalls) })
-	return []float64{float64(n) / seqCalls}
+	before := r.counts.ClockReads()
+	r.seq(t, seqCalls)
+	settle(1 + seqCalls)
+	return []float64{float64(r.counts.ClockReads()-before) / seqCalls}
 }
 
 // timerArms: a call only registers its deadline with the connection's one
 // timer, which is already pending for an earlier call's.
 func timerArms(t *testing.T, r *rig) []float64 {
-	before := r.clients[0].TimerArms(r.ref.Addr)
+	before := r.counts.TimerArms()
 	r.seq(t, 1000)
-	return []float64{float64(r.clients[0].TimerArms(r.ref.Addr) - before)}
+	return []float64{float64(r.counts.TimerArms() - before)}
 }
 
 // handsOff: one call at a time, the server's reader dispatches every
@@ -486,16 +489,19 @@ func measure(t *testing.T, ps []probe) map[cell]string {
 	got := map[cell]string{}
 	for _, p := range ps {
 		t.Run(strings.ReplaceAll(p.cells[0].rung+" "+p.cells[0].col, "/", " per "), func(t *testing.T) {
-			if p.alloc && raceEnabled {
+			if p.alloc && orb.RaceEnabled {
 				t.Skip("allocation counts do not hold under the race detector")
 			}
-			run := func() ([]float64, int64) {
-				r := newRig(t, p)
-				promoted := r.server.Metrics().Counter("orb_server_reader_promotions")
-				before := promoted.Value()
-				var vs []float64
-				passes := orb.SeatPasses(func() { vs = p.run(t, r) })
-				return vs, passes + promoted.Value() - before
+			run := func() (vs []float64, moved int64) {
+				orb.Count(func(c *orb.Counts) {
+					r := newRig(t, p)
+					r.counts = c
+					promoted := r.server.Metrics().Counter("orb_server_reader_promotions")
+					p0, s0 := promoted.Value(), c.SeatPasses()
+					vs = p.run(t, r)
+					moved = c.SeatPasses() - s0 + promoted.Value() - p0
+				})
+				return vs, moved
 			}
 			vs, moved := run()
 			for try := 1; p.retry && moved > 0 && try < 3; try++ {

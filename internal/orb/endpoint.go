@@ -476,8 +476,8 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	// So does one still writing after the call timeout: a client that
 	// stopped reading holds no more than that of this connection's replies.
 	srv.fw = frameWriter{conn: conn, m: e.metrics, onErr: func(error) { conn.Close() }, limit: e.timeout}
-	srv.fw.stall.init(srv.fw.stalled)
-	srv.grace.init(srv.onGrace)
+	srv.fw.stall.t = newTimer(pStalled, srv.fw.stalled)
+	srv.grace.t = newTimer(pGrace, srv.onGrace)
 	srv.run(getScratch(), true)
 }
 

@@ -26,8 +26,12 @@ func appendEvents(e *wire.Encoder, events []obs.Event) {
 	}
 }
 
+// minEventBytes is the least an event occupies on the wire: four one-byte
+// numbers and three empty strings.
+const minEventBytes = 7
+
 func decodeEvents(d *wire.Decoder) []obs.Event {
-	n := d.Count()
+	n := d.CountOf(minEventBytes)
 	out := make([]obs.Event, 0, n)
 	for i := 0; i < n; i++ {
 		var ev obs.Event

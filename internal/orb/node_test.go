@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -159,4 +160,51 @@ func TestLocalCallGetsRemoteDispatch(t *testing.T) {
 	if got := server.Metrics().Gauge("orb_server_inflight").Value(); got != 0 {
 		t.Errorf("orb_server_inflight = %d after the calls returned", got)
 	}
+}
+
+// allocated returns how many bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileCountAllocatesNothing: a reply claiming 2^20 events at one
+// byte an event is short of the seven bytes an event takes at least, and
+// fails before anything is sized by the claim (96 MiB of events).
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	e := new(wire.Encoder)
+	e.PutUint(1 << 20) // the wire's limit, in 1 MiB
+	e.PutRaw(make([]byte, 1<<20))
+	var d wire.Decoder
+	d.Reset(e.Bytes())
+	if n := allocated(func() { decodeEvents(&d) }); !errors.Is(d.Err(), wire.ErrTruncated) || n > 64<<10 {
+		t.Errorf("%v after %d bytes allocated; want wire.ErrTruncated after next to none", d.Err(), n)
+	}
+}
+
+// FuzzNodeReplies feeds the decoders of the node operations' replies —
+// events, health, slow calls — arbitrary bodies: none panics, and none
+// allocates more than 64 bytes a byte of its input, plus 4 KiB.
+func FuzzNodeReplies(f *testing.F) {
+	e := new(wire.Encoder)
+	appendEvents(e, []obs.Event{{Seq: 1, Node: "n", Name: "x", Detail: "d"}})
+	f.Add(bytes.Clone(e.Bytes()))
+	f.Add([]byte{0x80, 0x80, 0x40, 0, 0, 0}) // a count of 2^20
+	decoders := map[string]func(*wire.Decoder){
+		"events": func(d *wire.Decoder) { decodeEvents(d) },
+		"health": func(d *wire.Decoder) { decodeHealth(d) },
+		"slow":   func(d *wire.Decoder) { decodeSlowCalls(d) },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for name, decode := range decoders {
+			var d wire.Decoder
+			d.Reset(body)
+			if n := allocated(func() { decode(&d) }); n > 64*uint64(len(body))+4<<10 {
+				t.Errorf("%s: %d bytes allocated decoding %d", name, n, len(body))
+			}
+		}
+	})
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package orb_test
+package orb
 
-const raceEnabled = false
+const RaceEnabled = false

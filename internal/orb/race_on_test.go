@@ -1,8 +1,7 @@
 //go:build race
 
-package orb_test
+package orb
 
-// raceEnabled: the race detector's sync.Pool drops a quarter of what is
-// put back, so an allocation budget that counts on pooled buffers coming
-// back does not hold under it.
-const raceEnabled = true
+// RaceEnabled: the race detector's sync.Pool drops a quarter of what is
+// put back, and its scheduler shuffles the run queue.
+const RaceEnabled = true

@@ -3,6 +3,7 @@ package orb
 import (
 	"errors"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,18 +35,12 @@ var aLongTimeAgo = time.Unix(1, 0)
 // connection can arm it on every call and the check still runs at most
 // once a grace.  A pending check holds the endpoint's Close (Endpoint.hold)
 // until it has run, or until stop cancels it.  seen is what the arming side
-// recorded for the check to compare with what it finds.
+// recorded for the check to compare with what it finds.  The timer runs
+// the check (newTimer), which begins with fire and ends with e.wg.Done().
 type graceCheck struct {
-	t     *time.Timer
+	t     timer
 	armed atomic.Bool
 	seen  atomic.Uint64
-}
-
-// init makes check the function the timer runs.  check must begin with
-// fire and end with e.wg.Done().
-func (g *graceCheck) init(check func()) {
-	g.t = time.AfterFunc(time.Hour, check)
-	g.t.Stop()
 }
 
 // arm starts the check, recording seen, unless one is pending already or
@@ -282,18 +277,11 @@ func (cc *clientConn) onIdle() {
 // is pending for a due time no later than the one armed, arming is one
 // atomic load, so calls that share a timeout set it about once a timeout.
 // Only setting it reads the clock, and not when the arming side has a
-// reading at hand (now).
+// reading at hand (now).  Its timer runs a function that calls ran first.
 type dueTimer struct {
-	t    *time.Timer
-	mu   sync.Mutex
-	due  atomic.Int64 // zero while the timer is not pending
-	arms int          // the times it was set, guarded by mu
-}
-
-// init makes f the function the timer runs; f calls ran first.
-func (d *dueTimer) init(f func()) {
-	d.t = time.AfterFunc(time.Hour, f)
-	d.t.Stop()
+	t   timer
+	mu  sync.Mutex
+	due atomic.Int64 // zero while the timer is not pending
 }
 
 // arm makes sure the timer fires by due.  now is a Mono reading taken
@@ -308,7 +296,6 @@ func (d *dueTimer) arm(due, now time.Duration) {
 			now = mono()
 		}
 		d.due.Store(int64(due))
-		d.arms++
 		d.t.Reset(due - now)
 	}
 	d.mu.Unlock()
@@ -345,6 +332,7 @@ func (cc *clientConn) expire() {
 		}
 	}
 	cc.pmu.Unlock()
+	slices.Sort(over) // in the order the calls began, not the map's: a schedule replays
 	for _, id := range over {
 		cc.end(id)
 	}
