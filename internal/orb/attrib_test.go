@@ -48,18 +48,10 @@ func perRun(host string) string {
 // per-run host names, so the per-host ledgers, recorders and registries
 // start cold for each test and each -count repetition of it.
 func newAttribPair(t *testing.T, serverHost, clientHost string) (*Endpoint, *Endpoint, oref.Ref) {
-	t.Helper()
 	nw := transport.NewNetwork()
-	server, err := NewEndpoint(nw.Host(perRun(serverHost)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewEndpoint(nw.Host(perRun(clientHost)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { server.Close(); client.Close() })
-	ref := server.Register("", &napSkel{nap: 2 * time.Millisecond})
+	server, client, ref, closeAll := pairOn([2]transport.Transport{nw.Host(perRun(serverHost)), nw.Host(perRun(clientHost))},
+		&napSkel{nap: 2 * time.Millisecond})
+	t.Cleanup(closeAll)
 	return server, client, ref
 }
 

@@ -54,20 +54,10 @@ func (s *echoSkel) lastCaller() Caller {
 }
 
 func newPair(t *testing.T) (*Endpoint, *Endpoint, *echoSkel, oref.Ref) {
-	t.Helper()
 	nw := transport.NewNetwork()
-	server, err := NewEndpoint(nw.Host("192.168.0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewEndpoint(nw.Host("10.1.0.5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { server.Close(); client.Close() })
 	skel := &echoSkel{block: make(chan struct{})}
-	t.Cleanup(func() { close(skel.block) })
-	ref := server.Register("", skel)
+	server, client, ref, closeAll := pairOn([2]transport.Transport{nw.Host("192.168.0.1"), nw.Host("10.1.0.5")}, skel)
+	t.Cleanup(func() { close(skel.block); closeAll() })
 	return server, client, skel, ref
 }
 
