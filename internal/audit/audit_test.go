@@ -544,3 +544,52 @@ func TestPinger(t *testing.T) {
 		return len(dead) == 1
 	})
 }
+
+// TestCloseTwice: each periodic type here closes twice in a row, and from
+// two goroutines at once, without a panic, and leaves no timer armed.
+func TestCloseTwice(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(clk clock.Clock) (close func())
+	}{
+		{"DurationTable", func(clk clock.Clock) func() {
+			return NewDurationTable(clk, time.Second, func(string) {}).Close
+		}},
+		{"LeaseTable", func(clk clock.Clock) func() {
+			return NewLeaseTable(clk, time.Second, func(string) {}).Close
+		}},
+		{"Pinger", func(clk clock.Clock) func() {
+			return NewPinger(nil, clk, time.Second, func(oref.Ref) {}).Close
+		}},
+		{"Watcher", func(clk clock.Clock) func() {
+			return NewWatcher(Stub{}, clk, time.Second).Close
+		}},
+		{"Service", func(clk clock.Clock) func() {
+			s, err := New(transport.NewNetwork().Host(serverIP(0)), clk, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewFake()
+			stop := tc.open(clk)
+			stop()
+			stop()
+			stop = tc.open(clk)
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					stop()
+				}()
+			}
+			wg.Wait()
+			if n := clk.Waiters(); n != 0 {
+				t.Errorf("%d timers left armed after Close", n)
+			}
+		})
+	}
+}

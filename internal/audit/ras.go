@@ -98,8 +98,7 @@ type Service struct {
 	remoteGauge  *obs.Gauge
 	settopGauge  *obs.Gauge
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // New starts a RAS instance on tr's host and registers its callback with
@@ -128,13 +127,11 @@ func New(tr transport.Transport, clk clock.Clock, cfg Config) (*Service, error) 
 		deadDeclared: reg.Counter("ras_dead_declared"),
 		remoteGauge:  reg.Gauge("ras_remote_entities"),
 		settopGauge:  reg.Gauge("ras_settop_entities"),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 	}
 	ep.Register("", &skel{s: s})
 	ep.Register("callback", ssc.CallbackFunc(s.objectsChanged))
 	s.registerWithSSC()
-	go s.run()
+	s.loop = clock.Every(clk, cfg.PeerPollInterval, false, func(time.Time) { s.poll() })
 	return s, nil
 }
 
@@ -151,12 +148,7 @@ func (s *Service) Endpoint() *orb.Endpoint { return s.ep }
 
 // Close stops the RAS.  Its state is disposable by design.
 func (s *Service) Close() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-		<-s.done
-	}
+	s.loop.Stop()
 	s.ep.Close()
 }
 
@@ -282,24 +274,10 @@ func (s *Service) localAliveLocked(ref oref.Ref) bool {
 	return s.localLive[ref.Key()]
 }
 
-// run is the polling loop: every PeerPollInterval it refreshes remote
-// entities from their servers' RAS instances and settop entities from the
-// local Settop Manager, and it keeps trying to register with the SSC if
-// that has not succeeded yet.
-func (s *Service) run() {
-	defer close(s.done)
-	tick := s.clk.NewTicker(s.cfg.PeerPollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C():
-			s.poll()
-		}
-	}
-}
-
+// poll is the polling loop's round: every PeerPollInterval it refreshes
+// remote entities from their servers' RAS instances and settop entities
+// from the local Settop Manager, and it keeps trying to register with the
+// SSC if that has not succeeded yet.
 func (s *Service) poll() {
 	s.pollRounds.Inc()
 	s.mu.Lock()

@@ -34,8 +34,7 @@ type DurationTable struct {
 	grants map[string]time.Time // id -> deadline
 	leaked int64                // reclaimed by timeout (not by release)
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // NewDurationTable starts a duration-timeout table; onExpire fires for
@@ -45,10 +44,8 @@ func NewDurationTable(clk clock.Clock, checkEvery time.Duration, onExpire func(i
 		clk:      clk,
 		onExpire: onExpire,
 		grants:   make(map[string]time.Time),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	go t.run(checkEvery)
+	t.loop = clock.Every(clk, checkEvery, false, func(time.Time) { t.check() })
 	return t
 }
 
@@ -81,32 +78,22 @@ func (t *DurationTable) Expired() int64 {
 }
 
 // Close stops the table.
-func (t *DurationTable) Close() { close(t.stop); <-t.done }
+func (t *DurationTable) Close() { t.loop.Stop() }
 
-func (t *DurationTable) run(every time.Duration) {
-	defer close(t.done)
-	tick := t.clk.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C():
-			now := t.clk.Now()
-			var expired []string
-			t.mu.Lock()
-			for id, dl := range t.grants {
-				if now.After(dl) {
-					expired = append(expired, id)
-					delete(t.grants, id)
-					t.leaked++
-				}
-			}
-			t.mu.Unlock()
-			for _, id := range expired {
-				t.onExpire(id)
-			}
+func (t *DurationTable) check() {
+	now := t.clk.Now()
+	var expired []string
+	t.mu.Lock()
+	for id, dl := range t.grants {
+		if now.After(dl) {
+			expired = append(expired, id)
+			delete(t.grants, id)
+			t.leaked++
 		}
+	}
+	t.mu.Unlock()
+	for _, id := range expired {
+		t.onExpire(id)
 	}
 }
 
@@ -121,8 +108,7 @@ type LeaseTable struct {
 	renewals int64
 	onExpire func(id string)
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // NewLeaseTable starts a lease table with the given time-to-live.
@@ -132,10 +118,8 @@ func NewLeaseTable(clk clock.Clock, ttl time.Duration, onExpire func(id string))
 		ttl:      ttl,
 		leases:   make(map[string]time.Time),
 		onExpire: onExpire,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	go t.run()
+	t.loop = clock.Every(clk, ttl/2, false, func(time.Time) { t.check() })
 	return t
 }
 
@@ -182,48 +166,35 @@ func (t *LeaseTable) Renewals() int64 {
 }
 
 // Close stops the table.
-func (t *LeaseTable) Close() { close(t.stop); <-t.done }
+func (t *LeaseTable) Close() { t.loop.Stop() }
 
-func (t *LeaseTable) run() {
-	defer close(t.done)
-	tick := t.clk.NewTicker(t.ttl / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C():
-			now := t.clk.Now()
-			var expired []string
-			t.mu.Lock()
-			for id, dl := range t.leases {
-				if now.After(dl) {
-					expired = append(expired, id)
-					delete(t.leases, id)
-				}
-			}
-			t.mu.Unlock()
-			for _, id := range expired {
-				t.onExpire(id)
-			}
+func (t *LeaseTable) check() {
+	now := t.clk.Now()
+	var expired []string
+	t.mu.Lock()
+	for id, dl := range t.leases {
+		if now.After(dl) {
+			expired = append(expired, id)
+			delete(t.leases, id)
 		}
+	}
+	t.mu.Unlock()
+	for _, id := range expired {
+		t.onExpire(id)
 	}
 }
 
 // Pinger tracks client objects by pinging them directly — per-service
 // client tracking (§7.1's third alternative).
 type Pinger struct {
-	ep       PingInvoker
-	clk      clock.Clock
-	interval time.Duration
-	onDead   func(oref.Ref)
+	ep     PingInvoker
+	onDead func(oref.Ref)
 
 	mu      sync.Mutex
 	targets map[string]oref.Ref
 	pings   int64
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // PingInvoker is the slice of orb.Endpoint the pinger needs.
@@ -234,15 +205,11 @@ type PingInvoker interface {
 // NewPinger starts a pinger.
 func NewPinger(ep PingInvoker, clk clock.Clock, interval time.Duration, onDead func(oref.Ref)) *Pinger {
 	p := &Pinger{
-		ep:       ep,
-		clk:      clk,
-		interval: interval,
-		onDead:   onDead,
-		targets:  make(map[string]oref.Ref),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		ep:      ep,
+		onDead:  onDead,
+		targets: make(map[string]oref.Ref),
 	}
-	go p.run()
+	p.loop = clock.Every(clk, interval, false, func(time.Time) { p.pingAll() })
 	return p
 }
 
@@ -268,30 +235,20 @@ func (p *Pinger) Pings() int64 {
 }
 
 // Close stops the pinger.
-func (p *Pinger) Close() { close(p.stop); <-p.done }
+func (p *Pinger) Close() { p.loop.Stop() }
 
-func (p *Pinger) run() {
-	defer close(p.done)
-	tick := p.clk.NewTicker(p.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-tick.C():
-			p.mu.Lock()
-			refs := make([]oref.Ref, 0, len(p.targets))
-			for _, r := range p.targets {
-				refs = append(refs, r)
-			}
-			p.pings += int64(len(refs))
-			p.mu.Unlock()
-			for _, r := range refs {
-				if err := p.ep.Ping(r); err != nil {
-					p.Forget(r)
-					p.onDead(r)
-				}
-			}
+func (p *Pinger) pingAll() {
+	p.mu.Lock()
+	refs := make([]oref.Ref, 0, len(p.targets))
+	for _, r := range p.targets {
+		refs = append(refs, r)
+	}
+	p.pings += int64(len(refs))
+	p.mu.Unlock()
+	for _, r := range refs {
+		if err := p.ep.Ping(r); err != nil {
+			p.Forget(r)
+			p.onDead(r)
 		}
 	}
 }

@@ -17,15 +17,12 @@ import (
 // The Media Management Service uses a Watcher to learn of settop deaths
 // and reclaim movie resources (§3.5.1).
 type Watcher struct {
-	ras      Stub
-	clk      clock.Clock
-	interval time.Duration
+	ras Stub
 
 	mu      sync.Mutex
 	watches map[oref.Ref]watch // by watchKey
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 type watch struct {
@@ -44,14 +41,10 @@ func watchKey(ref oref.Ref) oref.Ref {
 // NewWatcher starts a watcher polling the given RAS every interval.
 func NewWatcher(ras Stub, clk clock.Clock, interval time.Duration) *Watcher {
 	w := &Watcher{
-		ras:      ras,
-		clk:      clk,
-		interval: interval,
-		watches:  make(map[oref.Ref]watch),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		ras:     ras,
+		watches: make(map[oref.Ref]watch),
 	}
-	go w.run()
+	w.loop = clock.Every(clk, interval, false, func(time.Time) { w.pollOnce() })
 	return w
 }
 
@@ -77,28 +70,7 @@ func (w *Watcher) Watching() int {
 }
 
 // Close stops the watcher.
-func (w *Watcher) Close() {
-	select {
-	case <-w.stop:
-	default:
-		close(w.stop)
-		<-w.done
-	}
-}
-
-func (w *Watcher) run() {
-	defer close(w.done)
-	tick := w.clk.NewTicker(w.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-tick.C():
-			w.pollOnce()
-		}
-	}
-}
+func (w *Watcher) Close() { w.loop.Stop() }
 
 func (w *Watcher) pollOnce() {
 	w.mu.Lock()

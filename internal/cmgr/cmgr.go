@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"itv/internal/atm"
+	"itv/internal/clock"
 	"itv/internal/core"
 	"itv/internal/names"
 	"itv/internal/orb"
@@ -105,10 +106,8 @@ type Service struct {
 	mirrors  map[string]oref.Ref // mirror key -> callback ref
 	usage    map[string]*Usage   // §7.3 accounting, per settop
 	openedAt map[string]time.Time
-	closed   bool
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // New builds a Connection Manager replica for the given neighborhood
@@ -125,8 +124,6 @@ func New(sess *core.Session, fabric *atm.Network, scope string) *Service {
 		mirrors:           make(map[string]oref.Ref),
 		usage:             make(map[string]*Usage),
 		openedAt:          make(map[string]time.Time),
-		stop:              make(chan struct{}),
-		done:              make(chan struct{}),
 	}
 	s.ref = sess.Ep.Register("cmgr-"+scope, &skel{s: s})
 	s.elector = sess.NewElector(ContextPath+"/"+scope, s.ref)
@@ -146,7 +143,12 @@ func (s *Service) IsPrimary() bool { return s.elector.IsPrimary() }
 func (s *Service) Start() {
 	s.ensureContexts()
 	s.elector.Start()
-	go s.run()
+	s.loop = clock.Every(s.sess.Clk, s.MirrorInterval, false, func(time.Time) {
+		if !s.elector.IsPrimary() {
+			s.ensureContexts()
+			s.registerAsMirror()
+		}
+	})
 }
 
 // Close stops the replica cleanly (unbinding if primary).
@@ -156,15 +158,7 @@ func (s *Service) Close() { s.shutdown(true) }
 func (s *Service) Abort() { s.shutdown(false) }
 
 func (s *Service) shutdown(clean bool) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.stop)
-	<-s.done
+	s.loop.Stop()
 	if clean {
 		s.elector.Close()
 	} else {
@@ -180,23 +174,6 @@ func (s *Service) ensureContexts() {
 		return
 	}
 	_, _ = s.sess.Root.BindReplContext(ContextPath, names.PolicyNeighborhood)
-}
-
-func (s *Service) run() {
-	defer close(s.done)
-	tick := s.sess.Clk.NewTicker(s.MirrorInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C():
-			if !s.elector.IsPrimary() {
-				s.ensureContexts()
-				s.registerAsMirror()
-			}
-		}
-	}
 }
 
 // registerAsMirror tells the current primary to stream state changes here,

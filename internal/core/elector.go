@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"itv/internal/clock"
 	"itv/internal/obs"
 	"itv/internal/orb"
 	"itv/internal/oref"
@@ -40,11 +41,8 @@ type Elector struct {
 
 	mu      sync.Mutex
 	primary bool
-	closed  bool
-	started bool
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // NewElector starts an elector that campaigns to bind ref at name.
@@ -54,18 +52,14 @@ func (s *Session) NewElector(name string, ref oref.Ref) *Elector {
 		name:          name,
 		ref:           ref,
 		RetryInterval: DefaultBindRetryInterval,
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
 	}
 	return e
 }
 
-// Start begins campaigning.  Configure intervals and callbacks first.
+// Start begins campaigning: the first attempt runs at once, then one every
+// RetryInterval.  Configure intervals and callbacks first.
 func (e *Elector) Start() {
-	e.mu.Lock()
-	e.started = true
-	e.mu.Unlock()
-	go e.run()
+	e.loop = clock.Every(e.s.Clk, e.RetryInterval, true, func(time.Time) { e.attempt() })
 }
 
 // IsPrimary reports whether this replica currently holds the binding.
@@ -94,38 +88,11 @@ func (e *Elector) Abandon() { e.shutdown() }
 // A stopped replica is no longer primary, whether or not its binding
 // outlives it: IsPrimary answers for a replica that can still serve.
 func (e *Elector) shutdown() (wasPrimary bool) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return false
-	}
-	e.closed = true
-	started := e.started
-	e.mu.Unlock()
-	close(e.stop)
-	if started {
-		<-e.done
-	}
+	e.loop.Stop()
 	e.mu.Lock()
 	wasPrimary, e.primary = e.primary, false
 	e.mu.Unlock()
 	return wasPrimary
-}
-
-func (e *Elector) run() {
-	defer close(e.done)
-	// First attempt immediately; then on the retry interval.
-	e.attempt()
-	tick := e.s.Clk.NewTicker(e.RetryInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-tick.C():
-			e.attempt()
-		}
-	}
 }
 
 func (e *Elector) attempt() {

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"itv/internal/clock"
 	"itv/internal/core"
 	"itv/internal/db"
 	"itv/internal/obs"
@@ -70,10 +71,8 @@ type Controller struct {
 	downRounds map[string]int
 	migrations []string          // "svc: old -> new" event log
 	lastError  map[string]string // per-server reconcile diagnostics
-	closed     bool
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // New creates a CSC replica.  The session's endpoint hosts the CSC object;
@@ -87,8 +86,6 @@ func New(sess *core.Session, dbRef oref.Ref) *Controller {
 		serverUp:     make(map[string]bool),
 		downRounds:   make(map[string]int),
 		lastError:    make(map[string]string),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 	}
 	c.ref = sess.Ep.Register("csc", &skel{c: c})
 	c.elector = sess.NewElector(ServiceName, c.ref)
@@ -112,7 +109,11 @@ func (c *Controller) Start() {
 		_ = err
 	}
 	c.elector.Start()
-	go c.run()
+	c.loop = clock.Every(c.sess.Clk, c.PingInterval, false, func(time.Time) {
+		if c.elector.IsPrimary() {
+			c.reconcile()
+		}
+	})
 }
 
 // Close stops the replica; if primary, the name binding is released so a
@@ -123,37 +124,13 @@ func (c *Controller) Close() { c.shutdown(true) }
 func (c *Controller) Abort() { c.shutdown(false) }
 
 func (c *Controller) shutdown(clean bool) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.stop)
-	<-c.done
+	c.loop.Stop()
 	if clean {
 		c.elector.Close()
 	} else {
 		c.elector.Abandon()
 	}
 	c.sess.Ep.Unregister("csc")
-}
-
-func (c *Controller) run() {
-	defer close(c.done)
-	tick := c.sess.Clk.NewTicker(c.PingInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C():
-			if c.elector.IsPrimary() {
-				c.reconcile()
-			}
-		}
-	}
 }
 
 // Plan is the configured assignment: service -> hosts it should run on.

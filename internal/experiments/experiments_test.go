@@ -218,6 +218,16 @@ func TestE10AllPlaybacksRecover(t *testing.T) {
 func TestE11RASBeatsDuration(t *testing.T) {
 	tab := E11Leakage()
 	t.Log("\n" + tab.Format())
+	// Both tables check on a ticker armed at their construction: every 1 s
+	// the duration table first sees the 2 h grant past its deadline at
+	// 7,201 s, and every TTL/2 the lease table first sees the 30 s lease
+	// past its deadline at 45 s.
+	if got := cell(t, tab, "duration time-out (2h estimate)", 1); got != "7201.0s" {
+		t.Errorf("duration reclaim = %s, want 7201.0s", got)
+	}
+	if got := cell(t, tab, "client-renewed lease (30s TTL)", 1); got != "45.0s" {
+		t.Errorf("lease reclaim = %s, want 45.0s", got)
+	}
 	duration := parseSecs(t, cell(t, tab, "duration time-out (2h estimate)", 1))
 	ras := parseSecs(t, cell(t, tab, "RAS (deployed intervals)", 1))
 	if ras >= duration/10 {

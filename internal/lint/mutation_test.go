@@ -38,10 +38,10 @@ var mutations = []mutation{
 	{check: "mortalref", file: "internal/mms/mms.go",
 		old: "_ = (media.Stub{Ep: s.sess.Ep, Ref: om.MDSRef}).CloseMovie(",
 		new: "(media.Stub{Ep: s.sess.Ep, Ref: om.MDSRef}).CloseMovie("},
-	{check: "leakygo", file: "internal/obs/health.go",
-		old: "select {\n\t\t\tcase <-stop:\n\t\t\t\treturn\n\t\t\tcase now := <-t.C():\n\t\t\t\th.Sample(now)\n\t\t\t}",
-		new: "h.Sample(clk.Now()); clk.Sleep(interval)",
-		at:  []string{"for {\n\t\t\th.Sample(clk.Now())"}},
+	{check: "leakygo", file: "internal/clock/loop.go",
+		old: "select {\n\t\t\tcase <-l.stop:\n\t\t\t\treturn\n\t\t\tcase now := <-tick.C():\n\t\t\t\tf(now)\n\t\t\t}",
+		new: "f(clk.Now()); clk.Sleep(d)",
+		at:  []string{"for {\n\t\t\tf(clk.Now())"}},
 	{check: "walltime", file: "internal/orb/framewriter.go",
 		old: `m.rec.Record(m.hlc.Physical(), m.trace, "slow_call_recorded",`,
 		new: `m.rec.Record(time.Now(), m.trace, "slow_call_recorded",`},

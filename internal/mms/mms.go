@@ -18,6 +18,7 @@ import (
 
 	"itv/internal/atm"
 	"itv/internal/audit"
+	"itv/internal/clock"
 	"itv/internal/cmgr"
 	"itv/internal/core"
 	"itv/internal/media"
@@ -74,10 +75,8 @@ type Service struct {
 	mu     sync.Mutex
 	movies map[string]*openMovie // movieID -> record
 	mds    []mdsReplica          // svc/mds as last listed; replaced, never written in place
-	closed bool
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop
 }
 
 // New builds an MMS replica.  rasRef is the local server's RAS.
@@ -87,8 +86,6 @@ func New(sess *core.Session, rasRef oref.Ref) *Service {
 		MDSRetryInterval: DefaultMDSRetryInterval,
 		cmgrs:            cmgr.NewDirectory(sess),
 		movies:           make(map[string]*openMovie),
-		stop:             make(chan struct{}),
-		done:             make(chan struct{}),
 	}
 	s.ref = sess.Ep.Register("mms", &skel{s: s})
 	s.watcher = audit.NewWatcher(
@@ -119,7 +116,7 @@ func (s *Service) OpenCount() int {
 func (s *Service) Start() {
 	_, _ = s.sess.Root.BindNewContext("svc") // bound already, or no master yet: the elector retries
 	s.elector.Start()
-	go s.run()
+	s.loop = clock.Every(s.sess.Clk, s.MDSRetryInterval, false, func(time.Time) { s.refreshMDS() })
 }
 
 // Close stops the replica cleanly, releasing the primary binding so a
@@ -132,15 +129,7 @@ func (s *Service) Close() { s.shutdown(true) }
 func (s *Service) Abort() { s.shutdown(false) }
 
 func (s *Service) shutdown(clean bool) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.stop)
-	<-s.done
+	s.loop.Stop()
 	s.watcher.Close()
 	if clean {
 		s.elector.Close()
@@ -148,20 +137,6 @@ func (s *Service) shutdown(clean bool) {
 		s.elector.Abandon()
 	}
 	s.sess.Ep.Unregister("mms")
-}
-
-func (s *Service) run() {
-	defer close(s.done)
-	tick := s.sess.Clk.NewTicker(s.MDSRetryInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C():
-			s.refreshMDS()
-		}
-	}
 }
 
 // replicas returns the MDS replicas to consider for an open, asking the

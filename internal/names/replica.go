@@ -118,12 +118,10 @@ type Replica struct {
 	needSync   bool
 	checker    StatusChecker
 	lastAudit  time.Time
-	closed     bool
 
 	replMu sync.Mutex // serializes the update stream to slaves
 
-	stop chan struct{}
-	done chan struct{}
+	loop *clock.Loop // election, heartbeats, sync and audit
 }
 
 // NewReplica starts a name-service replica on tr's host.  It participates
@@ -153,8 +151,6 @@ func NewReplica(tr transport.Transport, clk clock.Clock, cfg Config) (*Replica, 
 		auditRounds:   reg.Counter("names_audit_rounds"),
 		auditRemoved:  reg.Counter("names_audit_removed"),
 		store:         newStore(),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
 	}
 	r.lastHB = clk.Now()
 	r.lastAudit = clk.Now()
@@ -163,7 +159,7 @@ func NewReplica(tr transport.Transport, clk clock.Clock, cfg Config) (*Replica, 
 	ep.SetCallTimeout(2 * time.Second)
 	ep.Register("ns", &replicaSkel{r: r})
 	ep.Register(RootContextID, &ctxSkel{r: r, ctxID: RootContextID})
-	go r.run()
+	r.loop = clock.Every(clk, cfg.HeartbeatInterval, false, func(time.Time) { r.tick() })
 	return r, nil
 }
 
@@ -215,15 +211,7 @@ func (r *Replica) IsMaster() bool {
 // dies with it, but its persistent references become valid again when a
 // new replica starts on the same address.
 func (r *Replica) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	r.mu.Unlock()
-	close(r.stop)
-	<-r.done
+	r.loop.Stop()
 	r.ep.Close()
 }
 
@@ -257,20 +245,6 @@ func (r *Replica) ctxRefLocked(id string) oref.Ref {
 }
 
 // ---- main loop: election, heartbeats, sync, audit ----
-
-func (r *Replica) run() {
-	defer close(r.done)
-	tick := r.clk.NewTicker(r.cfg.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C():
-			r.tick()
-		}
-	}
-}
 
 func (r *Replica) tick() {
 	r.mu.Lock()

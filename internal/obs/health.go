@@ -56,8 +56,9 @@ type Health struct {
 	primed    bool
 	prevPause uint64
 	prevNumGC uint32
-	stop      chan struct{}
-	running   bool
+
+	runMu sync.Mutex  // serializes Start and Stop
+	loop  *clock.Loop // Start's sampler; nil when stopped
 }
 
 // NewHealth returns a health ring over a registry (windows <= 0 means
@@ -150,42 +151,28 @@ func (h *Health) Start(clk clock.Clock, interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultHealthInterval
 	}
-	h.mu.Lock()
-	if h.running {
-		h.mu.Unlock()
+	h.runMu.Lock()
+	defer h.runMu.Unlock()
+	if h.loop != nil {
 		return
 	}
-	h.running = true
-	stop := make(chan struct{})
-	h.stop = stop
-	h.mu.Unlock()
-
 	h.Sample(clk.Now()) // prime the baseline at start time
-	go func() {
-		t := clk.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-t.C():
-				h.Sample(now)
-			}
-		}
-	}()
+	h.loop = clock.Every(clk, interval, false, h.Sample)
 }
 
-// Stop ends periodic sampling.  The ring keeps its contents.
+// Stop ends periodic sampling once a Sample in progress has finished.  The
+// ring keeps its contents.
 func (h *Health) Stop() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.running {
+	h.runMu.Lock()
+	defer h.runMu.Unlock()
+	if h.loop == nil {
 		return
 	}
-	h.running = false
-	close(h.stop)
-	h.stop = nil
+	h.loop.Stop()
+	h.loop = nil
+	h.mu.Lock()
 	h.primed = false
+	h.mu.Unlock()
 }
 
 // HealthReport is the _health RPC's payload: one node's identity, clock

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -377,6 +379,11 @@ func (e *Endpoint) Close() {
 	}
 	e.mu.Unlock()
 
+	// Tear down in address order, not map order, so that two runs of one
+	// schedule fail their calls alike.
+	addr := func(c net.Conn) string { return c.RemoteAddr().String() }
+	slices.SortFunc(conns, func(a, b *clientConn) int { return strings.Compare(addr(a.conn), addr(b.conn)) })
+	slices.SortFunc(serving, func(a, b net.Conn) int { return strings.Compare(addr(a), addr(b)) })
 	ln.Close()
 	for _, c := range conns {
 		c.fail(ErrShutdown)

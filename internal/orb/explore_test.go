@@ -582,7 +582,7 @@ func pairOn(trs [2]transport.Transport, sk Skeleton) (server, client *Endpoint, 
 	if err != nil {
 		panic(err)
 	}
-	return server, client, server.Register("", sk), func() { closeInOrder(client); closeInOrder(server) }
+	return server, client, server.Register("", sk), func() { client.Close(); server.Close() }
 }
 
 // handPair is pairOn with a handSkel, on memnet.
@@ -591,31 +591,6 @@ func handPair() (server, client *Endpoint, sk *handSkel, ref oref.Ref, closeAll 
 	server, client, ref, closeAll = pairOn(memnet(), sk)
 	sk.server = server
 	return server, client, sk, ref, closeAll
-}
-
-// closeInOrder closes e with its connections failed in the order of their
-// addresses, where Close takes them in map order.
-func closeInOrder(e *Endpoint) {
-	var ccs []*clientConn
-	var serving []net.Conn
-	e.mu.Lock()
-	for _, cc := range e.conns {
-		ccs = append(ccs, cc)
-	}
-	for c := range e.serving {
-		serving = append(serving, c)
-	}
-	e.mu.Unlock()
-	addr := func(c net.Conn) string { return c.RemoteAddr().String() }
-	slices.SortFunc(ccs, func(a, b *clientConn) int { return strings.Compare(addr(a.conn), addr(b.conn)) })
-	slices.SortFunc(serving, func(a, b net.Conn) int { return strings.Compare(addr(a), addr(b)) })
-	for _, cc := range ccs {
-		cc.fail(ErrShutdown)
-	}
-	for _, c := range serving {
-		c.Close()
-	}
-	e.Close()
 }
 
 // peerOn listens on tr, running serve on each connection it accepts; with
@@ -752,7 +727,7 @@ var sparedCut = scenario{"spared cut", func(x *explorer) error {
 	if err != nil {
 		return err
 	}
-	defer closeInOrder(client)
+	defer client.Close()
 	dials := counterDelta(client.Metrics(), "orb_pool_dials")
 	lead := make(chan error, 1)
 	go func() {

@@ -87,9 +87,7 @@ type Settop struct {
 	appBuf   []byte // the running application's memory; the next download replaces it
 	playback *Playback
 	booted   bool
-
-	stop chan struct{}
-	done chan struct{}
+	beats    *clock.Loop // heartbeats to every server's Settop Manager
 }
 
 // New creates a powered-off settop at the given host.  bootAddr is the
@@ -182,11 +180,8 @@ func (s *Settop) Boot() (time.Duration, error) {
 	s.mmsStub = mms.NewStub(sess)
 	s.vodStub = vod.NewStub(sess)
 	s.booted = true
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
+	s.beats = s.heartbeat(ep, params)
 	s.mu.Unlock()
-
-	go s.heartbeatLoop(ep, params, s.stop, s.done)
 
 	// Simulated boot time: kernel transfer at the nominal download rate.
 	return atm.TransferTime(int64(len(kernel)), rds.DefaultDownloadRate), nil
@@ -206,9 +201,9 @@ func (s *Settop) Session() *core.Session {
 	return s.sess
 }
 
-func (s *Settop) heartbeatLoop(ep *orb.Endpoint, params bootsvc.Params, stop, done chan struct{}) {
-	defer close(done)
-	interval := s.HeartbeatInterval
+// heartbeat starts beating to every boot-delivered server's Settop
+// Manager: once at boot, then every HeartbeatInterval.
+func (s *Settop) heartbeat(ep *orb.Endpoint, params bootsvc.Params) *clock.Loop {
 	servers := append([]string(nil), params.Servers...)
 	if len(servers) == 0 {
 		servers = []string{hostOf(params.NameService)}
@@ -217,22 +212,11 @@ func (s *Settop) heartbeatLoop(ep *orb.Endpoint, params bootsvc.Params, stop, do
 	for _, h := range servers {
 		stubs = append(stubs, settopmgr.Stub{Ep: ep, Ref: settopmgr.RefAt(h)})
 	}
-	beat := func() {
+	return clock.Every(s.clk, s.HeartbeatInterval, true, func(time.Time) {
 		for _, st := range stubs {
 			_ = st.Heartbeat()
 		}
-	}
-	beat()
-	tick := s.clk.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C():
-			beat()
-		}
-	}
+	})
 }
 
 // Crash powers the settop off abruptly: heartbeats stop, its endpoint
@@ -245,7 +229,8 @@ func (s *Settop) Crash() {
 		return
 	}
 	s.booted = false
-	stop, done, ep, fetchEp := s.stop, s.done, s.ep, s.fetchEp
+	beats, ep, fetchEp := s.beats, s.ep, s.fetchEp
+	s.beats = nil
 	s.ep = nil
 	s.fetchEp = nil
 	s.sess = nil
@@ -253,8 +238,7 @@ func (s *Settop) Crash() {
 	s.app = ""
 	s.appBuf = nil
 	s.mu.Unlock()
-	close(stop)
-	<-done
+	beats.Stop()
 	ep.Close()
 	if fetchEp != nil {
 		fetchEp.Close()
