@@ -24,8 +24,8 @@ import (
 // remoteCalls names the functions and methods that send a request, by
 // package path below the module root: every orb.Endpoint method that does
 // (one addressed to the endpoint itself short-circuits locally, which
-// still runs foreign dispatch code), the orb helpers that invoke through
-// an orb.Invoker, and core.Rebinder's resolve-and-invoke methods.
+// still runs foreign dispatch code), orb.Ping, which invokes through an
+// orb.Invoker, and core.Rebinder's resolve-and-invoke methods.
 var remoteCalls = map[string]bool{
 	"/internal/orb.Endpoint.Invoke":     true,
 	"/internal/orb.Endpoint.InvokeCtx":  true,
@@ -38,7 +38,6 @@ var remoteCalls = map[string]bool{
 	"/internal/orb.Endpoint.HealthOf":     true,
 	"/internal/orb.Endpoint.SlowOf":       true,
 	"/internal/orb.Endpoint.ProfileOf":    true,
-	"/internal/orb.InvokeVia":             true,
 	"/internal/orb.Ping":                  true,
 	"/internal/core.Rebinder.Invoke":      true,
 	"/internal/core.Rebinder.InvokeCtx":   true,

@@ -38,18 +38,14 @@ func (s *svc) badCtx(ctx context.Context, buf []byte) error {
 	return s.ep.InvokeInto(ctx, orb.Ref{}, "m", buf) // want "orb.Endpoint.InvokeInto"
 }
 
-// positive: a rebinding call resolves a name and invokes, and orb's
-// helpers invoke through whatever Invoker they are handed.
+// positive: a rebinding call resolves a name and invokes.
 func (s *svc) badRebinder(ctx context.Context, rb *core.Rebinder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := rb.InvokeCtx(ctx, "m"); err != nil { // want "core.Rebinder.InvokeCtx"
 		return err
 	}
-	if err := rb.Do(ctx, func(orb.Ref) error { return nil }); err != nil { // want "core.Rebinder.Do"
-		return err
-	}
-	return orb.InvokeVia(ctx, s.ep, orb.Ref{}, "m") // want "orb.InvokeVia"
+	return rb.Do(ctx, func(orb.Ref) error { return nil }) // want "core.Rebinder.Do"
 }
 
 // positive: the RPC is one same-package call deeper.

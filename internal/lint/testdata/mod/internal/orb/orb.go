@@ -1,6 +1,6 @@
 // Package orb is a miniature stand-in for itv/internal/orb, just enough
 // shape for the analyzers: an Endpoint with its request-sending methods,
-// the package helpers that invoke through an Invoker, and a couple of
+// the package helper that invokes through an Invoker, and a couple of
 // sentinel errors.
 package orb
 
@@ -28,8 +28,7 @@ type Invoker interface {
 	Invoke(ref Ref, method string) error
 }
 
-func InvokeVia(ctx context.Context, inv Invoker, ref Ref, method string) error { return nil }
-func Ping(inv Invoker, ref Ref) error                                          { return nil }
+func Ping(inv Invoker, ref Ref) error { return nil }
 
 var (
 	ErrUnreachable  = errors.New("unreachable")

@@ -6,7 +6,7 @@ import (
 	"itv/internal/orb"
 )
 
-func TestFailoverInvokerRetargetsAcrossReplicas(t *testing.T) {
+func TestFailoverRetargetsAcrossReplicas(t *testing.T) {
 	c := newNSCluster(t, 3)
 	m := c.waitForMaster()
 	root := c.root(0)
@@ -18,8 +18,8 @@ func TestFailoverInvokerRetargetsAcrossReplicas(t *testing.T) {
 	for _, r := range c.replicas {
 		addrs = append(addrs, r.Addr())
 	}
-	fi := NewFailoverInvoker(c.client, addrs)
-	froot := Context{Ep: fi, Ref: c.replicas[0].RootRef()}
+	fi := NewFailover(addrs)
+	froot := Context{Ep: c.client, Ref: c.replicas[0].RootRef(), Failover: fi}
 
 	if got, err := froot.Resolve("svc-x"); err != nil || got != svcRef("a:1", 1) {
 		t.Fatalf("resolve via failover = %v, %v", got, err)
@@ -54,14 +54,14 @@ func TestFailoverInvokerRetargetsAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestFailoverInvokerLeavesForeignRefsAlone(t *testing.T) {
+func TestFailoverLeavesForeignRefsAlone(t *testing.T) {
 	c := newNSCluster(t, 1)
 	c.waitForMaster()
-	fi := NewFailoverInvoker(c.client, []string{c.replicas[0].Addr()})
+	fi := NewFailover([]string{c.replicas[0].Addr()})
 	// A dead reference NOT belonging to a name-service replica must fail
 	// without address rewriting.
 	foreign := svcRef("192.168.9.9:700", 1)
-	err := fi.Invoke(foreign, "_ping", nil, nil)
+	_, err := Context{Ep: c.client, Ref: foreign, Failover: fi}.Resolve("x")
 	if !orb.Dead(err) {
 		t.Fatalf("err = %v, want dead", err)
 	}

@@ -116,9 +116,21 @@ type Invoker = orb.Invoker
 // Context is the client-side proxy for any object implementing the
 // NamingContext interface — a name-service context, a remote
 // FileSystemContext, or any other service exporting the context protocol.
+// Failover, when set, retargets calls on name-service references across
+// the replicas it lists (see Failover); nil means a plain call.
 type Context struct {
-	Ep  Invoker
-	Ref oref.Ref
+	Ep       *orb.Endpoint
+	Ref      oref.Ref
+	Failover *Failover
+}
+
+// call is the one way every Context method invokes.  Ep is concrete, so
+// the callers' closures stay on their stacks.
+func (c Context) call(ctx context.Context, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
+	if c.Failover != nil {
+		return c.Failover.invoke(ctx, c.Ep, c.Ref, method, put, get)
+	}
+	return c.Ep.InvokeCtx(ctx, c.Ref, method, put, get)
 }
 
 // Resolve resolves a (possibly multi-component) name to an object
@@ -134,7 +146,7 @@ func (c Context) Resolve(name string) (oref.Ref, error) {
 // causal join, §8.2).
 func (c Context) ResolveCtx(ctx context.Context, name string) (oref.Ref, error) {
 	var out oref.Ref
-	err := orb.InvokeVia(ctx, c.Ep, c.Ref, "resolve",
+	err := c.call(ctx, "resolve",
 		func(e *wire.Encoder) { e.PutString(name) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err
@@ -151,13 +163,13 @@ func (c Context) Bind(name string, obj oref.Ref) error {
 // the failure trace this bind adopted when it repaired an audit eviction —
 // how a backup's election win learns which failure it is the answer to.
 func (c Context) BindCtx(ctx context.Context, name string, obj oref.Ref) error {
-	return orb.InvokeVia(ctx, c.Ep, c.Ref, "bind",
+	return c.call(ctx, "bind",
 		func(e *wire.Encoder) { e.PutString(name); obj.MarshalWire(e) }, nil)
 }
 
 // Unbind removes the named binding.
 func (c Context) Unbind(name string) error {
-	return c.Ep.Invoke(c.Ref, "unbind",
+	return c.call(context.Background(), "unbind",
 		func(e *wire.Encoder) { e.PutString(name) }, nil)
 }
 
@@ -165,7 +177,7 @@ func (c Context) Unbind(name string) error {
 // its reference.
 func (c Context) BindNewContext(name string) (oref.Ref, error) {
 	var out oref.Ref
-	err := c.Ep.Invoke(c.Ref, "bindNewContext",
+	err := c.call(context.Background(), "bindNewContext",
 		func(e *wire.Encoder) { e.PutString(name) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err
@@ -175,7 +187,7 @@ func (c Context) BindNewContext(name string) (oref.Ref, error) {
 // built-in selector policy (see Policy*), and returns its reference.
 func (c Context) BindReplContext(name, policy string) (oref.Ref, error) {
 	var out oref.Ref
-	err := c.Ep.Invoke(c.Ref, "bindReplContext",
+	err := c.call(context.Background(), "bindReplContext",
 		func(e *wire.Encoder) { e.PutString(name); e.PutString(policy) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err
@@ -185,18 +197,18 @@ func (c Context) BindReplContext(name, policy string) (oref.Ref, error) {
 // context).  Listing a replicated context returns only the selected
 // binding (§4.5); use ListRepl for all of them.
 func (c Context) List(name string) ([]Binding, error) {
-	var out []Binding
-	err := c.Ep.Invoke(c.Ref, "list",
-		func(e *wire.Encoder) { e.PutString(name) },
-		func(d *wire.Decoder) error { out = Bindings(d); return nil })
-	return out, err
+	return c.list("list", name)
 }
 
 // ListRepl returns every binding of the named replicated context,
 // including replica bindings that the selector would hide (§4.5).
 func (c Context) ListRepl(name string) ([]Binding, error) {
+	return c.list("listRepl", name)
+}
+
+func (c Context) list(method, name string) ([]Binding, error) {
 	var out []Binding
-	err := c.Ep.Invoke(c.Ref, "listRepl",
+	err := c.call(context.Background(), method,
 		func(e *wire.Encoder) { e.PutString(name) },
 		func(d *wire.Decoder) error { out = Bindings(d); return nil })
 	return out, err
@@ -206,7 +218,7 @@ func (c Context) ListRepl(name string) ([]Binding, error) {
 // named by name, replacing its built-in policy.  Equivalent to binding the
 // object under the reserved "selector" name (§4.5).
 func (c Context) SetSelector(name string, sel oref.Ref) error {
-	return c.Ep.Invoke(c.Ref, "setSelector",
+	return c.call(context.Background(), "setSelector",
 		func(e *wire.Encoder) { e.PutString(name); sel.MarshalWire(e) }, nil)
 }
 
@@ -222,7 +234,7 @@ func (c Context) ResolveAs(name, callerHost string) (oref.Ref, error) {
 // ResolveAsCtx is ResolveAs with ResolveCtx's context propagation.
 func (c Context) ResolveAsCtx(ctx context.Context, name, callerHost string) (oref.Ref, error) {
 	var out oref.Ref
-	err := orb.InvokeVia(ctx, c.Ep, c.Ref, "resolveAs",
+	err := c.call(ctx, "resolveAs",
 		func(e *wire.Encoder) { e.PutString(name); e.PutString(callerHost) },
 		func(d *wire.Decoder) error { out.UnmarshalWire(d); return nil })
 	return out, err

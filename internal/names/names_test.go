@@ -2,9 +2,12 @@ package names
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"itv/internal/obs"
 	"itv/internal/orb"
 	"itv/internal/oref"
 	"itv/internal/wire"
@@ -587,6 +590,177 @@ func TestBindingsHostileCount(t *testing.T) {
 	}
 }
 
+// TestSortedBindingsCache walks a replicated context through every change
+// that must drop its cached sorted bindings, checking what list and
+// listRepl return at each step on a slave (the replica the client calls)
+// and what the context's selector is handed: the selector binding is never
+// among the bindings a selector chooses from, and listRepl's append of it
+// never reaches the cache the other readers share.
+func TestSortedBindingsCache(t *testing.T) {
+	c := newNSCluster(t, 3)
+	m := c.waitForMaster()
+	slave := c.replicas[0]
+	if slave == m {
+		slave = c.replicas[1]
+	}
+	root := Context{Ep: c.client, Ref: slave.RootRef()}
+	rc, err := root.BindReplContext("rc", PolicyFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := Binding{"a", svcRef("a:1", 1)}, Binding{"b", svcRef("b:1", 2)}
+	want := func(step, op string, got []Binding, err error, want ...Binding) {
+		t.Helper()
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: %s = %v, %v; want %v", step, op, got, err, want)
+		}
+	}
+	check := func(step string, list []Binding, repl ...Binding) {
+		t.Helper()
+		got, err := root.List("rc")
+		want(step, "list", got, err, list...)
+		got, err = root.ListRepl("rc")
+		want(step, "listRepl", got, err, repl...)
+		slave.mu.RLock()
+		cached := slave.store.ctxs[rc.ObjectID].sorted.Load()
+		slave.mu.RUnlock()
+		if cached != nil && slices.ContainsFunc((*cached)[:cap(*cached)], func(x Binding) bool { return x.Name == SelectorBinding }) {
+			t.Fatalf("%s: listRepl's append reached the shared cache: %v", step, (*cached)[:cap(*cached)])
+		}
+	}
+
+	// bind: the cache is built after the change and sorted.
+	if err := root.Bind("rc/b", b.Ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Bind("rc/a", a.Ref); err != nil {
+		t.Fatal(err)
+	}
+	check("bind", []Binding{a}, a, b)
+
+	// A selector installed: listRepl shows it, the selector never sees it.
+	var offered [][]Binding
+	selRef := c.client.Register("sel-last", SelectorFunc(func(bs []Binding, _ string) (string, error) {
+		offered = append(offered, bs)
+		return bs[len(bs)-1].Name, nil
+	}))
+	if err := root.SetSelector("rc", selRef); err != nil {
+		t.Fatal(err)
+	}
+	sel := Binding{SelectorBinding, selRef}
+	check("selector", []Binding{b}, a, b, sel)
+
+	// unbind: the cache drops the binding.
+	if err := root.Unbind("rc/b"); err != nil {
+		t.Fatal(err)
+	}
+	check("unbind", []Binding{a}, a, sel)
+
+	if len(offered) != 2 || !slices.Equal(offered[0], []Binding{a, b}) || !slices.Equal(offered[1], []Binding{a}) {
+		t.Fatalf("the selector was offered %v, want [[a b] [a]]", offered)
+	}
+}
+
+// TestSortedBindingsUnderWrites: readers on a slave list, listRepl and
+// resolve through a replicated context while a writer binds and unbinds in
+// it, so the cache is built, shared and dropped from several goroutines at
+// once (run it under -race).  Every answer is one of the context's states.
+func TestSortedBindingsUnderWrites(t *testing.T) {
+	c := newNSCluster(t, 3)
+	m := c.waitForMaster()
+	slave := c.replicas[0]
+	if slave == m {
+		slave = c.replicas[1]
+	}
+	root := Context{Ep: c.client, Ref: slave.RootRef()}
+	if _, err := root.BindReplContext("rc", PolicyRoundRobin); err != nil {
+		t.Fatal(err)
+	}
+	a, b := Binding{"a", svcRef("a:1", 1)}, Binding{"b", svcRef("b:1", 2)}
+	if err := root.Bind("rc/a", a.Ref); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if bs, err := root.ListRepl("rc"); err != nil || !slices.Equal(bs, []Binding{a}) && !slices.Equal(bs, []Binding{a, b}) {
+					t.Errorf("listRepl = %v, %v; want [a] or [a b]", bs, err)
+					return
+				}
+				if bs, err := root.List("rc"); err != nil || len(bs) != 1 || bs[0] != a && bs[0] != b {
+					t.Errorf("list = %v, %v; want [a] or [b]", bs, err)
+					return
+				}
+				// The selector may pick b just before the writer unbinds it.
+				if ref, err := root.Resolve("rc"); err != nil && !orb.IsApp(err, orb.ExcNotFound) || err == nil && ref != a.Ref && ref != b.Ref {
+					t.Errorf("resolve = %v, %v; want a's or b's reference", ref, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		if err := root.Bind("rc/b", b.Ref); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := root.Unbind("rc/b"); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestSelectorPickCounters: every pick counts once, under the name of the
+// replica it picked, in the counter the replica keeps for that name.
+func TestSelectorPickCounters(t *testing.T) {
+	c := newNSCluster(t, 1)
+	c.waitForMaster()
+	root := c.root(0)
+	if _, err := root.BindReplContext("rr", PolicyRoundRobin); err != nil {
+		t.Fatal(err)
+	}
+	replicas := []string{"pick-a", "pick-b", "pick-c"}
+	picks := func() (each []int64) {
+		for _, name := range replicas {
+			each = append(each, c.replicas[0].reg.Counter(obs.L("names_selector_pick", "replica", name)).Value())
+		}
+		return each
+	}
+	for i, name := range replicas {
+		if err := root.Bind("rr/"+name, svcRef("a:1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := picks()
+	const n = 30
+	for i := 0; i < n; i++ {
+		if _, err := root.Resolve("rr"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum int64
+	each := picks()
+	for i := range each {
+		each[i] -= before[i]
+		sum += each[i]
+	}
+	if sum != n || !slices.Equal(each, []int64{n / 3, n / 3, n / 3}) {
+		t.Fatalf("%d round-robin resolves counted %v picks, want %d in all, %d each", n, each, n, n/3)
+	}
+}
+
 // TestBindingListRoundTripAllocations pins what a `list` reply of eight
 // bindings costs to encode and decode: 17 allocations, one string per
 // binding name, one per object id and the slice.  The references' addresses
@@ -645,6 +819,38 @@ func FuzzBindings(f *testing.F) {
 			if again[i] != out[i] {
 				t.Fatalf("binding %d: %v became %v", i, out[i], again[i])
 			}
+		}
+	})
+}
+
+// FuzzUpdate: arbitrary bytes never panic an update's decode, which a
+// replica runs on every write it is forwarded or pushed; a decode that
+// succeeds fails once a byte is appended, round-trips, and keeps none of
+// the input's bytes (the replica decodes a view of the request, which the
+// ORB reuses once the call ends).
+func FuzzUpdate(f *testing.F) {
+	f.Add(wire.Marshal(&update{Op: opBind, Ctx: RootContextID, Name: "svc/mds", Ref: svcRef("10.0.0.1:1024", 3), Trace: 7}))
+	f.Add(wire.Marshal(&update{Op: opNewContext, Ctx: "c1", Name: "rds", NewID: "c2", Repl: true, Policy: PolicyRoundRobin}))
+	f.Add([]byte{0x00, 0x04, 'r', 'o', 'o', 't'})
+	f.Add([]byte{0xff, 0xff, 0x3f})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var u update
+		if u.decode(raw) != nil {
+			return
+		}
+		if err := new(update).decode(append(slices.Clip(raw), 0)); err == nil {
+			t.Fatalf("%x plus a trailing byte decoded", raw)
+		}
+		enc := wire.Marshal(&u)
+		var again update
+		if err := again.decode(enc); err != nil || again != u {
+			t.Fatalf("round trip: %+v became %+v, %v", u, again, err)
+		}
+		for i := range raw {
+			raw[i] ^= 0xff
+		}
+		if after := wire.Marshal(&u); !slices.Equal(after, enc) {
+			t.Fatalf("the decoded update changed with its input: %x became %x", enc, after)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -106,6 +107,8 @@ type Replica struct {
 	unbinds       *obs.Counter
 	auditRounds   *obs.Counter
 	auditRemoved  *obs.Counter
+	pickMu        sync.Mutex
+	picks         map[string]*obs.Counter // names_selector_pick by replica name
 
 	mu         sync.RWMutex
 	store      *store
@@ -119,7 +122,8 @@ type Replica struct {
 	checker    StatusChecker
 	lastAudit  time.Time
 
-	replMu sync.Mutex // serializes the update stream to slaves
+	replMu sync.Mutex   // serializes the update stream to slaves
+	push   wire.Encoder // the update being pushed; under replMu
 
 	loop *clock.Loop // election, heartbeats, sync and audit
 }
@@ -150,6 +154,7 @@ func NewReplica(tr transport.Transport, clk clock.Clock, cfg Config) (*Replica, 
 		unbinds:       reg.Counter("names_unbinds"),
 		auditRounds:   reg.Counter("names_audit_rounds"),
 		auditRemoved:  reg.Counter("names_audit_removed"),
+		picks:         make(map[string]*obs.Counter),
 		store:         newStore(),
 	}
 	r.lastHB = clk.Now()
@@ -566,7 +571,9 @@ func (r *Replica) submit(ctx context.Context, u *update) (newID string, adopted 
 			u.Ctx+"/"+u.Name+" -> "+u.Ref.Key())
 	}
 
-	buf := wire.Marshal(u)
+	r.push.Reset()
+	u.MarshalWire(&r.push)
+	buf := r.push.Bytes()
 	for _, p := range peers {
 		if p == self {
 			continue
@@ -749,9 +756,14 @@ func (r *Replica) remoteResolve(ctx oref.Ref, path, callerHost string) (oref.Ref
 	return ref, 0, err
 }
 
-// bindingsLocked lists a context's bindings with local-context references
-// synthesized for this replica.
+// bindingsLocked lists a context's bindings in name order, with
+// local-context references synthesized for this replica.  The slice is the
+// node's cache (ctxNode.sorted): callers must not write into it, and it is
+// made to its exact length, so an append copies it.
 func (r *Replica) bindingsLocked(node *ctxNode) []Binding {
+	if p := node.sorted.Load(); p != nil {
+		return *p
+	}
 	out := make([]Binding, 0, len(node.bindings))
 	for name, e := range node.bindings {
 		ref := e.ref
@@ -760,7 +772,8 @@ func (r *Replica) bindingsLocked(node *ctxNode) []Binding {
 		}
 		out = append(out, Binding{Name: name, Ref: ref})
 	}
-	sortBindings(out)
+	slices.SortFunc(out, func(a, b Binding) int { return strings.Compare(a.Name, b.Name) })
+	node.sorted.Store(&out)
 	return out
 }
 
@@ -772,9 +785,17 @@ func (r *Replica) choose(policy string, selRef oref.Ref, bindings []Binding, cal
 	chosen, err := r.chooseInner(policy, selRef, bindings, callerHost, ctxID)
 	if err == nil {
 		// Pick distribution per replica name: the evidence for the paper's
-		// load-spreading claim (§4.5).  Picks are rare relative to calls, so
-		// the registry lookup here is acceptable.
-		r.reg.Counter(obs.L("names_selector_pick", "replica", chosen.Name)).Inc()
+		// load-spreading claim (§4.5).  Every resolve or list through a
+		// replicated context picks, so each name's counter is looked up in
+		// the registry once and kept.
+		r.pickMu.Lock()
+		c := r.picks[chosen.Name]
+		if c == nil {
+			c = r.reg.Counter(obs.L("names_selector_pick", "replica", chosen.Name))
+			r.picks[chosen.Name] = c
+		}
+		r.pickMu.Unlock()
+		c.Inc()
 	}
 	return chosen, err
 }
@@ -796,14 +817,6 @@ func (r *Replica) chooseInner(policy string, selRef oref.Ref, bindings []Binding
 		// fall through to the built-in policy
 	}
 	return selectLocal(policy, bindings, callerHost, r.rr, ctxID)
-}
-
-func sortBindings(bs []Binding) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Name < bs[j-1].Name; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
 }
 
 func (r *Replica) String() string {

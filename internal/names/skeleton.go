@@ -276,6 +276,7 @@ func (r *Replica) listRepl(ctxID, name string) ([]Binding, error) {
 	}
 	out := r.bindingsLocked(node)
 	if !node.selector.IsNil() {
+		// out is made to its exact length: this append copies the cache.
 		out = append(out, Binding{Name: SelectorBinding, Ref: node.selector})
 	}
 	return out, nil
@@ -355,7 +356,7 @@ func (s *replicaSkel) Dispatch(c *orb.ServerCall) error {
 	case "update":
 		term := c.Args().Int()
 		seq := c.Args().Int()
-		buf := c.Args().Bytes()
+		buf := c.Args().BytesView()
 		r.mu.Lock()
 		if term < r.term {
 			curTerm := r.term
@@ -375,7 +376,7 @@ func (s *replicaSkel) Dispatch(c *orb.ServerCall) error {
 		var u update
 		var adopted uint64
 		if seq == r.seq+1 {
-			if err := wire.Unmarshal(buf, &u); err == nil {
+			if err := u.decode(buf); err == nil {
 				var aerr error
 				created, removed, adopted, aerr = r.store.apply(&u)
 				if aerr == nil {
@@ -428,9 +429,8 @@ func (s *replicaSkel) Dispatch(c *orb.ServerCall) error {
 
 	case "apply":
 		// A client update forwarded from a slave (§4.6).
-		buf := c.Args().Bytes()
 		var u update
-		if err := wire.Unmarshal(buf, &u); err != nil {
+		if err := u.decode(c.Args().BytesView()); err != nil {
 			return orb.Errf(orb.ExcBadArgs, "bad update: %v", err)
 		}
 		if !r.IsMaster() {

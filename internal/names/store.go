@@ -3,6 +3,7 @@ package names
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"itv/internal/oref"
 	"itv/internal/wire"
@@ -40,6 +41,11 @@ type ctxNode struct {
 	policy   string   // built-in selector policy (replicated contexts)
 	selector oref.Ref // custom selector object; overrides policy when set
 	bindings map[string]entry
+
+	// sorted caches the bindings as readers see them (Replica.bindingsLocked):
+	// built by the first read after a change, dropped by every apply on
+	// this context, shared by every reader in between.
+	sorted atomic.Pointer[[]Binding]
 }
 
 // entry is one name binding.  Local child contexts are stored by id (their
@@ -102,6 +108,19 @@ func (u *update) UnmarshalWire(d *wire.Decoder) {
 	u.Trace = d.Uint()
 }
 
+// decode is wire.Unmarshal for an update, with the decoder on the caller's
+// stack: buf must hold exactly one update.  Every decoded string is a copy
+// or an interned symbol, so buf may be a view of the request's bytes.
+func (u *update) decode(buf []byte) error {
+	var d wire.Decoder
+	d.Reset(buf)
+	u.UnmarshalWire(&d)
+	if d.Err() == nil && d.Remaining() != 0 {
+		return fmt.Errorf("wire: %d trailing bytes", d.Remaining())
+	}
+	return d.Err()
+}
+
 // apply mutates the store.  It returns the set of context ids created and
 // removed so the replica can adjust its exported ORB objects, plus the
 // failure trace the update adopted: an opBind landing on a name with a
@@ -111,14 +130,17 @@ func (s *store) apply(u *update) (created, removed []string, adopted uint64, err
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("names: no context %q", u.Ctx)
 	}
+	ctx.sorted.Store(nil)
 	switch u.Op {
 	case opBind:
 		if _, exists := ctx.bindings[u.Name]; exists {
 			return nil, nil, 0, errAlreadyBound(u.Name)
 		}
-		k := failureKey(u.Ctx, u.Name)
-		adopted = s.failures[k]
-		delete(s.failures, k)
+		if len(s.failures) > 0 {
+			k := failureKey(u.Ctx, u.Name)
+			adopted = s.failures[k]
+			delete(s.failures, k)
+		}
 		ctx.bindings[u.Name] = entry{ref: u.Ref, trace: adopted}
 	case opUnbind:
 		e, exists := ctx.bindings[u.Name]
@@ -189,17 +211,6 @@ func (s *store) removeSubtree(id string, removed []string) []string {
 func (s *store) allocID() string {
 	s.nextID++
 	return fmt.Sprintf("c%d", s.nextID)
-}
-
-// sortedBindings returns a context's bindings in name order, stable for
-// selectors and listings.
-func (n *ctxNode) sortedBindings() []Binding {
-	out := make([]Binding, 0, len(n.bindings))
-	for name, e := range n.bindings {
-		out = append(out, Binding{Name: name, Ref: e.ref})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // ---- snapshot (full-state transfer for lagging or fresh slaves) ----

@@ -773,26 +773,11 @@ func decodeResponse(rf *respFrame, res *results, dst []byte) error {
 	}
 }
 
-// Invoker is the slice of Endpoint a client stub needs: stubs hold one
-// beside the reference they call through, so a test fake or a retargeting
-// wrapper (names.FailoverInvoker) can stand in for the endpoint.
+// Invoker is the slice of Endpoint a client stub needs: a stub that holds
+// one beside the reference it calls through lets a test fake or a wrapper
+// (the benchmark's rebinding echo caller) stand in for the endpoint.
 type Invoker interface {
 	Invoke(ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-// CtxInvoker is the context-propagating invoker; Endpoint implements it.
-type CtxInvoker interface {
-	InvokeCtx(ctx context.Context, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error
-}
-
-// InvokeVia invokes through inv with ctx when inv can carry one and falls
-// back to plain Invoke otherwise, so stubs offering a context-taking method
-// keep working over an Invoker that is not the endpoint.
-func InvokeVia(ctx context.Context, inv Invoker, ref oref.Ref, method string, put func(*wire.Encoder), get func(*wire.Decoder) error) error {
-	if ci, ok := inv.(CtxInvoker); ok {
-		return ci.InvokeCtx(ctx, ref, method, put, get)
-	}
-	return inv.Invoke(ref, method, put, get)
 }
 
 // Ping probes liveness of the object behind ref through inv, using the node

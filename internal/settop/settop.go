@@ -160,7 +160,7 @@ func (s *Settop) Boot() (time.Duration, error) {
 				addrs = append(addrs, a)
 			}
 		}
-		sess.Root.Ep = names.NewFailoverInvoker(ep, addrs)
+		sess.Root.Failover = names.NewFailover(addrs)
 	}
 
 	kernelRb := sess.Service(bootsvc.KernelName)
