@@ -18,8 +18,8 @@ func opRef(i int) oref.Ref {
 // settop does.  A resolve allocates the name the replica decodes and the
 // object id the client decodes; a list of 8, the name, the slice and two
 // strings a binding; a bind+unbind pair, the strings its four hops decode
-// (11 for the bind, 7 for the unbind) and the update's encoding on the
-// forward, one each.  The closures stay on the client's
+// (10 for the bind, 6 for the unbind); the slave forwards the update from a
+// pooled encoder.  The closures stay on the client's
 // stack, the replica reads its context's cached sorted bindings, each
 // replica decodes an update in place, and the master pushes from one
 // buffer (EXPERIMENTS.md E26).
@@ -71,7 +71,7 @@ func TestNameOpAllocations(t *testing.T) {
 		{"deep resolve", 2, func() error { _, err := root.Resolve("deep/d0/leaf"); return err }},
 		{"replicated resolve", 2, func() error { _, err := root.Resolve("repl"); return err }},
 		{"list of 8", 18, func() error { _, err := root.List("list"); return err }},
-		{"bind+unbind pair", 20, func() error {
+		{"bind+unbind pair", 18, func() error {
 			if err := root.Bind("tmp", tmp); err != nil {
 				return err
 			}

@@ -528,7 +528,12 @@ func (r *Replica) submit(ctx context.Context, u *update) (newID string, adopted 
 		var created string
 		var adoptedRemote uint64
 		err := r.ep.InvokeCtx(ctx, r.peerRef(masterAddr), "apply",
-			func(e *wire.Encoder) { e.PutBytes(wire.Marshal(u)) },
+			func(e *wire.Encoder) {
+				ue := wire.GetEncoder()
+				u.MarshalWire(ue)
+				e.PutBytes(ue.Bytes())
+				wire.PutEncoder(ue)
+			},
 			func(d *wire.Decoder) error {
 				created = d.String()
 				adoptedRemote = d.Uint()

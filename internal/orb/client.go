@@ -34,6 +34,9 @@ type clientConn struct {
 	// (readInto).  pmu guards it.
 	pmu     sync.Mutex
 	pending map[uint64]*waiter
+	// acked is the ticket the server holds, compared by identity (a signer
+	// replaces its ticket, never mutates it).  pmu guards it too.
+	acked []byte
 
 	// state is the seat and the pending waiters in one word, so that a
 	// holder gives the seat up only when no registered waiter is left
@@ -326,6 +329,7 @@ func (cc *clientConn) roundTrip(req *request, due time.Duration, late, into bool
 	cc.pending[id] = w
 	cc.state.Add(pendingOne)
 	w.move(pRegister)
+	req.held = len(req.Ticket) > 0 && len(req.Ticket) == len(cc.acked) && &req.Ticket[0] == &cc.acked[0]
 	cc.pmu.Unlock()
 	if late {
 		cc.end(id)
@@ -353,6 +357,15 @@ func (cc *clientConn) roundTrip(req *request, due time.Duration, late, into bool
 		rf = <-w.ch
 	}
 	switch {
+	case rf != nil && len(req.Ticket) > 0 && (!req.held && rf.resp.Status == statusOK || req.held && rf.resp.ErrName == ExcDenied):
+		// The server holds a ticket it accepted; one it denied a request
+		// without is sent again.
+		cc.pmu.Lock()
+		cc.acked = nil
+		if !req.held {
+			cc.acked = req.Ticket
+		}
+		cc.pmu.Unlock()
 	case rf != nil:
 	case w.state.Load()&fired != 0:
 		cc.m.callTimeouts.Inc()

@@ -241,6 +241,7 @@ const (
 	manyCalls   = 20000 // calls a concurrent allocation count is taken over
 	schedCalls  = 5000  // calls, and round trips, a goroutine-run count is taken over
 	syscallRuns = 1000  // calls a syscall count is taken over
+	byteCalls   = 100   // calls a byte count is taken over, their request ids one byte each
 )
 
 // zeroAllocs: a warm call alone on its connection allocates nothing
@@ -283,6 +284,29 @@ func mirrorBytes(t *testing.T, r *rig) []float64 {
 		}
 	})
 	return []float64{float64(n/64) / 1024}
+}
+
+// echoBytes is a warm unsigned echo of payload on the wire: a 4-byte frame
+// header each way, a 66-byte request and a 48-byte reply.
+const echoBytes = 122
+
+// wireBytes: what a warm call puts on the wire, both frames, counted where
+// they are read: a reader counts a frame before it hands it on, so a call
+// that returned has both of its frames counted, where the server's count
+// of its reply's write may lag the caller.  Signed, it is the unsigned
+// call's bytes and the signature's 32: the first call on the connection
+// carried the ticket and the principal, and the server holds them from its
+// reply on (DESIGN.md §12).
+func wireBytes(t *testing.T, r *rig) []float64 {
+	read := func() (n int64) {
+		for _, s := range r.srcs {
+			n += s.Stats().BytesRecv
+		}
+		return n
+	}
+	before := read()
+	r.seq(t, byteCalls)
+	return []float64{float64(read()-before) / byteCalls}
 }
 
 // seqReads: a call is two frames and two reads, one per frame.  A read is
@@ -418,6 +442,7 @@ func goroutineRuns(t *testing.T, r *rig) []float64 {
 var probes = []probe{
 	{cells: []cell{{"memnet call", "allocs/call", exactly(0)}}, pin: "TestRemoteCallAllocatesNothing", warm: 8, alloc: true, run: zeroAllocs},
 	{cells: []cell{{"memnet call", "reads/call", exactly(2)}}, pin: "TestSequentialCallCostsTwoReads", warm: 1, run: seqReads},
+	{cells: []cell{{"memnet call", "bytes/call", exactly(echoBytes)}}, pin: "TestWarmCallBytes", warm: 1, run: wireBytes},
 	{cells: []cell{{"memnet call", "clock reads/call", exactly(5)}}, pin: "TestSequentialCallClockReads", warm: 1, retry: true, run: clockReads},
 	{cells: []cell{{"memnet call", "arms/1000 calls", atMost(1)}}, pin: "TestSequentialCallArmsNoTimer", warm: 1, run: timerArms},
 	{cells: []cell{{"memnet call", "inline/call", exactly(1)}, {"memnet call", "self reads/call", exactly(1)}},
@@ -431,6 +456,7 @@ var probes = []probe{
 		net: "tcp", warm: 8, retry: true, run: syscalls},
 	{cells: []cell{{"local call", "allocs/call", exactly(0)}}, pin: "TestLocalCallAllocatesNothing", net: "local", warm: 8, alloc: true, run: zeroAllocs},
 	{cells: []cell{{"signed memnet", "allocs/call", exactly(0)}}, warm: 8, signed: true, alloc: true, run: zeroAllocs},
+	{cells: []cell{{"signed memnet", "bytes/call", exactly(echoBytes + 32)}}, pin: "TestWarmCallBytes", warm: 1, signed: true, run: wireBytes},
 	{cells: []cell{{"signed tcp", "allocs/call", exactly(0)}}, net: "tcp", warm: 8, signed: true, alloc: true, run: zeroAllocs},
 	{cells: []cell{{"12 KiB mirror memnet", "KiB/call", under(12)}}, pin: "TestMidSizeFramesGrowTheBufferOnce", alloc: true, run: mirrorBytes},
 	{cells: []cell{{"12 KiB mirror tcp", "KiB/call", under(12)}}, pin: "TestMidSizeFramesGrowTheBufferOnce", net: "tcp", alloc: true, run: mirrorBytes},
@@ -465,6 +491,7 @@ func TestSequentialCallArmsNoTimer(t *testing.T)      { runPin(t) }
 func TestPipelinedCallsShareReads(t *testing.T)       { runPin(t) }
 func TestSequentialCallHandsOffNothing(t *testing.T)  { runPin(t) }
 func TestSequentialCallGoroutineRuns(t *testing.T)    { runPin(t) }
+func TestWarmCallBytes(t *testing.T)                  { runPin(t) }
 
 // runPin measures the probes pinned by t's name, and logs the card on a
 // failure.

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -466,9 +467,46 @@ type connServer struct {
 
 	// seat is the reader's state (seatReading, ...) under the number of its
 	// latest inline dispatch; grace times that dispatch, recording its
-	// number (onGrace).
+	// number (onGrace).  held is what the connection's signed calls proved.
 	seat  atomic.Uint64
 	grace graceCheck
+	held  tickets
+}
+
+// tickets is what a connection's signed calls have proven: the last two
+// distinct tickets that verified on it, owned copies, with their
+// principals, newest first (DESIGN.md §12).
+type tickets struct {
+	mu        sync.Mutex
+	ticket    [2][]byte
+	principal [2]string
+}
+
+// verify checks req through a.  A signed request without a ticket on a
+// connection that holds some names them, and is checked against each in
+// turn.  The ticket that verifies is held at the front.
+func (t *tickets) verify(a Authenticator, req *request, principal string, payload, macBuf []byte) (v string, err error) {
+	sched(pHeld, nil)
+	t.mu.Lock()
+	ticket, principals := t.ticket, t.principal
+	t.mu.Unlock()
+	if len(req.Ticket) > 0 || len(req.Sig) == 0 || ticket[0] == nil {
+		ticket, principals = [2][]byte{req.Ticket}, [2]string{principal}
+	}
+	for i := 0; i < 2 && (i == 0 || ticket[i] != nil); i++ {
+		if v, err = a.Verify(principals[i], ticket[i], req.Sig, payload, macBuf); err != nil {
+			continue
+		}
+		if len(req.Ticket) > 0 || i > 0 {
+			t.mu.Lock()
+			if !bytes.Equal(t.ticket[0], ticket[i]) {
+				t.ticket, t.principal = [2][]byte{bytes.Clone(ticket[i]), t.ticket[0]}, [2]string{v, t.principal[0]}
+			}
+			t.mu.Unlock()
+		}
+		return v, nil
+	}
+	return "", err
 }
 
 func (e *Endpoint) serveConn(conn net.Conn) {
@@ -593,7 +631,7 @@ func (srv *connServer) overflow(sr *serverReq) {
 // pickup ends the request's queue wait: a worker's clock reading, or the
 // arrival itself for an inline dispatch.
 func (srv *connServer) handleOne(sr *serverReq, s *callScratch, pickup time.Duration) {
-	method, sms := srv.e.handleInto(&sr.req, srv.remote, s, sr.recvAt)
+	method, sms := srv.e.handleInto(&sr.req, srv.remote, &srv.held, s, sr.recvAt)
 	// Stamp the reply with this node's HLC — one site covers every response
 	// path, so the caller's clock couples to ours on every round trip.  The
 	// handler's end is the stamp's time as well as the service time's end.
@@ -639,12 +677,13 @@ func (srv *connServer) handleOne(sr *serverReq, s *callScratch, pickup time.Dura
 // returns the request's method as a string that outlives the frame and the
 // method's own latency row, nil when it has none (no name at all for a
 // request refused at the version gate).  recvAt is the Mono reading at the
-// request's arrival, the time of the HLC's receive event.
+// request's arrival, the time of the HLC's receive event; held, the
+// tickets its connection holds.
 //
 // This is the decode boundary for the request's three strings (DESIGN.md
 // §9): each is resolved from its bytes in the frame to a string some table
 // already holds, and only a value no table holds is copied out.
-func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch, recvAt time.Duration) (method string, sms *serverMethodStats) {
+func (e *Endpoint) handleInto(req *request, remoteAddr string, held *tickets, s *callScratch, recvAt time.Duration) (method string, sms *serverMethodStats) {
 	e.received.Add(1)
 	resp := &s.resp
 	resp.reset()
@@ -678,7 +717,7 @@ func (e *Endpoint) handleInto(req *request, remoteAddr string, s *callScratch, r
 		req.appendDecodedSigPayload(se)
 		// The expected signature stages in the scratch's own array, so
 		// steady-state verification allocates nothing.
-		verified, err := a.Verify(principal, req.Ticket, req.Sig, se.Bytes(), s.macBuf[:0])
+		verified, err := held.verify(a, req, principal, se.Bytes(), s.macBuf[:0])
 		wire.PutEncoder(se)
 		if err != nil {
 			resp.Status = statusApp

@@ -205,7 +205,7 @@ func TestKeptStringsSurviveTheFrame(t *testing.T) {
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
-		gotMethod, _ := server.handleInto(&in, "10.3.0.5:40000", s, mono())
+		gotMethod, _ := server.handleInto(&in, "10.3.0.5:40000", new(tickets), s, mono())
 		if s.resp.Status != statusOK {
 			t.Fatalf("%s: status %d %s %s", method, s.resp.Status, s.resp.ErrName, s.resp.ErrMsg)
 		}

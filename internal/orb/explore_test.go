@@ -64,11 +64,11 @@ type parking struct {
 }
 
 // pSleep is the point a scenario's own sleep (explorer.sleep) reaches.
-const pSleep = pFail + 1
+const pSleep = pHeld + 1
 
 // pointNames names the points in schedules, in the order of their values.
 var pointNames = strings.Fields(`register claim lend lent end sweep sit stand put seat-take seat-pass
-	seat-release send flush-own flush-release expire idle grace stalled kick fail sleep`)
+	seat-release send flush-own flush-release expire idle grace stalled kick fail held sleep`)
 
 func (p point) String() string {
 	if int(p) < len(pointNames) {
@@ -417,7 +417,7 @@ func exploreRange(t *testing.T, scs ...scenario) {
 
 // scenarios is every scenario, in the order TestExploreReplays runs them.
 var scenarios = []scenario{seatedTimer, leadingFlush, resend, promotion, expiredBeforeWrite,
-	earlierDeadline, resentDeadline, expiredLeavesNothing, ownWrite, replyBound, cancelWhileQueued, bulkRace, sparedCut}
+	earlierDeadline, resentDeadline, expiredLeavesNothing, ownWrite, replyBound, cancelWhileQueued, bulkRace, sparedCut, refreshRace}
 
 func TestExploreSeatedTimer(t *testing.T)  { exploreRange(t, seatedTimer) }
 func TestExploreLeadingFlush(t *testing.T) { exploreRange(t, leadingFlush) }
@@ -459,6 +459,7 @@ var pins = []seedPin{
 	{"TestServerReplyWriteIsBounded", replyBound, 0, ""},
 	{"TestInvokeCtxCancelWhileQueued", cancelWhileQueued, 0, ""},
 	{"TestBulkReplyRacingTimer", bulkRace, 0, ""},
+	{"TestHeldTicketOutlivesARefresh", refreshRace, 0, premiseOldBehindNew},
 }
 
 // explorePins runs the seeds pinned to t's name: each must run clean and

@@ -135,6 +135,7 @@ const (
 	pStalled
 	pKick // end kicks a seated caller out of Read
 	pFail
+	pHeld // a request is about to be verified against its connection's tickets
 )
 
 // hook is the ORB's one test seam.  Installed in hooked, it hears every

@@ -13,8 +13,10 @@ import (
 // v1↔v2 was a flag-day break; from v2 on, a request mismatch yields a clean
 // statusBadVersion reply instead of a dropped connection.  v3 added the
 // hybrid-logical-clock field to both records (DESIGN.md §11) so every RPC
-// couples the two nodes' HLCs in both directions.
-const wireVersion = 3
+// couples the two nodes' HLCs in both directions.  v4 lets a signed request
+// leave out its ticket and principal once its connection holds the ticket
+// (DESIGN.md §10).
+const wireVersion = 4
 
 // Wire status codes for responses.
 const (
@@ -71,6 +73,7 @@ type request struct {
 	// signing allocates nothing.  Safe to recycle with the request: the
 	// frame encoder copied Sig before the request was released.
 	sigScratch [64]byte
+	held       bool // Ticket and Principal stay off the wire: the connection holds Ticket
 }
 
 func (r *request) MarshalWire(e *wire.Encoder) {
@@ -79,8 +82,12 @@ func (r *request) MarshalWire(e *wire.Encoder) {
 	e.PutString(r.ObjectID)
 	e.PutInt(r.Incarnation)
 	e.PutString(r.Method)
-	e.PutString(r.Principal)
-	e.PutBytes(r.Ticket)
+	principal, ticket := r.Principal, r.Ticket
+	if r.held {
+		principal, ticket = "", nil
+	}
+	e.PutString(principal)
+	e.PutBytes(ticket)
 	e.PutBytes(r.Sig)
 	e.PutBytes(r.Body)
 	e.PutUint(r.TraceID)
